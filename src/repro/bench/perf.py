@@ -6,14 +6,6 @@ and a migration-heavy CoreTime run — measuring **only** the simulation
 loop (workload/image construction is excluded), and writes the results
 to ``BENCH_simulator.json``.
 
-Each workload kernel is timed under every requested *engine* kernel
-(``generic`` oracle loop and the ``batched`` macro-step loop from
-:mod:`repro.sim.batch`); report entries are keyed
-``<workload>:<engine>`` (e.g. ``fig2:batched``), so the regression gate
-covers both run loops independently — the batched kernel cannot
-silently regress back to generic speed, and the generic oracle cannot
-rot.
-
 Raw wall-clock numbers are useless across machines, so a pure-Python
 *calibration burst* exercising the same interpreter operations the
 simulator leans on (ordered-dict inserts/evictions, holder-set
@@ -40,13 +32,12 @@ from repro.analysis import summarise
 from repro.bench.harness import SCHEDULERS, coretime_factory
 from repro.cpu.machine import Machine
 from repro.cpu.topology import MachineSpec
-from repro.sim.engine import KERNELS as ENGINE_KERNELS
 from repro.sim.engine import Simulator
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
-#: Schema version of BENCH_simulator.json.  2: kernel entries are keyed
-#: ``<workload>:<engine-kernel>`` and both engine run loops are gated.
-SCHEMA = 2
+#: Schema version of BENCH_simulator.json.  3: kernel entries are keyed
+#: by plain workload name (the simulator has one run loop).
+SCHEMA = 3
 
 #: Default repeats per kernel (first repeat is discarded as warm-up
 #: unless it is the only one).
@@ -173,14 +164,12 @@ def _stats_dict(values: List[float]) -> Dict[str, float]:
     }
 
 
-def run_kernel(name: str, repeats: int = DEFAULT_REPEATS,
-               engine_kernel: str = "generic") -> Dict:
+def run_kernel(name: str, repeats: int = DEFAULT_REPEATS) -> Dict:
     """Time one kernel ``repeats`` times; returns raw samples + stats.
 
-    Each repeat builds a fresh simulator (untimed), selects the
-    requested engine run loop, and times only ``Simulator.run``.  The
-    first repeat is discarded as interpreter warm-up when more than one
-    was requested.
+    Each repeat builds a fresh simulator (untimed) and times only
+    ``Simulator.run``.  The first repeat is discarded as interpreter
+    warm-up when more than one was requested.
 
     A calibration burst runs *adjacent to every repeat* and each
     repeat is normalized by its own burst: machine load drifts on the
@@ -201,7 +190,6 @@ def run_kernel(name: str, repeats: int = DEFAULT_REPEATS,
         _calibration_burst()
         scores.append(_CALIBRATION_N / (time.perf_counter() - started))
         simulator, until = setup()
-        simulator.kernel = engine_kernel
         started = time.perf_counter()
         simulator.run(until=until)
         elapsed = time.perf_counter() - started
@@ -213,7 +201,6 @@ def run_kernel(name: str, repeats: int = DEFAULT_REPEATS,
     throughput = [steps / s for s in samples]
     return {
         "steps": steps,
-        "engine_kernel": engine_kernel,
         "wall_seconds": _stats_dict(samples),
         "steps_per_sec": _stats_dict(throughput),
         "calibration": _stats_dict(scores),
@@ -223,17 +210,9 @@ def run_kernel(name: str, repeats: int = DEFAULT_REPEATS,
 
 
 def run_perf(repeats: int = DEFAULT_REPEATS,
-             kernels: Optional[Sequence[str]] = None,
-             engine_kernels: Optional[Sequence[str]] = None) -> Dict:
-    """Run the calibration burst plus every requested kernel.
-
-    Every workload kernel is timed once per engine kernel (default:
-    all of :data:`repro.sim.engine.KERNELS`); the report keys the
-    entries ``<workload>:<engine>``.
-    """
+             kernels: Optional[Sequence[str]] = None) -> Dict:
+    """Run the calibration burst plus every requested kernel."""
     names = list(kernels) if kernels else list(KERNELS)
-    engines = list(engine_kernels) if engine_kernels \
-        else list(ENGINE_KERNELS)
     score = calibrate()
     report: Dict = {
         "schema": SCHEMA,
@@ -242,13 +221,10 @@ def run_perf(repeats: int = DEFAULT_REPEATS,
         "platform": platform.platform(),
         "repeats": repeats,
         "calibration_score": score,
-        "engine_kernels": engines,
         "kernels": {},
     }
     for name in names:
-        for engine in engines:
-            report["kernels"][f"{name}:{engine}"] = run_kernel(
-                name, repeats, engine_kernel=engine)
+        report["kernels"][name] = run_kernel(name, repeats)
     return report
 
 
@@ -295,19 +271,9 @@ def format_report(report: Dict) -> str:
     for name, kernel in report["kernels"].items():
         sps = kernel["steps_per_sec"]
         lines.append(
-            f"  {name:<16} {sps['p50']:>12,.0f} steps/s p50 "
+            f"  {name:<10} {sps['p50']:>12,.0f} steps/s p50 "
             f"(p95 {sps['p95']:,.0f}, mean {sps['mean']:,.0f}) "
             f"normalized {kernel['normalized_throughput']:.3f}")
-    # Batched-over-generic speedup per workload, when both were run.
-    kernels = report["kernels"]
-    for name in sorted({key.split(":")[0] for key in kernels}):
-        generic = kernels.get(f"{name}:generic")
-        batched = kernels.get(f"{name}:batched")
-        if generic and batched:
-            ratio = (batched["normalized_throughput"]
-                     / generic["normalized_throughput"])
-            lines.append(f"  {name:<16} batched/generic speedup "
-                         f"{ratio:.2f}x")
     return "\n".join(lines)
 
 
@@ -320,17 +286,7 @@ def main_perf(args) -> int:
             print(f"unknown kernels: {', '.join(unknown)} "
                   f"(choose from {', '.join(KERNELS)})", file=sys.stderr)
             return 2
-    engines = (args.engine_kernels.split(",")
-               if getattr(args, "engine_kernels", None) else None)
-    if engines:
-        unknown = [k for k in engines if k not in ENGINE_KERNELS]
-        if unknown:
-            print(f"unknown engine kernels: {', '.join(unknown)} "
-                  f"(choose from {', '.join(ENGINE_KERNELS)})",
-                  file=sys.stderr)
-            return 2
-    report = run_perf(repeats=args.repeats, kernels=kernels,
-                      engine_kernels=engines)
+    report = run_perf(repeats=args.repeats, kernels=kernels)
     print(format_report(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:

@@ -64,18 +64,6 @@ class Rebalancer:
         self._c_moves = registry.counter("rebalance.moves")
         self._c_rounds = registry.counter("rebalance.rounds")
 
-    @staticmethod
-    def next_epoch(last_round: int, interval: int) -> int:
-        """First cycle at which the next rebalance round may fire.
-
-        Rounds piggyback on CoreTime's monitoring window, so the epoch
-        grid is ``last_round + interval``.  The batched engine kernel
-        uses this (via ``CoreTimeRuntime.next_boundary``) as a macro-step
-        horizon: a quiescent core is never batch-executed across a
-        rebalance epoch boundary.
-        """
-        return last_round + interval
-
     def rebalance(self, loads: Sequence[CoreLoad], table: ObjectTable,
                   budgets: Sequence[CacheBudget],
                   line_size: int) -> List[RebalanceEvent]:

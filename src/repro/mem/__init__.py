@@ -1,6 +1,6 @@
 """Simulated memory hierarchy: caches, coherence, interconnect, DRAM."""
 
-from repro.mem.cache import LRUCache, SetAssociativeCache
+from repro.mem.cache import LRUCache
 from repro.mem.counters import (COUNTER_FIELDS, CoreCounters, CounterDelta,
                                 CounterSnapshot, aggregate)
 from repro.mem.dram import Dram, MemoryController
@@ -30,7 +30,6 @@ __all__ = [
     "SRC_L2",
     "SRC_L3",
     "SRC_REMOTE",
-    "SetAssociativeCache",
     "SharingDirectory",
     "aggregate",
     "align_up",

@@ -1,13 +1,9 @@
-"""Cache capacity models.
+"""Cache capacity model.
 
-Two interchangeable models are provided:
-
-* :class:`LRUCache` — fully associative, true LRU.  This is the fast path
-  used by the benchmark harness; for the workloads studied here (streaming
-  scans over objects much larger than a set) it predicts the same resident
-  sets as a set-associative cache.
-* :class:`SetAssociativeCache` — index-bit set mapping with per-set LRU,
-  for experiments where conflict misses matter.
+:class:`LRUCache` is fully associative with true LRU replacement.  For
+the workloads studied here (streaming scans over objects much larger
+than a set) it predicts the same resident sets as a set-associative
+cache.
 
 Caches store only *presence* and recency of lines.  Coherence state (which
 caches hold a line) lives in :class:`repro.mem.sharing.SharingDirectory`;
@@ -17,7 +13,7 @@ keeping the two separate keeps the per-access hot path small.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.errors import ConfigError
 
@@ -115,99 +111,4 @@ class LRUCache:
 
     def clear(self) -> None:
         self._lines.clear()
-        self.pinned.clear()
-
-
-class SetAssociativeCache:
-    """Set-associative cache with per-set LRU replacement.
-
-    Exposes the same interface as :class:`LRUCache`.  The set index is the
-    low bits of the line number, as in real hardware.
-    """
-
-    __slots__ = ("cache_id", "capacity", "n_sets", "ways", "_sets", "_size",
-                 "pinned", "evictions")
-
-    def __init__(self, capacity: int, ways: int = 8,
-                 cache_id: str = "?") -> None:
-        if capacity < 1:
-            raise ConfigError(f"cache {cache_id}: capacity must be >= 1 line")
-        if ways < 1:
-            raise ConfigError(f"cache {cache_id}: ways must be >= 1")
-        ways = min(ways, capacity)
-        n_sets = max(1, capacity // ways)
-        # Round down to a power of two so the index is a mask.
-        while n_sets & (n_sets - 1):
-            n_sets &= n_sets - 1
-        self.cache_id = cache_id
-        self.n_sets = n_sets
-        self.ways = capacity // n_sets
-        self.capacity = self.n_sets * self.ways
-        self._sets: List["OrderedDict[int, None]"] = [
-            OrderedDict() for _ in range(n_sets)]
-        self._size = 0
-        self.pinned: set = set()
-        self.evictions = 0
-
-    def _set_of(self, line: int) -> "OrderedDict[int, None]":
-        return self._sets[line & (self.n_sets - 1)]
-
-    def __contains__(self, line: int) -> bool:
-        return line in self._set_of(line)
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def free_lines(self) -> int:
-        return self.capacity - self._size
-
-    def touch(self, line: int) -> None:
-        bucket = self._set_of(line)
-        if line in bucket:
-            bucket.move_to_end(line)
-
-    def insert(self, line: int) -> Optional[int]:
-        bucket = self._set_of(line)
-        if line in bucket:
-            bucket.move_to_end(line)
-            return None
-        bucket[line] = None
-        self._size += 1
-        if len(bucket) <= self.ways:
-            return None
-        victim = None
-        for candidate in bucket:
-            if candidate not in self.pinned:
-                victim = candidate
-                break
-        if victim is None:
-            victim = next(iter(bucket))
-        del bucket[victim]
-        self._size -= 1
-        self.evictions += 1
-        return victim
-
-    def remove(self, line: int) -> None:
-        bucket = self._set_of(line)
-        if line in bucket:
-            del bucket[line]
-            self._size -= 1
-        self.pinned.discard(line)
-
-    def pin(self, line: int) -> None:
-        if line in self._set_of(line):
-            self.pinned.add(line)
-
-    def unpin(self, line: int) -> None:
-        self.pinned.discard(line)
-
-    def lines(self) -> Iterator[int]:
-        for bucket in self._sets:
-            yield from bucket
-
-    def clear(self) -> None:
-        for bucket in self._sets:
-            bucket.clear()
-        self._size = 0
         self.pinned.clear()

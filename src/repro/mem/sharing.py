@@ -88,18 +88,6 @@ class SharingDirectory:
     def is_cached(self, line: int) -> bool:
         return line in self._holders
 
-    def quiescent_for(self, line: int, holder: int) -> bool:
-        """True when touching ``line`` from ``holder`` cannot generate
-        coherence traffic: the line is uncached, or ``holder`` is its sole
-        holder.  The batched engine kernel uses this to decide whether a
-        store can skip the invalidation sweep entirely (no remote copy
-        exists to invalidate), keeping a quiescent core's run of events
-        free of cross-core interaction."""
-        holders = self._holders.get(line)
-        if holders is None:
-            return True
-        return len(holders) == 1 and holder in holders
-
     def sharer_count(self, line: int) -> int:
         holders = self._holders.get(line)
         return len(holders) if holders else 0

@@ -14,10 +14,7 @@ MLFQ).  Among waiters, the first (oldest) at the best level runs next:
 FIFO within a level.
 
 Decay is applied lazily on the ``decay_interval`` epoch grid inside
-``on_ct_end``/``on_thread_done`` — callbacks that fire at identical
-times under both engine kernels — and ``next_boundary`` additionally
-caps batched macro-steps at the next epoch, so a collapsed batch never
-spans a decay boundary.
+``on_ct_end``/``on_thread_done``.
 """
 
 from __future__ import annotations
@@ -102,12 +99,6 @@ class MLFQScheduler(TimeSharingScheduler):
                 if level == 0:
                     break
         return best
-
-    def next_boundary(self, now: int) -> Optional[int]:
-        quantum_cap = super().next_boundary(now)
-        epoch_cap = (now - now % self.decay_interval
-                     + self.decay_interval)
-        return quantum_cap if quantum_cap < epoch_cap else epoch_cap
 
     def on_thread_done(self, thread: "SimThread", core: "Core",
                        now: int) -> None:

@@ -4,17 +4,15 @@ The engine is cooperative: a scheduler only runs inside its callbacks
 (placement, ``ct_start``/``ct_end``, idleness).  Classic preemptive
 policies — round-robin, CFS, SJF, MLFQ — therefore preempt at
 *operation boundaries*: ``on_ct_end`` is the simulated equivalent of a
-syscall return, and it is the one point where both engine kernels hand
-the policy the core with its clock flushed.
+syscall return.
 
 Preemption uses exactly the engine's own yield mechanics
 (:meth:`Simulator._do_yield`): clear ``core.current`` and requeue the
-thread at the tail of the core's run queue.  Both the generic loop and
-the batched kernel then pick the queue head on the next micro-step, so
-a preempting policy stays byte-identical across kernels.  Which thread
-runs next is controlled by reordering the FIFO — the policy's pick is
-moved to the head with ``remove`` + ``push_front`` — never by touching
-engine state directly.
+thread at the tail of the core's run queue, so the engine picks the
+queue head on the core's next step.  Which thread runs next is
+controlled by reordering the FIFO — the policy's pick is moved to the
+head with ``remove`` + ``push_front`` — never by touching engine state
+directly.
 
 Slice accounting is in *observed service cycles*: each ``on_ct_end``
 adds the finished operation's duration (``now - ct_started_at``, which
@@ -22,13 +20,6 @@ includes memory stalls and lock spinning — cycles the thread burned on
 the core) to the thread's current slice.  Wall-clock time spent waiting
 in the run queue is not charged.  Subclasses decide when a slice is
 exhausted (:meth:`_should_preempt`) and who runs next (:meth:`_pick_next`).
-
-``next_boundary`` returns the next multiple of the quantum: the batched
-kernel caps a quiescent core's macro-step there, so a collapsed batch
-never spans more than one quantum.  The cap is conservative (splitting
-a batch never changes behaviour) — preemption correctness comes from
-the ``on_ct_end`` callbacks alone, which fire at identical times under
-both kernels.
 """
 
 from __future__ import annotations
@@ -118,8 +109,8 @@ class TimeSharingScheduler(SchedulerRuntime):
     def _preempt(self, thread: "SimThread", core: "Core",
                  now: int) -> None:
         chosen = self._pick_next(core)
-        # The engine's own yield mechanics: both kernels resume by
-        # popping the queue head on the next micro-step.
+        # The engine's own yield mechanics: the core resumes by popping
+        # the queue head on its next step.
         core.current = None
         core.runqueue.push(thread)
         self._slice_used[thread.tid] = 0
@@ -129,15 +120,6 @@ class TimeSharingScheduler(SchedulerRuntime):
                 queue.remove(chosen)
                 queue.push_front(chosen)
         self.preemptions += 1
-
-    def next_boundary(self, now: int) -> Optional[int]:
-        """Cap batched macro-steps at the next quantum-grid point.
-
-        Pure function of ``now`` (the batched kernel may call it at
-        times the generic loop never does); always strictly ahead of
-        ``now`` so a zero-length batch is impossible.
-        """
-        return now - now % self.quantum + self.quantum
 
     def on_thread_done(self, thread: "SimThread", core: "Core",
                        now: int) -> None:

@@ -3,18 +3,11 @@
 from repro.obs import Observability
 from repro.sim.engine import RunResult, Simulator
 from repro.sim.rng import make_rng, stream_seed
-from repro.sim.trace import (PrintTracer, RecordingTracer, TraceEvent,
-                             Tracer, subscribe_tracer)
 
 __all__ = [
     "Observability",
-    "PrintTracer",
-    "RecordingTracer",
     "RunResult",
     "Simulator",
-    "TraceEvent",
-    "Tracer",
     "make_rng",
     "stream_seed",
-    "subscribe_tracer",
 ]

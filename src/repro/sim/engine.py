@@ -39,35 +39,12 @@ from repro.obs import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
                        OperationFinished, OperationStarted, ThreadArrived,
                        ThreadFinished, ThreadSpawned)
 from repro.sched.base import SchedulerRuntime
-from repro.sim.batch import run_batched
-from repro.sim.trace import Tracer, subscribe_tracer
 from repro.threads.program import (Acquire, Compute, CtEnd, CtStart, Load,
                                    OpDone, Release, Scan, Store, YieldCore)
 from repro.threads.thread import Program, SimThread, ThreadState
 
 _KIND_STEP = 0
 _KIND_ARRIVAL = 1
-
-#: Selectable run-loop implementations.  ``generic`` is the tuple-heap
-#: event loop below — the oracle every other kernel is differentially
-#: verified against; ``batched`` is :func:`repro.sim.batch.run_batched`,
-#: which macro-steps quiescent cores on an array-backed indexed heap and
-#: produces byte-identical event streams and counters.
-KERNELS = ("generic", "batched")
-
-_default_kernel = "generic"
-
-
-def set_default_kernel(name: str) -> None:
-    """Set the kernel used by subsequently constructed simulators that
-    don't pass ``kernel=`` explicitly (mirrors ``set_default_checker``:
-    benchmark CLIs flip this once instead of threading a parameter
-    through every figure runner)."""
-    global _default_kernel
-    if name not in KERNELS:
-        raise SimulationError(
-            f"unknown kernel {name!r} (choose from {', '.join(KERNELS)})")
-    _default_kernel = name
 
 # Factory consulted when a Simulator is built without an explicit
 # ``checker`` — lets ``repro.bench --verify`` turn invariant checking on
@@ -130,22 +107,9 @@ class Simulator:
     """Event-driven executor for one machine + scheduler + thread set."""
 
     def __init__(self, machine: Machine, scheduler: SchedulerRuntime,
-                 tracer: Optional[Tracer] = None,
                  obs: Optional[Observability] = None,
                  checker: Optional[Any] = None,
-                 faults: Optional[Any] = None,
-                 kernel: Optional[str] = None) -> None:
-        if kernel is None:
-            kernel = _default_kernel
-        elif kernel not in KERNELS:
-            raise SimulationError(
-                f"unknown kernel {kernel!r} "
-                f"(choose from {', '.join(KERNELS)})")
-        #: Run-loop implementation: "generic" or "batched".  The batched
-        #: kernel silently defers to the generic loop while a checker or
-        #: fault plan is attached — both are defined to run between
-        #: events and to introspect the tuple heap (see DESIGN.md §13).
-        self.kernel = kernel
+                 faults: Optional[Any] = None) -> None:
         self.machine = machine
         self.memory = machine.memory
         # Bound-method handles for the per-item handlers (one attribute
@@ -155,14 +119,6 @@ class Simulator:
         self._mem_scan = machine.memory.scan
         self.scheduler = scheduler
         self.obs = obs
-        self.tracer = tracer
-        if tracer is not None:
-            # Legacy tracers ride the bus: a bridge converts typed
-            # lifecycle events back into flat TraceEvents.
-            if self.obs is None:
-                self.obs = Observability(events=False, metrics=False,
-                                         flight=0)
-            subscribe_tracer(self.obs.bus, tracer)
         # Publishers hold these locals; None means "construct nothing".
         self._bus = self.obs.bus if self.obs is not None else None
         self._h_oplat = self._h_miglat = None
@@ -300,9 +256,6 @@ class Simulator:
         if until is None and max_ops is None and max_steps is None:
             raise SimulationError("run() needs a stopping condition")
         try:
-            if self.kernel == "batched" and self.checker is None \
-                    and self.faults is None:
-                return run_batched(self, until, max_ops, max_steps)
             return self._run(until, max_ops, max_steps)
         except SimulationError as exc:
             if self.obs is not None:

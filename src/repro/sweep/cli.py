@@ -162,9 +162,6 @@ def _spec_and_store(args):
     if args.seed is not None:
         kwargs["root_seed"] = args.seed
     spec = preset(**kwargs)
-    if getattr(args, "kernel", None):
-        spec.kernel = args.kernel
-        spec.validate()
     store = _store_for(args.out, spec.name)
     if store.exists():
         stored = store.load_spec()
@@ -412,11 +409,6 @@ def main(argv=None) -> int:
                           "benchmarks/results/sweeps/<preset>)")
     run.add_argument("--seeds", type=int, default=None,
                      help="seeds per cell (overrides the preset)")
-    run.add_argument("--kernel", choices=("generic", "batched"),
-                     default=None,
-                     help="engine run loop for every cell (default: "
-                          "the preset's, normally 'generic'; 'batched' "
-                          "computes identical results faster)")
     run.add_argument("--seed", type=int, default=None,
                      help="root seed; per-cell seeds derive from it via "
                           "repro.sim.rng.derive_seed")
@@ -443,9 +435,6 @@ def main(argv=None) -> int:
                             "benchmarks/results/sweeps/<preset>)")
     serve.add_argument("--seeds", type=int, default=None,
                        help="seeds per cell (overrides the preset)")
-    serve.add_argument("--kernel", choices=("generic", "batched"),
-                       default=None,
-                       help="engine run loop for every cell")
     serve.add_argument("--seed", type=int, default=None,
                        help="root seed; per-cell seeds derive from it")
     serve.add_argument("--host", default="127.0.0.1",

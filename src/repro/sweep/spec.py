@@ -116,13 +116,9 @@ class SweepCase:
     measure_cycles: int = 1_500_000
     #: Sweep coordinate for reports (defaults to the workload's data KB).
     x: Optional[float] = None
-    #: Engine run loop (:data:`repro.sim.engine.KERNELS`).  Both kernels
-    #: publish identical event streams, so this axis never changes what a
-    #: cell measures — only how fast the simulator computes it.
-    kernel: str = "generic"
 
     def as_dict(self) -> dict:
-        data = {
+        return {
             "machine_label": self.machine_label,
             "machine": machine_to_dict(self.machine),
             "scheduler": self.scheduler,
@@ -136,11 +132,6 @@ class SweepCase:
             "measure_cycles": self.measure_cycles,
             "x": self.x,
         }
-        # Omitted when generic so every pre-existing cache key (and any
-        # store written before the kernel axis existed) stays valid.
-        if self.kernel != "generic":
-            data["kernel"] = self.kernel
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepCase":
@@ -198,18 +189,11 @@ class SweepSpec:
     warmup_cycles: int = 1_500_000
     measure_cycles: int = 1_500_000
     filters: Tuple[Dict[str, str], ...] = ()
-    #: Engine run loop for every cell ("generic" or "batched").
-    kernel: str = "generic"
 
     def validate(self) -> None:
         if not self.machines or not self.schedulers or not self.workloads:
             raise ConfigError("sweep needs at least one machine, "
                               "scheduler and workload")
-        from repro.sim.engine import KERNELS as ENGINE_KERNELS
-        if self.kernel not in ENGINE_KERNELS:
-            raise ConfigError(
-                f"unknown engine kernel {self.kernel!r}; "
-                f"choose from {', '.join(ENGINE_KERNELS)}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
         if self.warmup_cycles < 0 or self.measure_cycles <= 0:
@@ -275,8 +259,7 @@ class SweepSpec:
                             seed=seed,
                             warmup_cycles=self.warmup_cycles,
                             measure_cycles=self.measure_cycles,
-                            x=workload.x,
-                            kernel=self.kernel))
+                            x=workload.x))
         return cases
 
     # ------------------------------------------------------------------
@@ -284,7 +267,7 @@ class SweepSpec:
     # ------------------------------------------------------------------
 
     def as_dict(self) -> dict:
-        data = {
+        return {
             "name": self.name,
             "machines": [{"label": m.label,
                           "spec": machine_to_dict(m.spec)}
@@ -300,9 +283,6 @@ class SweepSpec:
             "measure_cycles": self.measure_cycles,
             "filters": [dict(rule) for rule in self.filters],
         }
-        if self.kernel != "generic":
-            data["kernel"] = self.kernel
-        return data
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
@@ -325,7 +305,6 @@ class SweepSpec:
             warmup_cycles=data.get("warmup_cycles", 1_500_000),
             measure_cycles=data.get("measure_cycles", 1_500_000),
             filters=tuple(data.get("filters", ())),
-            kernel=data.get("kernel", "generic"),
         )
         spec.validate()
         return spec

@@ -4,9 +4,9 @@ Subcommands::
 
     python -m repro.verify fuzz --seeds 25
         Generate and check 25 random cases (invariants on, same-seed
-        determinism, three-way differential: generic memory path vs
-        fast path vs batched engine kernel).  On failure, shrink to a
-        minimal case and print a one-command repro; exit 1.
+        determinism, two-way differential: generic memory path vs
+        fast path).  On failure, shrink to a minimal case and print a
+        one-command repro; exit 1.
 
     python -m repro.verify fuzz --seeds 5 --inject evict_line
         Same, but inject a deterministic fault into each case and

@@ -7,12 +7,10 @@ properties on each, with the invariant checker attached throughout:
 * **no violations or crashes** — a clean run stays clean;
 * **same-seed determinism** — two identical runs produce byte-identical
   JSONL event streams;
-* **three-way differential** — the hand-flattened memory fast path
-  (:meth:`~repro.mem.system.MemorySystem._load_line_fast`), the generic
-  path, and the batched engine kernel
-  (:func:`repro.sim.batch.run_batched`, run without a checker since the
-  checker forces the generic loop) all produce byte-identical event
-  streams and identical machine counters.
+* **two-way differential** — the hand-flattened memory fast path
+  (:meth:`~repro.mem.system.MemorySystem._load_line_fast`) and the
+  generic path produce byte-identical event streams and identical
+  machine counters.
 
 On failure the case is greedily shrunk — fewer objects, smaller caches,
 shorter horizon, simpler scheduler — while the failure reproduces, and
@@ -241,14 +239,12 @@ def workload_spec(case: FuzzCase) -> ObjectOpsSpec:
 
 def run_case(case: FuzzCase, generic: bool = False,
              checker: Optional[InvariantChecker] = None,
-             faults: Optional[FaultPlan] = None,
-             kernel: Optional[str] = None) -> Tuple[str, dict, Any]:
+             faults: Optional[FaultPlan] = None) -> Tuple[str, dict, Any]:
     """One full simulation of ``case``.
 
     Returns ``(jsonl_stream, aggregated_counters, RunResult)``; raises
     whatever the simulator raises (crash dumps are routed to
-    ``os.devnull`` — the caller owns the reporting).  ``kernel``
-    selects the engine run loop (None = the engine default).
+    ``os.devnull`` — the caller owns the reporting).
     """
     factory = _generic_cache_factory if generic else None
     machine = build_machine(case, cache_factory=factory)
@@ -256,7 +252,7 @@ def run_case(case: FuzzCase, generic: bool = False,
     obs = Observability(events=True, metrics=False, flight=256,
                         capture_memory=True, flight_path=os.devnull)
     sim = Simulator(machine, scheduler, obs=obs,
-                    checker=checker, faults=faults, kernel=kernel)
+                    checker=checker, faults=faults)
     workload = build_workload(machine, case)
     workload.spawn_all(sim)
     result = sim.run(until=case.horizon)
@@ -349,24 +345,6 @@ def check_case(case: FuzzCase,
                  if counters_a[name] != counters_c.get(name)}
         return FuzzFailure("differential",
                            f"fast vs generic counters diverge: {diffs}")
-    # Third leg: the batched kernel, run raw (no checker — the checker
-    # inspects the tuple heap, so its presence makes Simulator.run fall
-    # back to the generic loop and the leg would test nothing).
-    try:
-        stream_d, counters_d, _ = run_case(case, kernel="batched")
-    except SimulationError as exc:
-        return FuzzFailure("crash",
-                           f"batched kernel: {type(exc).__name__}: {exc}")
-    if stream_a != stream_d:
-        return FuzzFailure("differential",
-                           "batched vs generic event streams diverge — "
-                           + _first_diff(stream_a, stream_d))
-    if counters_a != counters_d:
-        diffs = {name: (counters_a[name], counters_d[name])
-                 for name in counters_a
-                 if counters_a[name] != counters_d.get(name)}
-        return FuzzFailure("differential",
-                           f"batched vs generic counters diverge: {diffs}")
     return None
 
 

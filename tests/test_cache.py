@@ -1,4 +1,4 @@
-"""Tests for repro.mem.cache (LRU and set-associative capacity models)."""
+"""Tests for repro.mem.cache (the LRU capacity model)."""
 
 from collections import OrderedDict
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.mem.cache import LRUCache, SetAssociativeCache
+from repro.mem.cache import LRUCache
 
 
 class TestLRUCache:
@@ -93,60 +93,6 @@ class TestLRUCache:
             LRUCache(0)
 
 
-class TestSetAssociativeCache:
-    def test_total_capacity(self):
-        cache = SetAssociativeCache(64, ways=8)
-        assert cache.capacity == 64
-        assert cache.n_sets * cache.ways == cache.capacity
-
-    def test_conflict_misses_within_set(self):
-        cache = SetAssociativeCache(8, ways=2)  # 4 sets of 2 ways
-        # Lines 0, 4, 8 all map to set 0.
-        cache.insert(0)
-        cache.insert(4)
-        victim = cache.insert(8)
-        assert victim == 0
-
-    def test_no_conflict_across_sets(self):
-        cache = SetAssociativeCache(8, ways=2)
-        assert cache.insert(0) is None
-        assert cache.insert(1) is None
-        assert cache.insert(2) is None
-
-    def test_touch_and_len(self):
-        cache = SetAssociativeCache(8, ways=2)
-        cache.insert(0)
-        cache.insert(4)
-        cache.touch(0)
-        assert cache.insert(8) == 4
-        assert len(cache) == 2
-
-    def test_remove(self):
-        cache = SetAssociativeCache(8, ways=2)
-        cache.insert(0)
-        cache.remove(0)
-        assert 0 not in cache
-        assert len(cache) == 0
-
-    def test_pinning(self):
-        cache = SetAssociativeCache(8, ways=2)
-        cache.insert(0)
-        cache.pin(0)
-        cache.insert(4)
-        assert cache.insert(8) == 4
-        assert 0 in cache
-
-    def test_ways_capped_by_capacity(self):
-        cache = SetAssociativeCache(4, ways=16)
-        assert cache.ways <= 4
-
-    def test_bad_params_rejected(self):
-        with pytest.raises(ConfigError):
-            SetAssociativeCache(0)
-        with pytest.raises(ConfigError):
-            SetAssociativeCache(8, ways=0)
-
-
 @settings(max_examples=50)
 @given(ops=st.lists(
     st.tuples(st.sampled_from(["insert", "touch", "remove"]),
@@ -179,18 +125,3 @@ def test_lru_matches_reference_model(ops):
             model.pop(line, None)
         assert len(cache) == len(model)
         assert list(cache.lines()) == list(model)
-
-
-@settings(max_examples=30)
-@given(lines=st.lists(st.integers(min_value=0, max_value=1000),
-                      max_size=300),
-       capacity=st.integers(min_value=1, max_value=32),
-       ways=st.sampled_from([1, 2, 4, 8]))
-def test_set_associative_never_exceeds_capacity(lines, capacity, ways):
-    cache = SetAssociativeCache(capacity, ways=ways)
-    for line in lines:
-        cache.insert(line)
-        assert len(cache) <= cache.capacity
-    # Everything reported by lines() is really present.
-    for line in cache.lines():
-        assert line in cache

@@ -1,15 +1,19 @@
 """Tests for repro.sim.engine (the discrete-event executor)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cpu.machine import Machine
 from repro.errors import SimulationError
+from repro.obs import (MigrationStarted, Observability, ThreadArrived,
+                       ThreadFinished, ThreadSpawned)
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
-from repro.sim.trace import RecordingTracer
 from repro.threads.program import (Acquire, Compute, CtEnd, CtStart, Load,
                                    OpDone, Release, Scan, Store, YieldCore)
 from repro.threads.sync import SpinLock
+from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
 from tests.helpers import tiny_spec
 
@@ -336,29 +340,73 @@ class TestDeterminismAndTracing:
         assert build() == build()
 
     def test_tracer_records_lifecycle(self):
-        tracer = RecordingTracer()
+        obs = Observability()
         machine = Machine(tiny_spec())
-        sim = Simulator(machine, ThreadScheduler(), tracer=tracer)
+        sim = Simulator(machine, ThreadScheduler(), obs=obs)
         def program():
             yield Compute(1)
         sim.spawn(program(), core_id=0)
         sim.run(until=100)
-        kinds = tracer.counts()
-        assert kinds["spawn"] == 1
-        assert kinds["done"] == 1
+        kinds = Counter(type(event) for event in obs.events())
+        assert kinds[ThreadSpawned] == 1
+        assert kinds[ThreadFinished] == 1
 
     def test_tracer_records_migrations(self):
-        tracer = RecordingTracer()
+        obs = Observability()
         machine = Machine(tiny_spec())
         sim = Simulator(machine, TestMigration.RedirectingScheduler(),
-                        tracer=tracer)
+                        obs=obs)
         def program():
             yield CtStart(_obj())
             yield CtEnd()
         sim.spawn(program(), core_id=0)
         sim.run(until=10_000)
-        assert len(tracer.of_kind("migrate")) == 1
-        assert len(tracer.of_kind("arrive")) == 1
+        kinds = Counter(type(event) for event in obs.events())
+        assert kinds[MigrationStarted] == 1
+        assert kinds[ThreadArrived] == 1
+
+
+def _dirlookup_sim():
+    machine = Machine(tiny_spec())
+    sim = Simulator(machine, ThreadScheduler())
+    spec = DirWorkloadSpec(n_dirs=6, files_per_dir=32, cluster_bytes=512,
+                           think_cycles=10, threads_per_core=2, seed=7)
+    DirectoryLookupWorkload(machine, spec).spawn_all(sim)
+    return sim
+
+
+class TestRunBoundaries:
+    def test_resumed_run_matches_straight_run(self):
+        """Stopping at ``until`` leaves the next event queued, so a run
+        sliced into calls ends in exactly the state of one straight run
+        (callers that drive the simulator in fixed slices rely on it)."""
+        straight = _dirlookup_sim()
+        res_straight = straight.run(until=150_000)
+        sliced = _dirlookup_sim()
+        sliced.run(until=75_000)
+        res_sliced = sliced.run(until=150_000)
+        assert res_sliced == res_straight
+        for core_a, core_b in zip(straight.machine.cores,
+                                  sliced.machine.cores):
+            assert core_a.time == core_b.time
+            assert core_a.steps == core_b.steps
+            assert (core_a.counters.snapshot().values
+                    == core_b.counters.snapshot().values)
+
+    def test_finite_programs_drain_the_heap(self):
+        def finite(n):
+            for _ in range(n):
+                yield Compute(25)
+                yield OpDone()
+
+        sim = make_sim()
+        n_cores = sim.machine.n_cores
+        for core_id in range(n_cores):
+            sim.spawn(finite(3 + core_id), f"t{core_id}", core_id=core_id)
+        result = sim.run(until=1_000_000)
+        assert sim._heap == []
+        assert all(thread.done for thread in sim.threads)
+        assert result.ops == sum(3 + c for c in range(n_cores))
 
 
 class TestRunResult:

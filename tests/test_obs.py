@@ -2,6 +2,7 @@
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,8 @@ from repro.obs import Observability
 from repro.obs.bus import EventBus, EventLog
 from repro.obs.events import (ALL_EVENTS, CONTROL_EVENTS, EVENT_KINDS,
                               MEMORY_EVENTS, Event, MigrationStarted,
-                              OperationFinished, RunMarker, ThreadSpawned)
+                              OperationFinished, RunMarker, ThreadFinished,
+                              ThreadSpawned)
 from repro.obs.export import (SCHEMA_VERSION, ascii_timeline, chrome_trace,
                               events_to_jsonl)
 from repro.obs.flight import FlightRecorder
@@ -19,7 +21,6 @@ from repro.obs.metrics import (Histogram, MetricsRegistry)
 from repro.sched.base import SchedulerRuntime
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
-from repro.sim.trace import RecordingTracer
 from repro.threads.program import Compute, CtEnd, CtStart, OpDone
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
@@ -44,13 +45,17 @@ def annotated_program(n_ops=3, cycles=100, obj=None):
     return program()
 
 
-def run_workload(obs=None, tracer=None, until=150_000, scale=4):
+def build_workload(obs=None):
     machine = Machine(tiny_spec())
-    sim = Simulator(machine, ThreadScheduler(), tracer=tracer, obs=obs)
+    sim = Simulator(machine, ThreadScheduler(), obs=obs)
     spec = DirWorkloadSpec(n_dirs=8, files_per_dir=16, think_cycles=10,
                            threads_per_core=2)
     DirectoryLookupWorkload(machine, spec).spawn_all(sim)
-    return sim.run(until=until)
+    return sim
+
+
+def run_workload(obs=None, until=150_000):
+    return build_workload(obs).run(until=until)
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +268,25 @@ class TestSimulatorIntegration:
         # every class must be patched, not just the Event base.
         for klass in (Event,) + ALL_EVENTS:
             monkeypatch.setattr(klass, "__init__", boom)
-        result = run_workload()          # no tracer, no obs
+        result = run_workload()          # no obs
         assert result.ops > 0
 
-    def test_legacy_tracer_bridge(self):
-        tracer = RecordingTracer()
-        run_workload(tracer=tracer)
-        counts = tracer.counts()
-        assert counts["spawn"] > 0
-        assert counts["done"] >= 0
-        migrates = tracer.of_kind("migrate")
-        if migrates:
-            assert isinstance(migrates[0].detail, int)
-
-    def test_tracer_and_obs_can_coexist(self):
-        tracer = RecordingTracer()
+    def test_lifecycle_events_recorded(self):
         obs = Observability()
-        run_workload(obs=obs, tracer=tracer)
+        run_workload(obs=obs)
+        counts = Counter(type(e) for e in obs.events())
+        assert counts[ThreadSpawned] > 0
+        assert counts[ThreadFinished] >= 0
+        migrates = [e for e in obs.events() if type(e) is MigrationStarted]
+        if migrates:
+            assert isinstance(migrates[0].target, int)
+
+    def test_spawn_events_match_spawned_threads(self):
+        obs = Observability()
+        sim = build_workload(obs)
+        sim.run(until=150_000)
         spawns = [e for e in obs.events() if type(e) is ThreadSpawned]
-        assert len(spawns) == len(tracer.of_kind("spawn"))
+        assert len(spawns) == len(sim.threads)
 
     def test_run_markers_split_runs(self):
         obs = Observability()

@@ -1,9 +1,6 @@
-"""Tests for repro.sim.rng and repro.sim.trace."""
-
-import io
+"""Tests for repro.sim.rng."""
 
 from repro.sim.rng import make_rng, stream_seed
-from repro.sim.trace import (PrintTracer, RecordingTracer, TraceEvent)
 
 
 class TestRng:
@@ -27,21 +24,3 @@ class TestRng:
 
     def test_int_and_str_labels(self):
         assert stream_seed(1, 2) == stream_seed(1, "2")
-
-
-class TestTracers:
-    def test_recording(self):
-        tracer = RecordingTracer()
-        tracer.emit(TraceEvent(1, "spawn", "t0", 0))
-        tracer.emit(TraceEvent(2, "migrate", "t0", 0, 3))
-        assert tracer.counts()["spawn"] == 1
-        assert tracer.of_kind("migrate")[0].detail == 3
-        tracer.clear()
-        assert tracer.events == []
-
-    def test_print_tracer_formats(self):
-        out = io.StringIO()
-        tracer = PrintTracer(out)
-        tracer.emit(TraceEvent(42, "migrate", "t1", 2, 5))
-        text = out.getvalue()
-        assert "migrate" in text and "t1" in text and "42" in text
