@@ -14,17 +14,16 @@ from repro.cpu.core import Core
 from repro.cpu.topology import MachineSpec
 from repro.errors import ConfigError
 from repro.mem.layout import AddressSpace
-from repro.mem.system import CacheFactory, MemorySystem, _default_cache_factory
+from repro.mem.system import MemorySystem
 
 
 class Machine:
     """A ready-to-run simulated multicore machine."""
 
-    def __init__(self, spec: Optional[MachineSpec] = None,
-                 cache_factory: CacheFactory = _default_cache_factory) -> None:
+    def __init__(self, spec: Optional[MachineSpec] = None) -> None:
         self.spec = spec or MachineSpec.amd16()
         self.spec.validate()
-        self.memory = MemorySystem(self.spec, cache_factory)
+        self.memory = MemorySystem(self.spec)
         self.cores: List[Core] = [
             Core(core_id, self.spec.chip_of(core_id),
                  self.memory.counters[core_id])

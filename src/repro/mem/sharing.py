@@ -14,12 +14,13 @@ cares about:
 Holder ids are small integers: ``0 .. n_cores-1`` identify the private
 (L1+L2) hierarchy of each core, and ``n_cores + chip_id`` identifies a
 chip's shared L3.  Only :class:`repro.mem.system.MemorySystem` mutates the
-directory, keeping it consistent with actual cache contents.
+directory, keeping it consistent with actual cache contents; its load path
+adds holders directly on ``_holders``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Set
 
 
 class SharingDirectory:
@@ -33,10 +34,6 @@ class SharingDirectory:
 
     # -- holder-id helpers ------------------------------------------------
 
-    def core_holder(self, core_id: int) -> int:
-        """Holder id for a core's private caches."""
-        return core_id
-
     def l3_holder(self, chip_id: int) -> int:
         """Holder id for a chip's shared L3."""
         return self.n_cores + chip_id
@@ -44,20 +41,7 @@ class SharingDirectory:
     def is_l3_holder(self, holder: int) -> bool:
         return holder >= self.n_cores
 
-    def chip_of_holder(self, holder: int, cores_per_chip: int) -> int:
-        """Chip on which ``holder`` (core or L3) resides."""
-        if holder >= self.n_cores:
-            return holder - self.n_cores
-        return holder // cores_per_chip
-
     # -- membership --------------------------------------------------------
-
-    def add(self, line: int, holder: int) -> None:
-        holders = self._holders.get(line)
-        if holders is None:
-            self._holders[line] = {holder}
-        else:
-            holders.add(holder)
 
     def discard(self, line: int, holder: int) -> None:
         holders = self._holders.get(line)
@@ -72,29 +56,6 @@ class SharingDirectory:
         holders = self._holders.get(line)
         return frozenset(holders) if holders else frozenset()
 
-    def holders_excluding(self, line: int, holder: int) -> List[int]:
-        """Holders of ``line`` other than ``holder`` (mutation-safe list)."""
-        holders = self._holders.get(line)
-        if not holders:
-            return []
-        return [h for h in holders if h != holder]
-
-    def any_holder(self, line: int) -> Optional[int]:
-        holders = self._holders.get(line)
-        if not holders:
-            return None
-        return next(iter(holders))
-
-    def is_cached(self, line: int) -> bool:
-        return line in self._holders
-
-    def sharer_count(self, line: int) -> int:
-        holders = self._holders.get(line)
-        return len(holders) if holders else 0
-
-    def cached_lines(self) -> Iterable[int]:
-        return self._holders.keys()
-
     def items(self) -> Iterable[tuple]:
         """(line, holder-set view) pairs — the invariant checker walks
         these to reconcile the directory against actual cache contents."""
@@ -102,7 +63,7 @@ class SharingDirectory:
 
     def clear(self) -> None:
         """Forget every holder, in place (keeps the dict's identity — the
-        memory system's fast path holds a direct reference to it)."""
+        memory system's hot path holds a direct reference to it)."""
         self._holders.clear()
 
     def __len__(self) -> int:

@@ -22,23 +22,21 @@ directory.  Both effects — replication eating capacity, invalidation
 generating interconnect traffic — are exactly what §1 of the paper blames
 for poor implicit on-chip-memory scheduling.
 
-Hot-path layout: when every cache is a plain :class:`LRUCache` (the
-default factory), per-line lookups run through :meth:`_load_line_fast`,
-which works on a per-core tuple of flattened state — counter bank, the
-caches' underlying ordered dicts and capacities, chip id, L3 holder id —
-plus the directory's raw line->holders dict.  This removes every Python
-method call from the hit paths and the insert cascade while mutating the
-exact same underlying structures, so behaviour (and event streams) are
-bit-identical to the generic path used under a custom ``cache_factory``.
+Hot-path layout: per-line lookups run through :meth:`_load_line` and
+whole scans through :meth:`_scan`.  Both work on a per-core tuple of
+flattened state — counter bank, the caches' underlying ordered dicts and
+capacities, chip id, L3 holder id — plus the directory's raw
+line->holders dict, so the hit paths and the insert cascade make no
+Python method calls.  :mod:`repro.verify.reference` is a naive model of
+the same semantics that the fuzzer checks both loops against.
 """
 
 from __future__ import annotations
 
 from math import exp as _exp
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cpu.topology import MachineSpec
-from repro.errors import ConfigError
 from repro.mem.cache import LRUCache
 from repro.obs.events import CacheEvicted, CacheInvalidated
 from repro.mem.counters import CoreCounters
@@ -56,28 +54,21 @@ SRC_DRAM = 4
 
 SOURCE_NAMES = ("L1", "L2", "L3", "REMOTE", "DRAM")
 
-CacheFactory = Callable[[int, str], LRUCache]
-
-
-def _default_cache_factory(capacity: int, cache_id: str) -> LRUCache:
-    return LRUCache(capacity, cache_id)
-
 
 class MemorySystem:
     """All caches, coherence state, interconnect and DRAM of one machine."""
 
-    def __init__(self, spec: MachineSpec,
-                 cache_factory: CacheFactory = _default_cache_factory) -> None:
+    def __init__(self, spec: MachineSpec) -> None:
         spec.validate()
         self.spec = spec
         self.line_size = spec.line_size
         n_cores = spec.n_cores
         self.l1s: List[LRUCache] = [
-            cache_factory(spec.l1_lines, f"L1.{c}") for c in range(n_cores)]
+            LRUCache(spec.l1_lines, f"L1.{c}") for c in range(n_cores)]
         self.l2s: List[LRUCache] = [
-            cache_factory(spec.l2_lines, f"L2.{c}") for c in range(n_cores)]
+            LRUCache(spec.l2_lines, f"L2.{c}") for c in range(n_cores)]
         self.l3s: List[LRUCache] = [
-            cache_factory(spec.l3_lines, f"L3.{chip}")
+            LRUCache(spec.l3_lines, f"L3.{chip}")
             for chip in range(spec.n_chips)]
         self.directory = SharingDirectory(n_cores)
         self.dram = Dram(spec)
@@ -86,7 +77,6 @@ class MemorySystem:
             CoreCounters(c) for c in range(n_cores)]
         # Pre-computed per-core values for the hot path.
         self._chip_of = [spec.chip_of(c) for c in range(n_cores)]
-        self._lat = spec.latency
         self._lat_l1 = spec.latency.l1
         self._lat_l2 = spec.latency.l2
         self._lat_l3 = spec.latency.l3
@@ -102,34 +92,28 @@ class MemorySystem:
         #: with ``self.directory._holders`` for the lifetime of the
         #: system (``flush_all`` clears it in place).
         self._holders = self.directory._holders
-        # Flattened per-core state for the fast path: one tuple per core,
+        # Flattened per-core state for the hot path: one tuple per core,
         # unpacked in C on every line access instead of chasing
-        # list-index + attribute chains.  Only valid when every cache is
-        # a plain LRUCache; custom factories use the generic path.
-        self._fast = all(
-            type(c) is LRUCache
-            for c in self.l1s + self.l2s + self.l3s)
-        if self._fast:
-            self._core_state: List[tuple] = []
-            for c in range(n_cores):
-                l1, l2 = self.l1s[c], self.l2s[c]
-                chip = self._chip_of[c]
-                l3 = self.l3s[chip]
-                self._core_state.append((
-                    self.counters[c],
-                    l1, l1._lines, l1.capacity,
-                    l2, l2._lines, l2.capacity,
-                    l3, l3._lines, l3.capacity,
-                    chip, self.directory.l3_holder(chip), c))
-            #: Just the L1 ordered dicts, for the hit path's early probe
-            #: (no 13-tuple unpack on a hit).
-            self._l1ds = [l1._lines for l1 in self.l1s]
-            #: Interned (latency, source) results for the fixed-latency
-            #: hit levels — no tuple allocation per access.
-            self._res_l1 = (self._lat_l1, SRC_L1)
-            self._res_l2 = (self._lat_l2, SRC_L2)
-            self._res_l3 = (self._lat_l3, SRC_L3)
-            self._load_line = self._load_line_fast
+        # list-index + attribute chains.
+        self._core_state: List[tuple] = []
+        for c in range(n_cores):
+            l1, l2 = self.l1s[c], self.l2s[c]
+            chip = self._chip_of[c]
+            l3 = self.l3s[chip]
+            self._core_state.append((
+                self.counters[c],
+                l1, l1._lines, l1.capacity,
+                l2, l2._lines, l2.capacity,
+                l3, l3._lines, l3.capacity,
+                chip, self.directory.l3_holder(chip), c))
+        #: Just the L1 ordered dicts, for the hit path's early probe
+        #: (no 13-tuple unpack on a hit).
+        self._l1ds = [l1._lines for l1 in self.l1s]
+        #: Interned (latency, source) results for the fixed-latency
+        #: hit levels — no tuple allocation per access.
+        self._res_l1 = (self._lat_l1, SRC_L1)
+        self._res_l2 = (self._lat_l2, SRC_L2)
+        self._res_l3 = (self._lat_l3, SRC_L3)
         # Observability: None until attach_observability(); publish sites
         # gate on it so the un-observed hot path allocates nothing.
         self._bus = None
@@ -228,56 +212,15 @@ class MemorySystem:
         if nbytes <= 0:
             return 0
         line_size = self.line_size
-        first = addr // line_size
-        last = (addr + nbytes - 1) // line_size
-        load_line = self._load_line
-        total = 0
-        stream_run = False
-        if self._fast:
-            state = self._core_state[core_id]
-            (counters, l1, l1d, l1_cap, l2, l2d, l2_cap, l3, l3d, l3_cap,
-             chip, l3_holder, _) = state
-            if not (l1.pinned or l2.pinned or l3.pinned):
-                return self._scan_fast(
-                    core_id, first, last, now, per_line_compute, state)
-            # Pinned lines anywhere in the hierarchy: inline only the
-            # L1-hit case (one dict probe + move_to_end per line, hit
-            # counts batched outside the loop); misses take the per-line
-            # fast path, whose _evict() honours pins.
-            move_to_end = l1d.move_to_end
-            hit_cost = self._lat_l1 + per_line_compute
-            l1_hits = 0
-            for line in range(first, last + 1):
-                if line in l1d:
-                    move_to_end(line)
-                    l1_hits += 1
-                    total += hit_cost
-                    stream_run = False
-                else:
-                    latency, source = load_line(core_id, line, now + total,
-                                                stream_run)
-                    total += latency + per_line_compute
-                    stream_run = source >= SRC_REMOTE
-            counters.l1_hits += l1_hits
-            counters.mem_cycles += total
-            return total
-        for line in range(first, last + 1):
-            latency, source = load_line(core_id, line, now + total,
-                                        stream_run)
-            total += latency + per_line_compute
-            stream_run = source >= SRC_REMOTE
-        self.counters[core_id].mem_cycles += total
-        return total
+        return self._scan(core_id, addr // line_size,
+                          (addr + nbytes - 1) // line_size, now,
+                          per_line_compute, self._core_state[core_id])
 
-    def prefetch(self, core_id: int, addr: int, nbytes: int, now: int) -> int:
-        """Warm the local hierarchy with a byte range (no compute cost)."""
-        return self.scan(core_id, addr, nbytes, now)
+    def _scan(self, core_id: int, first: int, last: int, now: int,
+              per_line_compute: int, state: tuple) -> int:
+        """Whole-scan inline loop over lines ``first..last``.
 
-    def _scan_fast(self, core_id: int, first: int, last: int, now: int,
-                   per_line_compute: int, state: tuple) -> int:
-        """Whole-scan inline loop for pin-free all-LRU hierarchies.
-
-        Unrolls :meth:`_load_line_fast` across the scanned range with the
+        Unrolls :meth:`_load_line` across the scanned range with the
         per-core state, the directory dict, the interconnect cost tables
         and the DRAM controllers all held in locals, and with counter
         increments accumulated outside the loop.  Mutations — dict probe
@@ -449,7 +392,7 @@ class MemorySystem:
                                              else raw_base)[bank]
                               + per_line_compute)
                     stream_run = True
-            # --- inlined insert cascade (pin-free variant) --------------
+            # --- inlined insert cascade ---------------------------------
             if grow is not False:
                 if grow is None:
                     holders_map[line] = {core_id}
@@ -523,15 +466,14 @@ class MemorySystem:
     # hot path
     # ------------------------------------------------------------------
 
-    def _load_line_fast(self, core_id: int, line: int, now: int,
-                        sequential: bool) -> Tuple[int, int]:
-        """Flattened :meth:`_load_line` for all-LRU cache hierarchies.
+    def _load_line(self, core_id: int, line: int, now: int,
+                   sequential: bool) -> Tuple[int, int]:
+        """Load one line for ``core_id``; return (latency, source).
 
         Operates directly on the caches' ordered dicts and the directory's
         holder-set dict — the lookup, the hit bookkeeping, and the full
         L1 -> L2 -> L3 victim cascade run inline with zero intermediate
-        method calls.  Mutations are identical to the generic path, so the
-        two produce byte-identical event streams.
+        method calls.
         """
         l1d = self._l1ds[core_id]
         if line in l1d:
@@ -545,8 +487,6 @@ class MemorySystem:
         if line in l2d:
             counters.l2_hits += 1
             del l2d[line]
-            if l2.pinned:
-                l2.pinned.discard(line)
             already_held = True
             result = self._res_l2
         elif line in l3d:
@@ -562,15 +502,13 @@ class MemorySystem:
                 l3d.move_to_end(line)
             else:
                 del l3d[line]
-                if l3.pinned:
-                    l3.pinned.discard(line)
                 if holders is not None:
                     holders.discard(l3_holder)
                     if not holders:
                         del holders_map[line]
             result = self._res_l3
         else:
-            # Inlined _nearest_holder (shares the holder-set probe).
+            # Nearest holder by chip distance (first found on ties).
             holders = holders_map.get(line)
             holder = None
             if holders:
@@ -600,7 +538,7 @@ class MemorySystem:
                 counters.dram_loads += 1
                 result = (self.dram.load(line, chip, now, sequential),
                           SRC_DRAM)
-        # --- inlined _insert_local over the flattened state ------------
+        # --- insert at L1, cascading victims downward ------------------
         if not already_held:
             holders = holders_map.get(line)
             if holders is None:
@@ -614,11 +552,8 @@ class MemorySystem:
         l1d[line] = None
         if len(l1d) <= l1_cap:
             return result
-        if not l1.pinned:
-            l1.evictions += 1
-            victim = l1d.popitem(False)[0]
-        else:
-            victim = l1._evict()
+        l1.evictions += 1
+        victim = l1d.popitem(False)[0]
         # L2 insert.
         if victim in l2d:
             l2d.move_to_end(victim)
@@ -626,16 +561,12 @@ class MemorySystem:
         l2d[victim] = None
         if len(l2d) <= l2_cap:
             return result
-        if not l2.pinned:
-            l2.evictions += 1
-            victim2 = l2d.popitem(False)[0]
-        else:
-            victim2 = l2._evict()
+        l2.evictions += 1
+        victim2 = l2d.popitem(False)[0]
         # Leaving the private hierarchy for the chip's shared L3.  One
         # probe serves both the discard and the add; the mutation history
-        # (set emptied -> entry deleted -> fresh set created) matches the
-        # generic path exactly, keeping holder-set iteration order — and
-        # therefore event streams — byte-identical.
+        # (set emptied -> entry deleted -> fresh set created) is the one
+        # _scan replays, keeping holder-set iteration order identical.
         holders = holders_map.get(victim2)
         if holders is not None:
             holders.discard(core_id)
@@ -652,11 +583,8 @@ class MemorySystem:
         l3d[victim2] = None
         if len(l3d) <= l3_cap:
             return result
-        if not l3.pinned:
-            l3.evictions += 1
-            victim3 = l3d.popitem(False)[0]
-        else:
-            victim3 = l3._evict()
+        l3.evictions += 1
+        victim3 = l3d.popitem(False)[0]
         # Clean drop: DRAM always has the data.
         holders = holders_map.get(victim3)
         if holders is not None:
@@ -669,100 +597,6 @@ class MemorySystem:
                                      self.op_obj[core_id]))
         return result
 
-    def _load_line(self, core_id: int, line: int, now: int,
-                   sequential: bool) -> Tuple[int, int]:
-        """Load one line for ``core_id``; return (latency, source).
-
-        Generic path, used when a custom ``cache_factory`` supplied
-        non-LRU caches (the constructor rebinds ``self._load_line`` to
-        :meth:`_load_line_fast` otherwise).
-        """
-        counters = self.counters[core_id]
-        lat = self._lat
-        l1 = self.l1s[core_id]
-        if line in l1:
-            l1.touch(line)
-            counters.l1_hits += 1
-            return lat.l1, SRC_L1
-        l2 = self.l2s[core_id]
-        if line in l2:
-            counters.l2_hits += 1
-            l2.remove(line)
-            self._insert_local(core_id, line, now, already_held=True)
-            return lat.l2, SRC_L2
-        chip = self._chip_of[core_id]
-        l3 = self.l3s[chip]
-        if line in l3:
-            # Same non-inclusive L3 hand-over rule as the fast path.
-            counters.l3_hits += 1
-            if self.directory.sharer_count(line) > 1:
-                l3.touch(line)
-            else:
-                l3.remove(line)
-                self.directory.discard(line, self.directory.l3_holder(chip))
-            self._insert_local(core_id, line, now, already_held=False)
-            return lat.l3, SRC_L3
-        holder = self._nearest_holder(line, chip)
-        if holder is not None:
-            counters.remote_hits += 1
-            holder_chip = self._holder_chip[holder]
-            if sequential:
-                latency = self.interconnect.remote_stream_latency(
-                    chip, holder_chip)
-            else:
-                latency = self.interconnect.remote_cache_latency(
-                    chip, holder_chip)
-            # Read-sharing: the remote copy stays put; we replicate.
-            self._insert_local(core_id, line, now, already_held=False)
-            return latency, SRC_REMOTE
-        counters.dram_loads += 1
-        latency = self.dram.load(line, chip, now, sequential)
-        self._insert_local(core_id, line, now, already_held=False)
-        return latency, SRC_DRAM
-
-    def _nearest_holder(self, line: int, from_chip: int) -> Optional[int]:
-        """Closest holder of ``line`` by chip distance, or None."""
-        holders = self._holders.get(line)
-        if not holders:
-            return None
-        holder_chip = self._holder_chip
-        dist = self._dist[from_chip]
-        best = None
-        best_d = 1 << 30
-        for holder in holders:
-            d = dist[holder_chip[holder]]
-            if d < best_d:
-                best, best_d = holder, d
-                if d == 0:
-                    break
-        return best
-
-    def _insert_local(self, core_id: int, line: int, now: int,
-                      already_held: bool) -> None:
-        """Insert ``line`` at the core's L1, cascading victims downward."""
-        directory = self.directory
-        if not already_held:
-            directory.add(line, core_id)
-        victim = self.l1s[core_id].insert(line)
-        if victim is None:
-            return
-        victim2 = self.l2s[core_id].insert(victim)
-        if victim2 is None:
-            return
-        # Leaving the private hierarchy for the chip's shared L3.
-        directory.discard(victim2, core_id)
-        chip = self._chip_of[core_id]
-        l3_holder = directory.l3_holder(chip)
-        directory.add(victim2, l3_holder)
-        victim3 = self.l3s[chip].insert(victim2)
-        if victim3 is not None:
-            # Clean drop: DRAM always has the data.
-            directory.discard(victim3, l3_holder)
-            bus = self._bus
-            if bus is not None and bus.wants(CacheEvicted):
-                bus.publish(CacheEvicted(now, core_id, "L3", victim3,
-                                         self.op_obj[core_id]))
-
     def _drop_from_holder(self, line: int, holder: int) -> None:
         """Remove ``line`` from ``holder``'s caches and the directory."""
         if self.directory.is_l3_holder(holder):
@@ -773,73 +607,12 @@ class MemorySystem:
         self.directory.discard(line, holder)
 
     # ------------------------------------------------------------------
-    # maintenance / inspection
+    # maintenance
     # ------------------------------------------------------------------
-
-    def flush_line(self, line: int) -> None:
-        """Remove a line from every cache (test/maintenance helper)."""
-        for holder in list(self.directory.holders(line)):
-            self._drop_from_holder(line, holder)
 
     def flush_all(self) -> None:
         for cache in self.l1s + self.l2s + self.l3s:
             cache.clear()
-        # Clear in place: the fast path holds a reference to the
+        # Clear in place: the hot path holds a reference to the
         # directory's holder dict, so the directory object must survive.
         self.directory.clear()
-
-    def holder_caches(self, holder: int) -> List[LRUCache]:
-        """The concrete cache objects behind a directory holder id."""
-        if self.directory.is_l3_holder(holder):
-            return [self.l3s[holder - self.directory.n_cores]]
-        return [self.l1s[holder], self.l2s[holder]]
-
-    def where_is(self, addr: int) -> List[str]:
-        """Human-readable locations of the line containing ``addr``."""
-        line = addr // self.line_size
-        names = []
-        for core_id in range(self.spec.n_cores):
-            if line in self.l1s[core_id]:
-                names.append(f"L1.{core_id}")
-            if line in self.l2s[core_id]:
-                names.append(f"L2.{core_id}")
-        for chip in range(self.spec.n_chips):
-            if line in self.l3s[chip]:
-                names.append(f"L3.{chip}")
-        return names
-
-    def check_invariants(self) -> None:
-        """Verify directory/cache consistency (test helper; O(total lines)).
-
-        Raises :class:`~repro.errors.ConfigError` on violation.
-        """
-        for cache in self.l1s + self.l2s + self.l3s:
-            if len(cache) > cache.capacity:
-                raise ConfigError(
-                    f"cache {cache.cache_id}: {len(cache)} lines exceed "
-                    f"capacity {cache.capacity}")
-        seen = {}
-        for core_id in range(self.spec.n_cores):
-            for cache in (self.l1s[core_id], self.l2s[core_id]):
-                for line in cache.lines():
-                    holders = seen.setdefault(line, set())
-                    holders.add(core_id)
-        for chip in range(self.spec.n_chips):
-            holder = self.directory.l3_holder(chip)
-            for line in self.l3s[chip].lines():
-                seen.setdefault(line, set()).add(holder)
-        for core_id in range(self.spec.n_cores):
-            l1, l2 = self.l1s[core_id], self.l2s[core_id]
-            both = set(l1.lines()) & set(l2.lines())
-            if both:
-                raise ConfigError(
-                    f"core {core_id}: lines in both L1 and L2: {both}")
-        for line, holders in seen.items():
-            recorded = set(self.directory.holders(line))
-            if holders != recorded:
-                raise ConfigError(
-                    f"line {line}: caches say {holders}, "
-                    f"directory says {recorded}")
-        for line in self.directory.cached_lines():
-            if line not in seen:
-                raise ConfigError(f"line {line}: directory entry with no copy")

@@ -4,9 +4,10 @@ Subcommands::
 
     python -m repro.verify fuzz --seeds 25
         Generate and check 25 random cases (invariants on, same-seed
-        determinism, two-way differential: generic memory path vs
-        fast path).  On failure, shrink to a minimal case and print a
-        one-command repro; exit 1.
+        determinism, reference differential: every memory access and
+        the end state checked against the naive reference model).  On
+        failure, shrink to a minimal case and print a one-command
+        repro; exit 1.
 
     python -m repro.verify fuzz --seeds 5 --inject evict_line
         Same, but inject a deterministic fault into each case and

@@ -7,10 +7,11 @@ properties on each, with the invariant checker attached throughout:
 * **no violations or crashes** — a clean run stays clean;
 * **same-seed determinism** — two identical runs produce byte-identical
   JSONL event streams;
-* **two-way differential** — the hand-flattened memory fast path
-  (:meth:`~repro.mem.system.MemorySystem._load_line_fast`) and the
-  generic path produce byte-identical event streams and identical
-  machine counters.
+* **reference differential** — every memory access charges the latency
+  the naive :class:`~repro.verify.reference.ReferenceMemory` computes,
+  and the run ends with the same counters, cache contents, DRAM and
+  interconnect state (:func:`~repro.verify.reference.shadow` and
+  :func:`~repro.verify.reference.compare`).
 
 On failure the case is greedily shrunk — fewer objects, smaller caches,
 shorter horizon, simpler scheduler — while the failure reproduces, and
@@ -36,7 +37,6 @@ from repro.core.coretime import CoreTimeConfig, CoreTimeScheduler
 from repro.cpu.machine import Machine
 from repro.cpu.topology import MachineSpec
 from repro.errors import ConfigError, SimulationError
-from repro.mem.cache import LRUCache
 from repro.mem.counters import aggregate
 from repro.obs import Observability, events_to_jsonl
 from repro.sched import registry
@@ -45,6 +45,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
 from repro.verify.faults import FaultPlan
 from repro.verify.invariants import InvariantChecker, InvariantViolation
+from repro.verify.reference import ReferenceMismatch, compare, shadow
 from repro.workloads import scenarios as scenario_catalog
 from repro.workloads.scenarios import ScenarioSpec
 from repro.workloads.synthetic import ObjectOpsSpec, ObjectOpsWorkload
@@ -66,16 +67,6 @@ def scenario_axis() -> Tuple[str, ...]:
     the raw ObjectOpsSpec knobs).  Registering a scenario in
     :mod:`repro.workloads.scenarios` grows fuzz coverage automatically."""
     return scenario_catalog.fuzzable_names()
-
-
-class _GenericLRU(LRUCache):
-    """Behaviour-identical subclass that defeats the memory system's
-    fast path (its detection is an exact ``type() is LRUCache`` test),
-    forcing every access through the generic code."""
-
-
-def _generic_cache_factory(capacity: int, cache_id: str) -> LRUCache:
-    return _GenericLRU(capacity, cache_id)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +176,7 @@ def generate_case(seed: int) -> FuzzCase:
 # building and running a case
 # ---------------------------------------------------------------------------
 
-def build_machine(case: FuzzCase,
-                  cache_factory: Optional[Callable] = None) -> Machine:
+def build_machine(case: FuzzCase) -> Machine:
     speeds = None
     if case.hetero_cores:
         n_cores = case.n_chips * case.cores_per_chip
@@ -196,9 +186,7 @@ def build_machine(case: FuzzCase,
         l1_bytes=case.l1_bytes, l2_bytes=case.l2_bytes,
         l3_bytes=case.l3_bytes, migration_cost=case.migration_cost,
         poll_interval=case.poll_interval, core_speeds=speeds)
-    if cache_factory is None:
-        return Machine(spec)
-    return Machine(spec, cache_factory=cache_factory)
+    return Machine(spec)
 
 
 def build_scheduler(case: FuzzCase):
@@ -237,17 +225,23 @@ def workload_spec(case: FuzzCase) -> ObjectOpsSpec:
         threads_per_core=case.threads_per_core)
 
 
-def run_case(case: FuzzCase, generic: bool = False,
+def run_case(case: FuzzCase,
              checker: Optional[InvariantChecker] = None,
              faults: Optional[FaultPlan] = None) -> Tuple[str, dict, Any]:
     """One full simulation of ``case``.
+
+    A run without a fault plan is shadowed by the reference memory
+    model and raises :class:`ReferenceMismatch` if any access or the end
+    state disagrees with it; faults corrupt state behind the model's
+    back, so injected runs are not shadowed.
 
     Returns ``(jsonl_stream, aggregated_counters, RunResult)``; raises
     whatever the simulator raises (crash dumps are routed to
     ``os.devnull`` — the caller owns the reporting).
     """
-    factory = _generic_cache_factory if generic else None
-    machine = build_machine(case, cache_factory=factory)
+    machine = build_machine(case)
+    if faults is None:
+        shadow(machine.memory)
     scheduler = build_scheduler(case)
     obs = Observability(events=True, metrics=False, flight=256,
                         capture_memory=True, flight_path=os.devnull)
@@ -256,6 +250,8 @@ def run_case(case: FuzzCase, generic: bool = False,
     workload = build_workload(machine, case)
     workload.spawn_all(sim)
     result = sim.run(until=case.horizon)
+    if faults is None:
+        compare(machine.memory)
     stream = events_to_jsonl(obs.events())
     return stream, aggregate(machine.memory.counters), result
 
@@ -306,11 +302,13 @@ def check_case(case: FuzzCase,
     # line re-adds the directory entry the fault orphaned).
     interval = 1 if inject else 128
     try:
-        stream_a, counters_a, _ = run_case(
+        stream_a, _, _ = run_case(
             case, checker=InvariantChecker(interval=interval),
             faults=faults)
     except InvariantViolation as exc:
         return FuzzFailure("invariant", str(exc), rule=exc.rule)
+    except ReferenceMismatch as exc:
+        return FuzzFailure("differential", str(exc))
     except SimulationError as exc:
         return FuzzFailure("crash", f"{type(exc).__name__}: {exc}")
     if inject is not None:
@@ -322,6 +320,8 @@ def check_case(case: FuzzCase,
     try:
         stream_b, _, _ = run_case(
             case, checker=InvariantChecker(interval=interval))
+    except ReferenceMismatch as exc:
+        return FuzzFailure("differential", f"rerun: {exc}")
     except SimulationError as exc:
         return FuzzFailure("crash",
                            f"rerun: {type(exc).__name__}: {exc}")
@@ -329,22 +329,6 @@ def check_case(case: FuzzCase,
         return FuzzFailure("determinism",
                            "same-seed reruns diverged — "
                            + _first_diff(stream_a, stream_b))
-    try:
-        stream_c, counters_c, _ = run_case(
-            case, generic=True, checker=InvariantChecker(interval=interval))
-    except SimulationError as exc:
-        return FuzzFailure("crash",
-                           f"generic path: {type(exc).__name__}: {exc}")
-    if stream_a != stream_c:
-        return FuzzFailure("differential",
-                           "fast vs generic event streams diverge — "
-                           + _first_diff(stream_a, stream_c))
-    if counters_a != counters_c:
-        diffs = {name: (counters_a[name], counters_c[name])
-                 for name in counters_a
-                 if counters_a[name] != counters_c.get(name)}
-        return FuzzFailure("differential",
-                           f"fast vs generic counters diverge: {diffs}")
     return None
 
 

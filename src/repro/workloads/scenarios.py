@@ -16,8 +16,8 @@ the existing :class:`~repro.workloads.synthetic.ObjectOpsSpec` /
 :func:`build` returns a ready-to-spawn workload.  Some scenarios attach
 a custom popularity process or override the per-thread program, but
 every memory access still flows through the same engine/memory paths,
-so the fuzzer's two-way differential and the invariant checker apply to
-every scenario unchanged.
+so the fuzzer's reference differential and the invariant checker apply
+to every scenario unchanged.
 
 The registry has the same shape as :mod:`repro.sched.registry` —
 ``register`` / ``resolve`` / ``names`` / ``fuzzable_names`` over frozen

@@ -11,7 +11,6 @@ from repro.bench.perf import (KERNELS, _percentile, _stats_dict, compare,
                               format_report)
 from repro.cpu.machine import Machine
 from repro.errors import SimulationError
-from repro.mem.cache import LRUCache
 from repro.obs import Observability
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
@@ -57,13 +56,11 @@ def test_unknown_item_raises_simulation_error():
 
 
 # ---------------------------------------------------------------------------
-# determinism: same seed -> byte-identical event stream, and the
-# flattened fast path must match the generic path exactly
+# determinism: same seed -> byte-identical event stream
 # ---------------------------------------------------------------------------
 
-def _run_events(tmp_path, tag, cache_factory=None):
-    machine = (Machine(tiny_spec(), cache_factory=cache_factory)
-               if cache_factory is not None else Machine(tiny_spec()))
+def _run_events(tmp_path, tag):
+    machine = Machine(tiny_spec())
     obs = Observability(events=True)
     simulator = Simulator(machine, ThreadScheduler(), obs=obs)
     spec = DirWorkloadSpec(n_dirs=6, files_per_dir=32, cluster_bytes=512,
@@ -72,30 +69,11 @@ def _run_events(tmp_path, tag, cache_factory=None):
     simulator.run(until=150_000)
     path = tmp_path / f"{tag}.events.jsonl"
     obs.write_jsonl(str(path))
-    return path.read_bytes(), simulator
+    return path.read_bytes()
 
 
 def test_same_seed_event_streams_byte_identical(tmp_path):
-    first, _ = _run_events(tmp_path, "a")
-    second, _ = _run_events(tmp_path, "b")
-    assert first == second
-
-
-def test_fast_path_matches_generic_path_byte_for_byte(tmp_path):
-    """The flattened all-LRU fast path and the generic cache path must
-    produce identical event streams and counters for the same run."""
-
-    class PlainLRU(LRUCache):  # subclass -> disables the fast path
-        pass
-
-    fast, fast_sim = _run_events(tmp_path, "fast")
-    generic, generic_sim = _run_events(
-        tmp_path, "generic", cache_factory=lambda cap, cid: PlainLRU(cap, cid))
-    assert not generic_sim.memory._fast and fast_sim.memory._fast
-    assert fast == generic
-    fast_counters = [c.as_dict() for c in fast_sim.memory.counters]
-    generic_counters = [c.as_dict() for c in generic_sim.memory.counters]
-    assert fast_counters == generic_counters
+    assert _run_events(tmp_path, "a") == _run_events(tmp_path, "b")
 
 
 # ---------------------------------------------------------------------------

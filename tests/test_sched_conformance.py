@@ -8,10 +8,10 @@ The contract (DESIGN.md §13):
   thread is lost across placements, preemptions, or migrations;
 * ``place_thread`` only ever returns a core the machine has, including
   through the engine's unpinned :meth:`Simulator.spawn` path;
-* same-seed reruns are byte-identical, and the fast and generic memory
-  paths produce identical event streams and memory counters (delegated
-  to the fuzzer's :func:`check_case`, which runs the two-way
-  differential plus the invariant checker);
+* same-seed reruns are byte-identical, and every memory access and the
+  memory system's end state agree with the reference memory model
+  (delegated to the fuzzer's :func:`check_case`, which runs the
+  reference differential plus the invariant checker);
 * ``describe()`` and ``stats()`` are report-ready (non-empty string,
   JSON-serializable dict with no run-relative identifiers).
 """
@@ -115,7 +115,7 @@ class TestSchedulerConformance:
 
     def test_kernels_and_reruns_are_byte_identical(self, name):
         # check_case = invariants + same-seed determinism + the
-        # two-way fast/generic differential.  scenario="" pins
+        # reference memory-model differential.  scenario="" pins
         # the raw workload knobs (threads_per_core=2 keeps run queues
         # non-empty); scenario coverage lives in test_scenarios.py.
         case = generate_case(901).replace(

@@ -1,71 +1,59 @@
-"""Tests for repro.mem.sharing (coherence directory)."""
+"""Tests for repro.mem.sharing (coherence directory).
+
+Only the memory system adds holders, so the membership cases populate
+the directory through :meth:`MemorySystem.load`.
+"""
 
 from repro.mem.sharing import SharingDirectory
+from repro.mem.system import MemorySystem
+
+from tests.helpers import tiny_spec
+
+
+def loaded(*accesses) -> MemorySystem:
+    """A tiny machine's memory after each ``(core, line)`` load."""
+    memory = MemorySystem(tiny_spec())
+    for core, line in accesses:
+        memory.load(core, line * 64, 0)
+    return memory
 
 
 class TestHolderIds:
     def test_core_and_l3_ids_distinct(self):
         directory = SharingDirectory(n_cores=4)
-        assert directory.core_holder(0) == 0
         assert directory.l3_holder(0) == 4
         assert directory.is_l3_holder(4)
         assert not directory.is_l3_holder(3)
 
     def test_chip_of_holder(self):
-        directory = SharingDirectory(n_cores=4)
         # 2 cores per chip: cores 0,1 on chip 0; l3 holder 4 is chip 0.
-        assert directory.chip_of_holder(0, 2) == 0
-        assert directory.chip_of_holder(3, 2) == 1
-        assert directory.chip_of_holder(4, 2) == 0
-        assert directory.chip_of_holder(5, 2) == 1
+        assert MemorySystem(tiny_spec())._holder_chip == [0, 0, 1, 1, 0, 1]
 
 
 class TestMembership:
     def test_add_and_holders(self):
-        directory = SharingDirectory(4)
-        directory.add(10, 0)
-        directory.add(10, 2)
+        directory = loaded((0, 10), (2, 10)).directory
         assert directory.holders(10) == frozenset({0, 2})
-        assert directory.sharer_count(10) == 2
 
     def test_discard(self):
-        directory = SharingDirectory(4)
-        directory.add(10, 0)
+        directory = loaded((0, 10)).directory
         directory.discard(10, 0)
         assert directory.holders(10) == frozenset()
-        assert not directory.is_cached(10)
         assert len(directory) == 0
 
     def test_discard_absent_is_noop(self):
-        directory = SharingDirectory(4)
-        directory.discard(10, 0)
-        directory.add(10, 1)
+        SharingDirectory(4).discard(10, 0)
+        directory = loaded((1, 10)).directory
         directory.discard(10, 0)
         assert directory.holders(10) == frozenset({1})
 
-    def test_holders_excluding(self):
-        directory = SharingDirectory(4)
-        directory.add(7, 0)
-        directory.add(7, 1)
-        directory.add(7, 2)
-        assert sorted(directory.holders_excluding(7, 1)) == [0, 2]
-        assert directory.holders_excluding(8, 0) == []
-
-    def test_any_holder(self):
-        directory = SharingDirectory(4)
-        assert directory.any_holder(5) is None
-        directory.add(5, 3)
-        assert directory.any_holder(5) == 3
-
     def test_cached_lines(self):
-        directory = SharingDirectory(4)
-        directory.add(1, 0)
-        directory.add(2, 1)
-        assert sorted(directory.cached_lines()) == [1, 2]
+        directory = loaded((0, 1), (1, 2)).directory
+        assert sorted(line for line, _ in directory.items()) == [1, 2]
 
     def test_holders_view_is_immutable_snapshot(self):
-        directory = SharingDirectory(4)
-        directory.add(1, 0)
-        view = directory.holders(1)
-        directory.add(1, 2)
+        memory = loaded((0, 1))
+        view = memory.directory.holders(1)
+        memory.load(2, 64, 0)
         assert view == frozenset({0})
+        assert memory.directory.holders(1) == frozenset({0, 2})
