@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 import time
 
@@ -42,8 +43,6 @@ def _list_experiments() -> str:
     for name in sorted(EXPERIMENTS):
         lines.append(f"  {name:<{width}}  {_describe(EXPERIMENTS[name])}")
     lines.append(f"  {'all':<{width}}  every experiment above, in order")
-    lines.append(f"  {'perf':<{width}}  simulator performance kernels "
-                 "(regression gate; see --baseline/--check)")
     lines.append(f"  {'scenario':<{width}}  one named workload scenario "
                  "(--scenario NAME|all)")
     lines.append("")
@@ -57,13 +56,19 @@ def _list_experiments() -> str:
 
 def _derived_path(path: str, name: str, many: bool) -> str:
     """Output path for one experiment; ``fig2`` of ``out.json`` becomes
-    ``out.fig2.json`` when several experiments share one --*-out flag."""
+    ``out.fig2.json`` when several experiments share one --*-out flag.
+
+    A trailing ``.gz`` stays outermost (``run.jsonl.gz`` becomes
+    ``run.fig2.jsonl.gz``), so the derived path still gzips.
+    """
     if not many:
         return path
-    stem, dot, suffix = path.rpartition(".")
-    if not dot:
-        return f"{path}.{name}"
-    return f"{stem}.{name}.{suffix}"
+    root, ext = os.path.splitext(path)
+    gz = ""
+    if ext == ".gz":
+        gz = ext
+        root, ext = os.path.splitext(root)
+    return f"{root}.{name}{ext}{gz}"
 
 
 def _run_scenarios(args) -> int:
@@ -126,11 +131,9 @@ def main(argv=None) -> int:
         prog="python -m repro.bench",
         description="Regenerate the paper's figures and the ablations.")
     parser.add_argument("experiment", nargs="?",
-                        choices=sorted(EXPERIMENTS) + ["all", "perf",
-                                                       "scenario"],
+                        choices=sorted(EXPERIMENTS) + ["all", "scenario"],
                         help="which experiment to run "
-                             "(see --list for descriptions); 'perf' runs "
-                             "the simulator performance kernels; "
+                             "(see --list for descriptions); "
                              "'scenario' runs a named workload scenario")
     parser.add_argument("--scenario", metavar="NAME", default=None,
                         help="scenario name for the 'scenario' "
@@ -170,25 +173,6 @@ def main(argv=None) -> int:
                              "to every simulator the experiment builds "
                              "(slower; raises InvariantViolation on any "
                              "internal inconsistency)")
-    perf_group = parser.add_argument_group(
-        "perf", "options for the 'perf' experiment (simulator kernels "
-        "+ benchmark-regression gate; see BENCH_simulator.json)")
-    perf_group.add_argument("--repeats", type=int, default=5,
-                            help="timed repeats per kernel (default 5)")
-    perf_group.add_argument("--kernels", default=None,
-                            help="comma-separated kernel subset "
-                                 "(default: all)")
-    perf_group.add_argument("--out", metavar="PATH", default=None,
-                            help="write the perf report JSON to PATH")
-    perf_group.add_argument("--baseline", metavar="PATH", default=None,
-                            help="compare against a committed perf "
-                                 "baseline JSON")
-    perf_group.add_argument("--tolerance", type=float, default=0.20,
-                            help="relative regression tolerance for "
-                                 "--baseline (default 0.20)")
-    perf_group.add_argument("--check", action="store_true",
-                            help="exit non-zero when --baseline "
-                                 "comparison finds a regression")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -204,9 +188,6 @@ def main(argv=None) -> int:
         from repro.verify import InvariantChecker
         set_default_checker(lambda: InvariantChecker(interval=1024))
         print("verify: invariant checker attached to every simulator")
-    if args.experiment == "perf":
-        from repro.bench.perf import main_perf
-        return main_perf(args)
     if args.experiment == "scenario":
         return _run_scenarios(args)
 

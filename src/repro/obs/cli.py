@@ -17,7 +17,7 @@ then explain it::
 migration matrix, the lock-contention table and cache-occupancy
 timelines; ``--stream`` produces the same report in one constant-memory
 pass.  ``diff`` reports per-metric deltas with confidence intervals so
-scheduler A/Bs and bench-regression gates are one command.
+scheduler A/Bs and regression checks are one command.
 
 Fleet-scale analysis (:mod:`repro.obs.stream`)::
 

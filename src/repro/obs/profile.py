@@ -39,8 +39,7 @@ __all__ = [
     "Recording", "Run", "ObjectCost", "CoreBreakdown", "LockStat",
     "StreamSummary", "MetricDelta", "EventDecoder", "load_jsonl",
     "parse_jsonl", "iter_jsonl",
-    "split_runs", "object_costs", "core_breakdown", "migration_matrix",
-    "lock_table", "occupancy_timeline", "folded_stacks",
+    "split_runs", "folded_stacks",
     "summarise_stream", "diff_streams", "render_report", "render_diff",
     "render_migration_matrix", "render_lock_table", "diff_metrics",
 ]
@@ -102,14 +101,13 @@ class EventDecoder:
             data = json.loads(line)
         except ValueError as exc:
             raise self._error(where, f"not valid JSON: {exc}")
+        return self.decode(data, where)
+
+    def decode(self, data: Any, where: str = "event") -> Optional[Event]:
+        """Decode one ``as_dict``-shaped mapping; None for ``meta``."""
         if not isinstance(data, dict) or "kind" not in data:
             raise self._error(
                 where, "expected an object with a 'kind' field")
-        return self.decode(data, where)
-
-    def decode(self, data: Dict[str, Any],
-               where: str = "event") -> Optional[Event]:
-        """Decode one ``as_dict``-shaped mapping; None for ``meta``."""
         kind = data["kind"]
         if kind == "meta":
             version = data.get("schema_version")
@@ -268,25 +266,6 @@ class ObjectCost:
         return value / self.attributed_ops if self.attributed_ops else 0.0
 
 
-def object_costs(events: Sequence[Event]) -> List[ObjectCost]:
-    """Attribute cycles, misses and migrations to objects.
-
-    Returned most-expensive first (by :attr:`ObjectCost.total_cycles`).
-    Migrations are charged to the object of the operation in progress on
-    the migrating thread; a migration outside any operation is nobody's
-    fault and lands on the pseudo-object ``(no operation)``.
-
-    Thin wrapper over the streaming
-    :class:`repro.obs.stream.ObjectCostsReducer` (single source of
-    truth for the attribution rules).
-    """
-    from repro.obs.stream import ObjectCostsReducer
-    reducer = ObjectCostsReducer()
-    for event in events:
-        reducer.feed(event)
-    return reducer.result()
-
-
 # ---------------------------------------------------------------------------
 # per-core time breakdown
 # ---------------------------------------------------------------------------
@@ -330,30 +309,9 @@ class CoreBreakdown:
         return value / self.horizon if self.horizon else 0.0
 
 
-def core_breakdown(events: Sequence[Event],
-                   horizon: Optional[int] = None) -> List[CoreBreakdown]:
-    """Per-core busy/mem-stall/spin/migrating/idle attribution."""
-    from repro.obs.stream import CoreBreakdownReducer
-    if horizon is None:
-        horizon = stream_horizon(events)
-    reducer = CoreBreakdownReducer()
-    for event in events:
-        reducer.feed(event)
-    return reducer.result(horizon)
-
-
 # ---------------------------------------------------------------------------
-# migration matrix & lock contention
+# lock contention
 # ---------------------------------------------------------------------------
-
-def migration_matrix(events: Sequence[Event]) -> Dict[Tuple[int, int], int]:
-    """``(from_core, to_core) -> count`` over all migrations."""
-    from repro.obs.stream import MigrationMatrixReducer
-    reducer = MigrationMatrixReducer()
-    for event in events:
-        reducer.feed(event)
-    return reducer.result()
-
 
 @dataclass
 class LockStat:
@@ -371,40 +329,6 @@ class LockStat:
         return max(self.per_core, key=lambda c: (self.per_core[c], -c))
 
 
-def lock_table(events: Sequence[Event]) -> List[LockStat]:
-    """Per-lock contention, most contended first."""
-    from repro.obs.stream import LockTableReducer
-    reducer = LockTableReducer()
-    for event in events:
-        reducer.feed(event)
-    return reducer.result()
-
-
-# ---------------------------------------------------------------------------
-# cache occupancy timeline
-# ---------------------------------------------------------------------------
-
-def occupancy_timeline(events: Sequence[Event], n_cores: Optional[int] = None,
-                       width: int = 72) -> str:
-    """Assigned-object count per core cache over time (ASCII strip).
-
-    Built from ``assign``/``move`` events: each column is a time bucket,
-    the glyph is the number of objects assigned to that core's cache at
-    the bucket's end (``0``–``9``, then ``+``).  A consistently high row
-    next to starved rows is the paper's overpacked-cache signal.
-
-    Wrapper over :class:`repro.obs.stream.OccupancyReducer` with the
-    same default sample capacity, so batch and streaming reports prune
-    (and annotate) giant recordings identically.
-    """
-    from repro.obs.stream import OccupancyReducer
-    reducer = OccupancyReducer()
-    for event in events:
-        reducer.feed(event)
-    return reducer.render(stream_horizon(events), n_cores=n_cores,
-                          width=width)
-
-
 # ---------------------------------------------------------------------------
 # folded stacks (speedscope / flamegraph.pl)
 # ---------------------------------------------------------------------------
@@ -418,8 +342,12 @@ def folded_stacks(events: Sequence[Event], label: str = "run") -> List[str]:
     Load the output with speedscope (https://speedscope.app) or pipe it
     through ``flamegraph.pl``.
     """
+    from repro.obs.stream import ObjectCostsReducer
+    reducer = ObjectCostsReducer()
+    for event in events:
+        reducer.feed(event)
     lines: List[str] = []
-    for cost in object_costs(events):
+    for cost in reducer.result():
         attributed_cycles = 0
         if cost.attributed_ops and cost.ops:
             # Deltas cover only attributed ops; scale busy cycles by the
@@ -561,7 +489,7 @@ def diff_streams(baseline: Sequence[Event], candidate: Sequence[Event],
 
     Sample metrics (per-operation distributions) carry
     :class:`~repro.analysis.SampleStats` confidence intervals so a
-    scheduler A/B — or a bench-regression gate — can tell signal from
+    scheduler A/B — or a regression check — can tell signal from
     seed noise; count metrics report plain deltas.
     """
     base = summarise_stream(baseline, baseline_label)

@@ -17,9 +17,12 @@ that folds one event at a time and never looks back:
   gracefully through deterministic bottom-k sampling (keyed hashing, so
   any partition of the stream prunes to the same sample).
 
-The batch profiler is rebased on these reducers, so ``repro-analyze
-report`` and ``report --stream`` produce byte-identical text for the
-same stream (one section per distinct run label).
+The batch report has no attribution code of its own: it feeds each
+run of a loaded recording to a :class:`RunProfile`
+(``RunProfile.from_events``), so ``repro-analyze report`` and
+``report --stream`` render byte-identical text for a stream whose run
+labels are distinct.  A label that repeats is one section per run in
+the batch report and one merged section in the streaming one.
 """
 
 from __future__ import annotations
@@ -56,12 +59,13 @@ __all__ = [
 ]
 
 #: Pseudo-object charged for migrations of threads outside any
-#: operation (mirrors the batch analyzer's attribution rule).
+#: operation.
 NO_OPERATION = "(no operation)"
 
 #: Maximum distinct occupancy changes a profile keeps before the
-#: deterministic bottom-k sampler starts pruning.  Shared by the batch
-#: wrapper so both paths prune identically.
+#: deterministic bottom-k sampler starts pruning.  The default of every
+#: :class:`RunProfile`, so the batch and streaming reports prune
+#: identically.
 DEFAULT_SAMPLE_CAPACITY = 65_536
 
 #: Version of the :class:`Profile` JSON artifact.
@@ -86,7 +90,10 @@ Handler = Callable[[Any], None]
 class ObjectCostsReducer:
     """Per-object cycles/misses/migrations, one pass, mergeable.
 
-    The only stream-order-dependent part of the batch attribution is
+    A migration is charged to the object of the operation in progress
+    on the migrating thread; a migration outside any operation is
+    nobody's fault and lands on the pseudo-object ``(no operation)``.
+    The only stream-order-dependent part of the attribution is
     "which object was the migrating thread operating on?".  The reducer
     keeps ``known`` (thread -> object, or None for "known to be outside
     any operation") plus ``pending`` for migrations seen before the
@@ -190,9 +197,9 @@ class ObjectCostsReducer:
     def result(self) -> List[Any]:
         """Sorted :class:`~repro.obs.profile.ObjectCost` list.
 
-        Leftover pending migrations (threads that never recorded an
-        operation event anywhere in the stream) resolve to
-        ``(no operation)``, exactly like the batch analyzer.  The
+        Most expensive first (by ``total_cycles``).  Leftover pending
+        migrations (threads that never recorded an operation event
+        anywhere in the stream) resolve to ``(no operation)``.  The
         reducer state itself is left untouched so rendering twice — or
         rendering mid-stream — is safe.
         """
@@ -586,12 +593,15 @@ class OccupancyReducer:
 
     def render(self, stream_horizon: int, n_cores: Optional[int] = None,
                width: int = 72) -> str:
-        """ASCII occupancy strip, byte-identical to the batch layout.
+        """ASCII occupancy strip, one row per core cache.
 
-        Within-bucket ordering of changes is irrelevant (only cumulative
-        counts at bucket edges matter), so applying each distinct change
-        ``count`` times at once reproduces the event-ordered batch
-        rendering exactly.
+        Each column is a time bucket; the glyph is the number of objects
+        assigned to that core's cache at the bucket's end (``0``–``9``,
+        then ``+``).  A consistently high row next to starved rows is
+        the paper's overpacked-cache signal.  Within-bucket ordering of
+        changes is irrelevant (only cumulative counts at bucket edges
+        matter), so applying each distinct change ``count`` times at
+        once gives the same strip as applying them event by event.
         """
         if not self.changes:
             return "(no assignment events recorded)"

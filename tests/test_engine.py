@@ -5,13 +5,15 @@ from collections import Counter
 import pytest
 
 from repro.cpu.machine import Machine
+from repro.cpu.topology import MachineSpec
 from repro.errors import SimulationError
 from repro.obs import (MigrationStarted, Observability, ThreadArrived,
                        ThreadFinished, ThreadSpawned)
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
-from repro.threads.program import (Acquire, Compute, CtEnd, CtStart, Load,
-                                   OpDone, Release, Scan, Store, YieldCore)
+from repro.threads.program import (ITEM_TYPES, Acquire, Compute, CtEnd,
+                                   CtStart, Load, OpDone, Release, Scan,
+                                   Store, YieldCore)
 from repro.threads.sync import SpinLock
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
@@ -126,6 +128,28 @@ class TestBasics:
         sim.spawn(program(), core_id=0)
         with pytest.raises(SimulationError):
             sim.run(until=100)
+
+
+class TestDispatchTable:
+    def test_dispatch_table_covers_every_item_type(self):
+        sim = make_sim()
+        assert set(sim._dispatch) == set(ITEM_TYPES)
+
+    def test_dispatch_handlers_are_callable_and_distinct(self):
+        handlers = list(make_sim()._dispatch.values())
+        assert all(callable(h) for h in handlers)
+        # Every item class gets its own handler (no accidental aliasing
+        # beyond the ct_start/ct_end pair wrapping shared logic).
+        assert len({h.__name__ for h in handlers}) == len(handlers)
+
+    def test_unknown_item_raises_simulation_error(self):
+        sim = make_sim()
+        def rogue():
+            yield Compute(5)
+            yield object()  # not an instruction item
+        sim.spawn(rogue(), "rogue", core_id=0)
+        with pytest.raises(SimulationError, match="unknown item"):
+            sim.run(max_steps=10)
 
 
 def _obj():
@@ -365,10 +389,19 @@ class TestDeterminismAndTracing:
         assert kinds[MigrationStarted] == 1
         assert kinds[ThreadArrived] == 1
 
+    def test_same_seed_event_streams_byte_identical(self, tmp_path):
+        def record(tag):
+            obs = Observability(events=True)
+            _dirlookup_sim(obs=obs).run(until=150_000)
+            path = tmp_path / f"{tag}.events.jsonl"
+            obs.write_jsonl(str(path))
+            return path.read_bytes()
+        assert record("a") == record("b")
 
-def _dirlookup_sim():
+
+def _dirlookup_sim(obs=None):
     machine = Machine(tiny_spec())
-    sim = Simulator(machine, ThreadScheduler())
+    sim = Simulator(machine, ThreadScheduler(), obs=obs)
     spec = DirWorkloadSpec(n_dirs=6, files_per_dir=32, cluster_bytes=512,
                            think_cycles=10, threads_per_core=2, seed=7)
     DirectoryLookupWorkload(machine, spec).spawn_all(sim)
@@ -407,6 +440,22 @@ class TestRunBoundaries:
         assert sim._heap == []
         assert all(thread.done for thread in sim.threads)
         assert result.ops == sum(3 + c for c in range(n_cores))
+
+    def test_compute_only_steps_run_through_the_horizon(self):
+        """One step per ``Compute``; a step starting at exactly ``until``
+        still runs, so 100-cycle computes take 2,001 steps per core in
+        200k cycles on all 16 cores of the benchmark machine."""
+        machine = Machine(MachineSpec.scaled(8))
+        sim = Simulator(machine, ThreadScheduler())
+        def program():
+            while True:
+                yield Compute(100)
+        for core in range(machine.n_cores):
+            sim.spawn(program(), core_id=core)
+        result = sim.run(until=200_000)
+        assert machine.n_cores == 16
+        assert result.steps == sim.total_steps == 16 * 2001
+        assert {core.time for core in machine.cores} == {200_100}
 
 
 class TestRunResult:

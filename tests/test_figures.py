@@ -72,3 +72,26 @@ class TestRegistry:
         out = capsys.readouterr().out
         assert "packing" in out
         assert (tmp_path / "packing_complexity.txt").exists()
+
+    def test_derived_output_paths_keep_gz_outermost(self):
+        from repro.bench.__main__ import _derived_path
+
+        assert _derived_path("out.json", "fig2", many=True) \
+            == "out.fig2.json"
+        assert _derived_path("run.events.jsonl", "fig2", many=True) \
+            == "run.events.fig2.jsonl"
+        assert _derived_path("run.events.jsonl.gz", "fig2", many=True) \
+            == "run.events.fig2.jsonl.gz"
+        assert _derived_path("out", "fig2", many=True) == "out.fig2"
+        assert _derived_path("res.d/out", "fig2", many=True) \
+            == "res.d/out.fig2"
+        assert _derived_path("run.events.jsonl.gz", "fig2", many=False) \
+            == "run.events.jsonl.gz"
+
+    def test_perf_is_not_an_experiment(self, capsys):
+        from repro.bench.__main__ import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["perf"])
+        assert info.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err

@@ -19,12 +19,11 @@ from repro.obs.events import (ALL_EVENTS, CacheEvicted, CacheInvalidated,
                               ThreadArrived, ThreadFinished, ThreadSpawned,
                               WorkerJoined, WorkerLost)
 from repro.obs.export import SCHEMA_VERSION, events_to_jsonl
-from repro.obs.profile import (MetricDelta, core_breakdown, diff_metrics,
-                               diff_streams, folded_stacks, load_jsonl,
-                               lock_table, migration_matrix, object_costs,
-                               occupancy_timeline, parse_jsonl,
+from repro.obs.profile import (MetricDelta, diff_metrics, diff_streams,
+                               folded_stacks, load_jsonl, parse_jsonl,
                                render_report, split_runs, stream_horizon,
                                summarise_stream)
+from repro.obs.stream import RunProfile
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
@@ -189,8 +188,13 @@ class TestStreamStructure:
 
 
 # ---------------------------------------------------------------------------
-# attribution analytics
+# attribution analytics (the reducers behind every report section)
 # ---------------------------------------------------------------------------
+
+def profile_of(events):
+    """One run's reducers, fed the way ``render_report`` feeds them."""
+    return RunProfile.from_events("run", events)
+
 
 class TestObjectCosts:
     def test_counters_and_ranking(self):
@@ -199,7 +203,7 @@ class TestObjectCosts:
             OperationFinished(200, 0, "t1", "cold", 100, 1, 0, 10, 0),
             OperationFinished(300, 0, "t0", "hot", 700, 4, 2, 200, 0),
         ]
-        hot, cold = object_costs(events)
+        hot, cold = profile_of(events).objects.result()
         assert hot.name == "hot" and cold.name == "cold"
         assert hot.ops == 2 and hot.attributed_ops == 2
         assert hot.cycles == 1600 and hot.dram_loads == 10
@@ -210,7 +214,7 @@ class TestObjectCosts:
     def test_migrated_op_is_counted_but_not_attributed(self):
         events = [OperationFinished(100, 0, "t0", "x", 500,
                                     None, None, None, None)]
-        (cost,) = object_costs(events)
+        (cost,) = profile_of(events).objects.result()
         assert cost.ops == 1 and cost.attributed_ops == 0
         assert cost.per_attributed_op(cost.dram_loads) == 0.0
 
@@ -222,7 +226,8 @@ class TestObjectCosts:
                               None, None, None, None),
             MigrationStarted(500, 1, "t0", 0, 700),   # between operations
         ]
-        costs = {cost.name: cost for cost in object_costs(events)}
+        costs = {cost.name: cost
+                 for cost in profile_of(events).objects.result()}
         assert costs["dir:D1"].migrations == 1
         assert costs["dir:D1"].migration_cycles == 200
         assert costs["(no operation)"].migrations == 1
@@ -233,7 +238,8 @@ class TestObjectCosts:
             CacheEvicted(11, 0, "L3", 2, None),      # outside an operation
             CacheInvalidated(12, 0, 3, 4, "dir:D1"),
         ]
-        costs = {cost.name: cost for cost in object_costs(events)}
+        costs = {cost.name: cost
+                 for cost in profile_of(events).objects.result()}
         assert costs["dir:D1"].evictions == 1
         assert costs["dir:D1"].invalidations == 4
         assert "(no operation)" not in costs
@@ -242,7 +248,7 @@ class TestObjectCosts:
 class TestCoreBreakdown:
     def test_local_ops_fill_busy(self):
         events = [OperationFinished(1000, 0, "t0", "x", 600, 1, 0, 200, 50)]
-        (core,) = core_breakdown(events, horizon=1000)
+        (core,) = profile_of(events).cores.result(horizon=1000)
         assert core.busy == 600 and core.mem_stall == 200
         assert core.spin == 50 and core.idle == 400
         assert core.unplaced_ops == 0
@@ -252,14 +258,14 @@ class TestCoreBreakdown:
         # placing them on the finishing core once pushed busy past 100%.
         events = [OperationFinished(1000, 0, "t0", "x", 5000,
                                     None, None, None, None)]
-        (core,) = core_breakdown(events, horizon=1000)
+        (core,) = profile_of(events).cores.result(horizon=1000)
         assert core.busy == 0
         assert core.unplaced_ops == 1 and core.unplaced_cycles == 5000
         assert core.frac(core.busy) <= 1.0
 
     def test_outbound_migration_time(self):
         events = [MigrationStarted(100, 2, "t0", 3, 400)]
-        (core,) = core_breakdown(events, horizon=1000)
+        (core,) = profile_of(events).cores.result(horizon=1000)
         assert core.core == 2 and core.migrating == 300
 
 
@@ -268,13 +274,14 @@ class TestMatrixLocksTimeline:
         events = [MigrationStarted(1, 0, "t0", 1, 201),
                   MigrationStarted(2, 0, "t1", 1, 202),
                   MigrationStarted(3, 1, "t0", 0, 203)]
-        assert migration_matrix(events) == {(0, 1): 2, (1, 0): 1}
+        assert profile_of(events).matrix.result() \
+            == {(0, 1): 2, (1, 0): 1}
 
     def test_lock_table_orders_by_contention(self):
         events = [LockContended(1, 0, "t0", "a"),
                   LockContended(2, 1, "t1", "b"),
                   LockContended(3, 1, "t2", "b")]
-        stats = lock_table(events)
+        stats = profile_of(events).locks.result()
         assert [stat.name for stat in stats] == ["b", "a"]
         assert stats[0].contended_acquires == 2
         assert stats[0].hottest_core == 1
@@ -283,14 +290,16 @@ class TestMatrixLocksTimeline:
     def test_occupancy_timeline_counts_assignments(self):
         events = [ObjectAssigned(10, 0, "a"), ObjectAssigned(20, 0, "b"),
                   ObjectMoved(900, 0, "a", 1, 0.5)]
-        text = occupancy_timeline(events, width=10)
+        profile = profile_of(events)
+        text = profile.occupancy.render(profile.horizon, width=10)
         lines = text.splitlines()
         assert lines[1].startswith("core   0")
         assert lines[1].rstrip("|").endswith("1")     # after the move
         assert lines[2].rstrip("|").endswith("1")     # core 1 gained it
 
     def test_occupancy_timeline_without_assignments(self):
-        assert "no assignment events" in occupancy_timeline([])
+        assert "no assignment events" \
+            in profile_of([]).occupancy.render(0)
 
 
 class TestFoldedStacks:

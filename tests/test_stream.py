@@ -13,15 +13,13 @@ from repro.errors import ConfigError, ProfileError
 from repro.obs import Observability
 from repro.obs.cli import main as analyze_main
 from repro.obs.events import (LockContended, ObjectAssigned,
-                              OperationFinished, RunMarker)
+                              OperationFinished)
 from repro.obs.export import write_jsonl
 from repro.obs.metrics import OP_LATENCY_BUCKETS, Histogram
-from repro.obs.profile import (iter_jsonl, load_jsonl,
-                               render_lock_table, render_object_costs,
-                               lock_table, object_costs, render_report,
-                               split_runs)
-from repro.obs.stream import (OccupancyReducer, Profile, ShardRecorder,
-                              StreamProfiler, load_profile,
+from repro.obs.profile import (iter_jsonl, load_jsonl, render_lock_table,
+                               render_object_costs, split_runs)
+from repro.obs.stream import (OccupancyReducer, Profile, RunProfile,
+                              ShardRecorder, StreamProfiler, load_profile,
                               merge_profiles, synthesize)
 from repro.sweep.runner import run_sweep
 
@@ -134,14 +132,6 @@ class TestStreamingMatchesBatch:
         assert analyze_main(["report", fig2_events, "--run", label,
                              "--stream"]) == 0
         assert capsys.readouterr().out == batch
-
-    def test_batch_helpers_match_reducers(self, fig2_events):
-        events = load_jsonl(fig2_events).events
-        for run in split_runs(events):
-            profile = Profile.from_events(
-                [RunMarker(0, run.label)] + list(run.events))
-            section = profile.sections[0]
-            assert section.render() == render_report(run)
 
     def test_synthetic_stream_identical_too(self, tmp_path, capsys):
         path = str(tmp_path / "s.events.jsonl.gz")
@@ -280,15 +270,25 @@ class TestDiagnostics:
         events = [OperationFinished(100 * (i + 1), 0, "t0", f"dir:D{i}",
                                     100, 1, 1, 10, 5)
                   for i in range(8)]
-        text = render_object_costs(object_costs(events), top=3)
+        costs = RunProfile.from_events(None, events).objects.result()
+        text = render_object_costs(costs, top=3)
         assert "5 rows dropped" in text
-        full = render_object_costs(object_costs(events), top=8)
+        full = render_object_costs(costs, top=8)
         assert "dropped" not in full
+
+    def test_decode_refuses_frames_without_kind(self):
+        # Watch-feed frames reach decode() directly, not via a JSONL line.
+        profiler = StreamProfiler()
+        for frame in ({}, {"type": "event"}, "x", None):
+            with pytest.raises(ProfileError, match="'kind' field"):
+                profiler.feed_dict(frame)
+        assert profiler.events_seen == 0
 
     def test_lock_table_logs_dropped_rows(self):
         events = [LockContended(10 * (i + 1), 0, "t0", f"lock:L{i}")
                   for i in range(6)]
-        text = render_lock_table(lock_table(events), top=2)
+        locks = RunProfile.from_events(None, events).locks.result()
+        text = render_lock_table(locks, top=2)
         assert "4 rows dropped" in text
 
 
@@ -393,31 +393,42 @@ class TestCli:
 # live tail over the watch-feed protocol
 # ---------------------------------------------------------------------------
 
-class TestTail:
-    def test_tail_profiles_a_watch_feed(self, tmp_path, capsys):
-        from repro.sweep.dist.protocol import recv_frame, send_frame
+def _watch_feed(frames):
+    """A one-shot coordinator stub answering ``watch`` with ``frames``;
+    returns its ``HOST:PORT`` and a join-and-close callable."""
+    from repro.sweep.dist.protocol import recv_frame, send_frame
 
-        events = synth(300, seed=5, label="livesweep")
-        server = socket.create_server(("127.0.0.1", 0))
-        port = server.getsockname()[1]
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
 
-        def serve():
-            conn, _ = server.accept()
-            with conn:
-                assert recv_frame(conn)["type"] == "watch"
-                send_frame(conn, {"type": "meta", "schema_version": 5})
-                for event in events:
-                    send_frame(conn, {"type": "event",
-                                      "event": event.as_dict()})
-                send_frame(conn, {"type": "drain"})
+    def serve():
+        conn, _ = server.accept()
+        with conn:
+            assert recv_frame(conn)["type"] == "watch"
+            for frame in frames:
+                send_frame(conn, frame)
 
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        out = str(tmp_path / "tail.txt")
-        code = analyze_main(["tail", "--connect", f"127.0.0.1:{port}",
-                             "--interval", "0", "-o", out])
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+
+    def stop():
         thread.join(timeout=5)
         server.close()
+    return f"127.0.0.1:{port}", stop
+
+
+class TestTail:
+    def test_tail_profiles_a_watch_feed(self, tmp_path, capsys):
+        events = synth(300, seed=5, label="livesweep")
+        address, stop = _watch_feed(
+            [{"type": "meta", "schema_version": 5}]
+            + [{"type": "event", "event": event.as_dict()}
+               for event in events]
+            + [{"type": "drain"}])
+        out = str(tmp_path / "tail.txt")
+        code = analyze_main(["tail", "--connect", address,
+                             "--interval", "0", "-o", out])
+        stop()
         assert code == 0
         report = open(out, encoding="utf-8").read()
         assert report.rstrip("\n") \
@@ -425,23 +436,19 @@ class TestTail:
         assert "=== run: livesweep" in report
 
     def test_tail_empty_feed_exits_nonzero(self, capsys):
-        from repro.sweep.dist.protocol import recv_frame, send_frame
-
-        server = socket.create_server(("127.0.0.1", 0))
-        port = server.getsockname()[1]
-
-        def serve():
-            conn, _ = server.accept()
-            with conn:
-                recv_frame(conn)
-                send_frame(conn, {"type": "drain"})
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        code = analyze_main(["tail", "--connect", f"127.0.0.1:{port}"])
-        thread.join(timeout=5)
-        server.close()
+        address, stop = _watch_feed([{"type": "drain"}])
+        code = analyze_main(["tail", "--connect", address])
+        stop()
         assert code == 1
+
+    def test_tail_malformed_event_frame_exits_2(self, capsys):
+        address, stop = _watch_feed(
+            [{"type": "meta", "schema_version": 5}, {"type": "event"}])
+        code = analyze_main(["tail", "--connect", address])
+        stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{address}: frame 1: expected an object" in err
 
 
 # ---------------------------------------------------------------------------
