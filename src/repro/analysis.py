@@ -2,7 +2,8 @@
 
 Single runs of a stochastic workload are point estimates; this module
 runs an experiment across seeds and reports mean, spread, and whether a
-speedup is robust.  Pure Python (no numpy dependency on the hot path) so
+speedup is robust.  :func:`format_table` lays out the text tables every
+report prints.  Pure Python (no numpy dependency on the hot path) so
 the core library stays importable anywhere.
 """
 
@@ -138,6 +139,19 @@ class SpeedupResult:
         flag = "robust" if self.robust else "mixed"
         return (f"speedup {self.mean_speedup:.2f}x ({flag}; "
                 f"ratios {['%.2f' % r for r in self.per_seed_ratios]})")
+
+
+def format_table(headers: Sequence[str],
+                 rows: Sequence[Sequence[str]]) -> str:
+    """Right-aligned text table: headers, a dash rule, one line per row."""
+    widths = [max([len(headers[i])] + [len(row[i]) for row in rows])
+              for i in range(len(headers))]
+    def fmt(cells: Sequence[str]) -> str:
+        return "  ".join(cell.rjust(width)
+                         for cell, width in zip(cells, widths))
+    lines = [fmt(headers), fmt(["-" * width for width in widths])]
+    lines.extend(fmt(row) for row in rows)
+    return "\n".join(lines)
 
 
 def compare(baseline: Callable[[int], float],

@@ -8,8 +8,7 @@ from repro.bench.figures import (EXPERIMENTS, BENCH_SCALE, FigureResult,
                                  object_clustering_ablation,
                                  packing_complexity, replacement_ablation,
                                  replication_ablation)
-from repro.bench.harness import (SCHEDULERS, BenchPoint, Series,
-                                 coretime_factory, run_point, sweep)
+from repro.bench.harness import BenchPoint, Series, run_point, sweep
 from repro.bench.report import figure_report, save_report, table
 
 __all__ = [
@@ -19,10 +18,8 @@ __all__ = [
     "FigureResult",
     "PROFILES",
     "Profile",
-    "SCHEDULERS",
     "Series",
     "clustering_comparison",
-    "coretime_factory",
     "figure_2",
     "figure_4a",
     "figure_4b",

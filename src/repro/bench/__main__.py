@@ -8,11 +8,10 @@ Observability: ``--trace-out run.trace.json`` captures every simulator in
 the experiment into one Chrome trace (load it at https://ui.perfetto.dev),
 ``--events-out run.events.jsonl`` dumps the raw event stream for
 ``repro-analyze`` (a ``.jsonl.gz`` path gzips it on the way out; the
-analyzer reads either transparently, and ``repro-analyze report
---stream`` handles recordings of any size in constant memory),
-``--metrics-out metrics.json`` dumps the
-metrics-registry snapshot, ``--profile-out NAME`` writes the offline
-attribution report next to the figure reports, and ``--seed N`` overrides
+analyzer reads either transparently, in constant memory),
+``--metrics-out metrics.json`` dumps the metrics-registry snapshot,
+``--profile-out NAME`` writes the offline attribution report (one section
+per simulator run) next to the figure reports, and ``--seed N`` overrides
 the workload RNG seed where the experiment supports it.
 """
 
@@ -71,6 +70,45 @@ def _derived_path(path: str, name: str, many: bool) -> str:
     return f"{root}.{name}{ext}{gz}"
 
 
+def _observability(args):
+    """A fresh pipeline for the requested ``--*-out`` files, or None.
+
+    Events are recorded only when an output needs them; metrics alone
+    need just the registry.
+    """
+    want_events = (args.trace_out is not None
+                   or args.events_out is not None
+                   or args.profile_out is not None)
+    if want_events or args.metrics_out is not None:
+        return Observability(events=want_events)
+    return None
+
+
+def _write_outputs(args, obs, name: str, many: bool, tag: str) -> None:
+    """Write one experiment's ``--*-out`` files; ``tag`` prefixes the
+    progress lines."""
+    if args.trace_out is not None:
+        out = _derived_path(args.trace_out, name, many)
+        obs.write_chrome_trace(out)
+        print(f"[{tag}] trace -> {out}")
+    if args.events_out is not None:
+        out = _derived_path(args.events_out, name, many)
+        obs.write_jsonl(out)
+        print(f"[{tag}] events -> {out}")
+    if args.profile_out is not None:
+        profile_name = (f"{args.profile_out}.{name}" if many
+                        else args.profile_out)
+        out = save_report(profile_name, obs.profile_report())
+        print(f"[{tag}] profile -> {out}")
+    if args.metrics_out is not None:
+        out = _derived_path(args.metrics_out, name, many)
+        with open(out, "w", encoding="utf-8") as stream:
+            json.dump(obs.metrics_snapshot(), stream, indent=2,
+                      sort_keys=True)
+            stream.write("\n")
+        print(f"[{tag}] metrics -> {out}")
+
+
 def _run_scenarios(args) -> int:
     """The 'scenario' experiment: one or every registered scenario."""
     from repro.bench.figures import run_scenario
@@ -84,12 +122,8 @@ def _run_scenarios(args) -> int:
     names = (list(scenarios.names()) if args.scenario == "all"
              else args.scenario.split(","))
     many = len(names) > 1
-    want_events = (args.trace_out is not None
-                   or args.events_out is not None
-                   or args.profile_out is not None)
-    want_obs = want_events or args.metrics_out is not None
     for name in names:
-        obs = Observability(events=want_events) if want_obs else None
+        obs = _observability(args)
         started = time.perf_counter()
         try:
             result = run_scenario(name, seed=args.seed, obs=obs)
@@ -103,26 +137,7 @@ def _run_scenarios(args) -> int:
             print()
         print(f"[{result.name}] {elapsed:.1f}s -> {path}")
         if obs is not None:
-            if args.trace_out is not None:
-                out = _derived_path(args.trace_out, name, many)
-                obs.write_chrome_trace(out)
-                print(f"[{result.name}] trace -> {out}")
-            if args.events_out is not None:
-                out = _derived_path(args.events_out, name, many)
-                obs.write_jsonl(out)
-                print(f"[{result.name}] events -> {out}")
-            if args.profile_out is not None:
-                profile_name = (f"{args.profile_out}.{name}" if many
-                                else args.profile_out)
-                out = save_report(profile_name, obs.profile_report())
-                print(f"[{result.name}] profile -> {out}")
-            if args.metrics_out is not None:
-                out = _derived_path(args.metrics_out, name, many)
-                with open(out, "w", encoding="utf-8") as stream:
-                    json.dump(obs.metrics_snapshot(), stream, indent=2,
-                              sort_keys=True)
-                    stream.write("\n")
-                print(f"[{result.name}] metrics -> {out}")
+            _write_outputs(args, obs, name, many, tag=result.name)
     return 0
 
 
@@ -194,10 +209,6 @@ def main(argv=None) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     many = len(names) > 1
-    want_events = (args.trace_out is not None
-                   or args.events_out is not None
-                   or args.profile_out is not None)
-    want_obs = want_events or args.metrics_out is not None
     for name in names:
         runner = EXPERIMENTS[name]
         supported = inspect.signature(runner).parameters
@@ -209,20 +220,20 @@ def main(argv=None) -> int:
                 kwargs["seed"] = args.seed
             else:
                 print(f"[{name}] note: --seed not supported, ignored")
+        obs = _observability(args)
         if args.workers:
-            if "workers" in supported and not want_obs:
+            if "workers" in supported and obs is None:
                 kwargs["workers"] = args.workers
             else:
                 print(f"[{name}] note: --workers not supported here "
                       "(needs a parallelisable sweep and no obs "
                       "capture), ignored")
-        obs = None
-        if want_obs and "obs" in supported:
-            obs = Observability(events=want_events)
+        if obs is not None and "obs" in supported:
             kwargs["obs"] = obs
-        elif want_obs:
+        elif obs is not None:
             print(f"[{name}] note: --trace-out/--events-out/"
                   "--metrics-out/--profile-out not supported, ignored")
+            obs = None
         started = time.perf_counter()
         result = runner(**kwargs)
         elapsed = time.perf_counter() - started
@@ -232,26 +243,7 @@ def main(argv=None) -> int:
             print()
         print(f"[{name}] {elapsed:.1f}s -> {path}")
         if obs is not None:
-            if args.trace_out is not None:
-                out = _derived_path(args.trace_out, name, many)
-                obs.write_chrome_trace(out)
-                print(f"[{name}] trace -> {out}")
-            if args.events_out is not None:
-                out = _derived_path(args.events_out, name, many)
-                obs.write_jsonl(out)
-                print(f"[{name}] events -> {out}")
-            if args.profile_out is not None:
-                profile_name = (f"{args.profile_out}.{name}" if many
-                                else args.profile_out)
-                out = save_report(profile_name, obs.profile_report())
-                print(f"[{name}] profile -> {out}")
-            if args.metrics_out is not None:
-                out = _derived_path(args.metrics_out, name, many)
-                with open(out, "w", encoding="utf-8") as stream:
-                    json.dump(obs.metrics_snapshot(), stream, indent=2,
-                              sort_keys=True)
-                    stream.write("\n")
-                print(f"[{name}] metrics -> {out}")
+            _write_outputs(args, obs, name, many, tag=name)
     return 0
 
 

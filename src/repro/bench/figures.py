@@ -14,8 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.bench.harness import (SCHEDULERS, Series, coretime_factory,
-                                 run_point, sweep)
+from repro.bench.harness import Series, run_point, sweep
 from repro.bench.report import figure_report
 from repro.core.object_table import CtObject
 from repro.core.packing import make_budgets, pack
@@ -23,6 +22,8 @@ from repro.cpu.machine import Machine
 from repro.cpu.topology import MachineSpec
 from repro.errors import ConfigError
 from repro.mem.inspect import residency_table
+from repro.sched import registry
+from repro.sched.registry import coretime_factory
 from repro.sim.engine import Simulator
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 from repro.workloads.synthetic import ObjectOpsSpec, ObjectOpsWorkload
@@ -155,7 +156,7 @@ def figure_2(n_dirs: int = 20, run_cycles: int = 3_000_000,
                         f"workload, {n_dirs} directories", ""]
     details: Dict[str, Dict] = {}
     for label, factory in (
-            ("thread scheduler", SCHEDULERS["thread"]),
+            ("thread scheduler", registry.resolve("thread")),
             ("O2 scheduler (CoreTime)",
              coretime_factory(monitor_interval=50_000))):
         machine = Machine(spec)
@@ -236,11 +237,12 @@ def migration_cost_sweep(costs: Sequence[int] = (0, 125, 250, 500, 1000,
     for cost in costs:
         machine_spec = MachineSpec.scaled(scale, migration_cost=cost)
         points.append(run_point(
-            machine_spec, SCHEDULERS["coretime"], workload_spec,
+            machine_spec, registry.resolve("coretime"), workload_spec,
             warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
             x=cost, seed=seed, obs=obs))
-    baseline = run_point(MachineSpec.scaled(scale), SCHEDULERS["thread"],
-                         workload_spec, warmup_cycles=warmup_cycles,
+    baseline = run_point(MachineSpec.scaled(scale),
+                         registry.resolve("thread"), workload_spec,
+                         warmup_cycles=warmup_cycles,
                          measure_cycles=measure_cycles, x=0,
                          seed=seed, obs=obs)
     series = [Series("coretime", points),
@@ -399,7 +401,7 @@ def replacement_ablation(n_dirs: int = 1024, scale: int = BENCH_SCALE,
         scale, n_dirs=n_dirs, popularity="oscillating",
         oscillation_period=800_000, oscillation_rotate=True)
     schedulers = {
-        "thread": SCHEDULERS["thread"],
+        "thread": registry.resolve("thread"),
         "coretime-firstfit": coretime_factory(),
         "coretime+lfu": coretime_factory(lfu_replacement=True,
                                          lfu_margin=1.5),
@@ -559,14 +561,8 @@ def run_scenario(name: str, seed: Optional[int] = None,
     machine_spec = MachineSpec.tiny()
     series = []
     for scheduler in schedulers:
-        try:
-            factory = SCHEDULERS[scheduler]
-        except KeyError:
-            raise ConfigError(
-                f"unknown scheduler {scheduler!r}; "
-                f"choose from {sorted(SCHEDULERS)}") from None
         point = run_point(
-            machine_spec, factory, spec,
+            machine_spec, registry.resolve(scheduler), spec,
             warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
             workload_factory=catalog.build, seed=seed, obs=obs)
         series.append(Series(scheduler, [point]))

@@ -3,64 +3,25 @@
 Every figure and ablation reduces to the same experiment: build a machine,
 attach a scheduler, spawn the workload, warm up, measure throughput over a
 window.  :func:`run_point` is that experiment; :func:`sweep` maps it over
-a parameter axis; :data:`SCHEDULERS` is a dict-like live view of the
-scheduler registry (:mod:`repro.sched.registry`) — the scheduler
-configurations benchmarks compare, kept here as a back-compat alias.
+a parameter axis, resolving scheduler names through
+:mod:`repro.sched.registry`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cpu.machine import Machine
 from repro.cpu.topology import MachineSpec
 from repro.errors import ConfigError
 from repro.sched import registry
 from repro.sched.base import SchedulerRuntime
-from repro.sched.registry import (BENCH_MONITOR_INTERVAL as
-                                  BENCH_MONITOR_INTERVAL,
-                                  coretime_factory as coretime_factory)
 from repro.sim.engine import Simulator
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
 SchedulerFactory = Callable[[], SchedulerRuntime]
-
-
-class _RegistryView(Mapping):
-    """Read-only dict view of :mod:`repro.sched.registry`.
-
-    Keeps the historical ``SCHEDULERS[name]`` / ``name in SCHEDULERS`` /
-    ``sorted(SCHEDULERS)`` idioms working while making every registered
-    scheduler — including ones registered after import — visible to the
-    bench layer.  Lookups raise :class:`KeyError` (the Mapping contract)
-    so existing ``except KeyError`` error paths keep their messages.
-    """
-
-    def __getitem__(self, name: str) -> SchedulerFactory:
-        try:
-            return registry.resolve(name)
-        except ConfigError:
-            raise KeyError(name) from None
-
-    def __contains__(self, name: object) -> bool:
-        return name in registry.names()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(registry.names())
-
-    def __len__(self) -> int:
-        return len(registry.names())
-
-    def __repr__(self) -> str:
-        return f"SCHEDULERS({', '.join(registry.names())})"
-
-
-#: Back-compat alias: the scheduler registry, as the dict this module
-#: used to define.  Register new schedulers via ``repro.sched.register``.
-SCHEDULERS: Mapping = _RegistryView()
 
 
 @dataclass
@@ -207,17 +168,12 @@ def sweep(machine_spec: MachineSpec,
                                workload_specs, warmup_cycles,
                                measure_cycles, xs, workload_factory,
                                schedulers, seed, obs, workers)
-    registry = schedulers or SCHEDULERS
+    lookup = schedulers.__getitem__ if schedulers else registry.resolve
     result: List[Series] = []
     points: List[BenchPoint] = []
     try:
         for name in scheduler_names:
-            try:
-                factory = registry[name]
-            except KeyError:
-                raise ConfigError(
-                    f"unknown scheduler {name!r}; "
-                    f"choose from {sorted(registry)}") from None
+            factory = lookup(name)
             points = []
             for index, workload_spec in enumerate(workload_specs):
                 x = xs[index] if xs is not None else None
@@ -255,10 +211,7 @@ def _sweep_parallel(machine_spec, scheduler_names, workload_specs,
             "parallel sweep cannot share one observability pipeline; "
             "use workers=0 for --trace-out/--events-out runs")
     for name in scheduler_names:
-        if name not in SCHEDULERS:
-            raise ConfigError(
-                f"unknown scheduler {name!r}; "
-                f"choose from {sorted(SCHEDULERS)}")
+        registry.entry(name)             # unknown names fail before forking
     grid = []        # (scheduler, point index) in result order
     cases = []
     for name in scheduler_names:

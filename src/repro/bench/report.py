@@ -6,6 +6,7 @@ import os
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro.analysis import format_table
 from repro.bench.ascii_plot import plot
 from repro.bench.harness import Series
 
@@ -47,14 +48,7 @@ def table(series_list: Sequence[Series], x_header: str = "x") -> str:
         rows.append(row)
     if len(series_list) >= 2:
         headers = headers + [f"{series_list[1].label}/{series_list[0].label}"]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows))
-              for i in range(len(headers))]
-    def fmt(cells: Sequence[str]) -> str:
-        return "  ".join(cell.rjust(width)
-                         for cell, width in zip(cells, widths))
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
+    return format_table(headers, rows)
 
 
 def figure_report(title: str, series_list: Sequence[Series],

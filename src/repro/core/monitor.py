@@ -36,15 +36,6 @@ class CoreLoad:
     l2_hits: int
     ops: int
 
-    @property
-    def busy_frac(self) -> float:
-        return 1.0 - self.idle_frac
-
-    @property
-    def rarely_idle(self) -> bool:
-        """The paper's overload signal ("a core is rarely idle")."""
-        return self.idle_frac < 0.05
-
 
 class Monitor:
     """Counter-based measurement of objects and cores."""

@@ -65,10 +65,3 @@ class ProfileError(ReproError):
 class FilesystemError(ReproError):
     """An error in the simulated FAT file-system image."""
 
-
-class LookupError_(FilesystemError):
-    """A file name was not found in a directory.
-
-    Named with a trailing underscore to avoid shadowing the builtin
-    ``LookupError``; exported as :data:`repro.fs.FileNotFound`.
-    """

@@ -161,8 +161,9 @@ class Observability:
         pipeline; one section per recorded run.  Imports the analyzer
         lazily — the profiling layer stays off the simulation path.
         """
-        from repro.obs.profile import render_stream_report
-        return render_stream_report(self.events(), top=top, width=width)
+        from repro.obs.stream import Profile
+        return Profile.from_events(self.events()).render(top=top,
+                                                         width=width)
 
     # ------------------------------------------------------------------
     # post-mortem

@@ -8,16 +8,16 @@ Record a run first (any experiment accepts the flags)::
 then explain it::
 
     repro-analyze report fig2.events.jsonl        # attribution & co
-    repro-analyze report huge.events.jsonl.gz --stream   # out-of-core
     repro-analyze folded fig2.events.jsonl -o fig2.folded
     repro-analyze timeline fig2.events.jsonl
     repro-analyze diff base.events.jsonl cand.events.jsonl
 
 ``report`` prints per-object attribution, per-core time breakdowns, the
 migration matrix, the lock-contention table and cache-occupancy
-timelines; ``--stream`` produces the same report in one constant-memory
-pass.  ``diff`` reports per-metric deltas with confidence intervals so
-scheduler A/Bs and regression checks are one command.
+timelines, one section per run, in one constant-memory pass over
+recordings of any size.  ``diff`` reports per-metric deltas with
+confidence intervals so scheduler A/Bs and regression checks are one
+command.
 
 Fleet-scale analysis (:mod:`repro.obs.stream`)::
 
@@ -35,35 +35,38 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Sequence, TypeVar
 
 from repro.errors import ProfileError, ReproError
 from repro.obs.export import ascii_timeline, open_text, write_jsonl
 from repro.obs.profile import (EventDecoder, Run, diff_metrics,
-                               diff_streams, folded_stacks, load_jsonl,
-                               render_diff, render_report, split_runs)
-from repro.obs.stream import (Profile, RunProfile, StreamProfiler,
-                              load_profile, merge_profiles, synthesize)
+                               diff_streams, folded_stacks, iter_jsonl,
+                               render_diff, split_runs)
+from repro.obs.stream import (RunProfile, StreamProfiler, load_profile,
+                              merge_profiles, synthesize)
+
+T = TypeVar("T")
 
 
-def _load_runs(path: str, run_filter: Optional[str]) -> List[Run]:
-    """Parse ``path`` and return its runs, optionally filtered.
+def _select_runs(runs: Sequence[T], labels: Sequence[str],
+                 run_filter: Optional[str], path: str) -> List[T]:
+    """The runs of ``path`` that ``run_filter`` picks (all when None).
 
     ``run_filter`` selects by label, or by index when it is an integer.
     """
-    runs = split_runs(load_jsonl(path).events)
     if not runs:
         raise ProfileError(f"{path}: stream contains no events")
     if run_filter is None:
-        return runs
+        return list(runs)
     try:
         index = int(run_filter)
     except ValueError:
-        selected = [run for run in runs if run.label == run_filter]
+        selected = [run for run, label in zip(runs, labels)
+                    if label == run_filter]
         if not selected:
             raise ProfileError(
                 f"{path}: no run labelled {run_filter!r}; "
-                f"stream has {[run.label for run in runs]}")
+                f"stream has {list(labels)}")
         return selected
     if not 0 <= index < len(runs):
         raise ProfileError(
@@ -72,11 +75,17 @@ def _load_runs(path: str, run_filter: Optional[str]) -> List[Run]:
     return [runs[index]]
 
 
-def _merged_events(runs: List[Run]) -> List:
-    events: List = []
-    for run in runs:
-        events.extend(run.events)
-    return events
+def _profiled_runs(path: str, run_filter: Optional[str]) -> List[RunProfile]:
+    """The selected runs of ``path``, profiled in one streaming pass."""
+    sections = StreamProfiler().feed_path(path).profile.sections
+    return _select_runs(sections, [s.display_label for s in sections],
+                        run_filter, path)
+
+
+def _recorded_runs(path: str, run_filter: Optional[str]) -> List[Run]:
+    """The selected runs of ``path`` with their events in memory."""
+    runs = split_runs(iter_jsonl(path))
+    return _select_runs(runs, [run.label for run in runs], run_filter, path)
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
@@ -108,48 +117,10 @@ def _apply_rss_limit(max_rss_mb: Optional[int]) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def _select_sections(profile: Profile, run_filter: Optional[str],
-                     path: str) -> List[RunProfile]:
-    """Mirror of :func:`_load_runs` filtering, over profile sections."""
-    sections = profile.sections
-    if run_filter is None:
-        return sections
-    try:
-        index = int(run_filter)
-    except ValueError:
-        selected = [section for section in sections
-                    if section.display_label == run_filter]
-        if not selected:
-            raise ProfileError(
-                f"{path}: no run labelled {run_filter!r}; stream has "
-                f"{[section.display_label for section in sections]}")
-        return selected
-    if not 0 <= index < len(sections):
-        raise ProfileError(
-            f"{path}: run index {index} out of range (stream has "
-            f"{len(sections)} runs)")
-    return [sections[index]]
-
-
-def _stream_report_parts(args) -> List[str]:
-    """One rendered report per selected run, in a single streaming pass."""
-    profiler = StreamProfiler()
-    profiler.feed_path(args.events)
-    if profiler.events_seen == 0:
-        raise ProfileError(f"{args.events}: stream contains no events")
-    sections = _select_sections(profiler.profile, args.run, args.events)
-    return [section.render(top=args.top, width=args.width)
-            for section in sections]
-
-
 def _cmd_report(args) -> int:
     _apply_rss_limit(args.max_rss_mb)
-    if args.stream:
-        parts = _stream_report_parts(args)
-    else:
-        runs = _load_runs(args.events, args.run)
-        parts = [render_report(run, top=args.top, width=args.width)
-                 for run in runs]
+    parts = [section.render(top=args.top, width=args.width)
+             for section in _profiled_runs(args.events, args.run)]
     if args.metrics:
         with open(args.metrics, "r", encoding="utf-8") as handle:
             snapshot = json.load(handle)
@@ -163,8 +134,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    base = _merged_events(_load_runs(args.baseline, args.run))
-    cand = _merged_events(_load_runs(args.candidate, args.run))
+    base, cand = ([event for run in _recorded_runs(path, args.run)
+                   for event in run.events]
+                  for path in (args.baseline, args.candidate))
     deltas = diff_streams(base, cand)
     parts = [f"baseline:  {args.baseline}",
              f"candidate: {args.candidate}",
@@ -183,8 +155,9 @@ def _cmd_diff(args) -> int:
 
 def _cmd_folded(args) -> int:
     lines: List[str] = []
-    for run in _load_runs(args.events, args.run):
-        lines.extend(folded_stacks(run.events, label=run.label))
+    for section in _profiled_runs(args.events, args.run):
+        lines.extend(folded_stacks(section.objects.result(),
+                                   label=section.display_label))
     if not lines:
         print("(no attributable cycles in stream)", file=sys.stderr)
         return 1
@@ -193,7 +166,7 @@ def _cmd_folded(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    for run in _load_runs(args.events, args.run):
+    for run in _recorded_runs(args.events, args.run):
         print(f"=== run: {run.label} ===")
         print(ascii_timeline(run.events, width=args.width))
         print()
@@ -300,15 +273,11 @@ def main(argv=None) -> int:
                         help="timeline width in columns (default 72)")
     report.add_argument("--run", default=None,
                         help="restrict to one run (label or index)")
-    report.add_argument("--stream", action="store_true",
-                        help="single-pass constant-memory ingest; output "
-                             "is byte-identical to the batch path (runs "
-                             "sharing a label fold into one section)")
     report.add_argument("--max-rss-mb", type=int, default=None,
                         metavar="MB",
                         help="hard address-space cap applied before "
                              "reading anything (POSIX only; proves the "
-                             "streaming path is out-of-core)")
+                             "report is out-of-core)")
     report.add_argument("-o", "--out", default=None,
                         help="write the report to a file instead of stdout")
     report.set_defaults(func=_cmd_report)

@@ -9,11 +9,15 @@ streams and metrics snapshots :mod:`repro.obs` already exports — so a
 recorded run can be profiled, compared and regression-gated long after
 the simulator is gone.
 
-Pipeline::
+This module holds the one reader (:func:`iter_jsonl`), the split into
+runs, the attribution records and tables the reducers of
+:mod:`repro.obs.stream` fill in, and the A/B diff.  Every report is a
+:class:`repro.obs.stream.Profile`, one section per run::
 
-    recording = load_jsonl("fig2.events.jsonl")   # typed events again
-    for run in split_runs(recording.events):      # one per simulator
-        print(render_report(run))                 # attribution & co
+    profile = StreamProfiler().feed_path("fig2.events.jsonl").profile
+    print(profile.render())                       # attribution & co
+    (base,) = split_runs(iter_jsonl("base.events.jsonl"))
+    (cand,) = split_runs(iter_jsonl("cand.events.jsonl"))
     print(render_diff(diff_streams(base.events, cand.events)))
 
 Everything here is strictly off the hot path: the simulator never
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Type)
 
-from repro.analysis import SampleStats, summarise
+from repro.analysis import SampleStats, format_table, summarise
 from repro.errors import ProfileError
 from repro.obs.events import (EVENT_KINDS, CacheEvicted, CacheInvalidated,
                               Event, LockContended, MigrationStarted,
@@ -36,11 +40,9 @@ from repro.obs.events import (EVENT_KINDS, CacheEvicted, CacheInvalidated,
 from repro.obs.export import SCHEMA_VERSION, open_text
 
 __all__ = [
-    "Recording", "Run", "ObjectCost", "CoreBreakdown", "LockStat",
-    "StreamSummary", "MetricDelta", "EventDecoder", "load_jsonl",
-    "parse_jsonl", "iter_jsonl",
-    "split_runs", "folded_stacks",
-    "summarise_stream", "diff_streams", "render_report", "render_diff",
+    "Run", "ObjectCost", "CoreBreakdown", "LockStat", "StreamSummary",
+    "MetricDelta", "EventDecoder", "iter_jsonl", "split_runs",
+    "folded_stacks", "summarise_stream", "diff_streams", "render_diff",
     "render_migration_matrix", "render_lock_table", "diff_metrics",
 ]
 
@@ -48,18 +50,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # ingest: JSONL -> typed events
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Recording:
-    """One parsed JSONL stream."""
-
-    schema_version: int
-    events: List[Event]
-
-    @property
-    def horizon(self) -> int:
-        return stream_horizon(self.events)
-
 
 def _fields_of(cls: Type[Event]) -> Tuple[str, ...]:
     """Slot names of an event class, base-first (mirrors Event._fields)."""
@@ -73,10 +63,14 @@ class EventDecoder:
     """Incremental JSONL/dict -> typed-event decoder.
 
     One decoder carries the stream's schema state (the ``meta`` header)
-    across lines, so both the batch loader and the generator-based
-    streaming ingest share identical validation.  Error messages are
-    prefixed with ``source`` when given — with ``repro-analyze merge``
-    taking many shard files, a bare ``line N`` is ambiguous.
+    across lines, so the file reader (:func:`iter_jsonl`) and the live
+    watch feed share identical validation.  It refuses streams newer
+    than :data:`~repro.obs.export.SCHEMA_VERSION` and lines whose fields
+    differ from their kind's; headerless streams (written before the
+    header existed) read as schema version 1, where fields added later
+    default to None.  Error messages are prefixed with ``source``
+    when given — with ``repro-analyze merge`` taking many shard files, a
+    bare ``line N`` is ambiguous.
 
     Repeated ``meta`` lines are accepted mid-stream: concatenated shard
     recordings (``cat a.jsonl.gz b.jsonl.gz``) are valid streams.
@@ -141,43 +135,13 @@ class EventDecoder:
         return event
 
 
-def parse_jsonl(lines: Iterable[str],
-                source: Optional[str] = None) -> Recording:
-    """Reconstruct typed events from JSONL text lines.
-
-    Validates the ``meta`` header's ``schema_version`` (streams newer
-    than :data:`~repro.obs.export.SCHEMA_VERSION` are refused) and that
-    every event line carries exactly the fields its kind declares.
-    Streams without a header — PR 1's exporter predates it — are read as
-    schema version 1, where the attribution fields introduced in
-    version 2 are absent and default to None.
-    """
-    decoder = EventDecoder(source=source)
-    events: List[Event] = []
-    for lineno, raw in enumerate(lines, 1):
-        event = decoder.decode_line(raw, lineno)
-        if event is not None:
-            events.append(event)
-    return Recording(schema_version=decoder.schema, events=events)
-
-
-def load_jsonl(path: str) -> Recording:
-    """Parse a JSONL file written by ``Observability.write_jsonl``.
-
-    ``.jsonl.gz`` recordings are opened transparently; parse errors name
-    the file.
-    """
-    with open_text(path, "r") as handle:
-        return parse_jsonl(handle, source=path)
-
-
 def iter_jsonl(path: str) -> Iterator[Event]:
-    """Stream a recording one event at a time (out-of-core ingest).
+    """Read a recording one event at a time: the one JSONL reader.
 
-    A generator over the same validation as :func:`load_jsonl` that
-    never holds more than one event, so multi-GB fleet recordings
-    (plain or ``.gz``) can feed :class:`repro.obs.stream.StreamProfiler`
-    at constant memory.
+    A generator that never holds more than one event, so multi-GB fleet
+    recordings can feed :class:`repro.obs.stream.StreamProfiler` at
+    constant memory.  ``.jsonl.gz`` recordings (and concatenated gzip
+    members) are opened transparently; errors name the file and line.
     """
     decoder = EventDecoder(source=path)
     with open_text(path, "r") as handle:
@@ -195,7 +159,7 @@ class Run:
     events: List[Event]
 
 
-def split_runs(events: Sequence[Event]) -> List[Run]:
+def split_runs(events: Iterable[Event]) -> List[Run]:
     """Split a stream on :class:`RunMarker` into per-simulator runs.
 
     Events before the first marker (streams recorded without one) become
@@ -214,18 +178,6 @@ def split_runs(events: Sequence[Event]) -> List[Run]:
             runs.append(current)
         current.events.append(event)
     return runs
-
-
-def stream_horizon(events: Sequence[Event]) -> int:
-    """Last cycle touched by any event (migrations count their landing)."""
-    horizon = 0
-    for event in events:
-        ts = event.ts
-        if type(event) is MigrationStarted and event.arrive_ts > ts:
-            ts = event.arrive_ts
-        if ts > horizon:
-            horizon = ts
-    return horizon
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +285,20 @@ class LockStat:
 # folded stacks (speedscope / flamegraph.pl)
 # ---------------------------------------------------------------------------
 
-def folded_stacks(events: Sequence[Event], label: str = "run") -> List[str]:
+def folded_stacks(costs: Sequence[ObjectCost],
+                  label: str = "run") -> List[str]:
     """``workload;object;phase cycles`` lines for flame-graph tools.
 
-    Phases per object: ``compute`` (cycles minus attributed stalls),
-    ``mem-stall``, ``lock-spin``, ``migration``, and ``unattributed``
-    for operations whose deltas were lost to a mid-flight migration.
-    Load the output with speedscope (https://speedscope.app) or pipe it
-    through ``flamegraph.pl``.
+    ``costs`` is one run's :meth:`ObjectCostsReducer.result
+    <repro.obs.stream.ObjectCostsReducer.result>`.  Phases per object:
+    ``compute`` (cycles minus attributed stalls), ``mem-stall``,
+    ``lock-spin``, ``migration``, and ``unattributed`` for operations
+    whose deltas were lost to a mid-flight migration.  Load the output
+    with speedscope (https://speedscope.app) or pipe it through
+    ``flamegraph.pl``.
     """
-    from repro.obs.stream import ObjectCostsReducer
-    reducer = ObjectCostsReducer()
-    for event in events:
-        reducer.feed(event)
     lines: List[str] = []
-    for cost in reducer.result():
+    for cost in costs:
         attributed_cycles = 0
         if cost.attributed_ops and cost.ops:
             # Deltas cover only attributed ops; scale busy cycles by the
@@ -392,18 +343,23 @@ class StreamSummary:
     op_spin: List[int]
 
 
-def summarise_stream(events: Sequence[Event],
+def summarise_stream(events: Iterable[Event],
                      label: str = "run") -> StreamSummary:
-    """Collect the per-operation samples and counts a diff compares."""
+    """Collect the per-operation samples and counts a diff compares.
+
+    The horizon is the last cycle any event touches; a migration counts
+    its landing.
+    """
     op_cycles: List[int] = []
     op_dram: List[int] = []
     op_remote: List[int] = []
     op_mem: List[int] = []
     op_spin: List[int] = []
-    migrations = migration_cycles = lock_contended = 0
+    horizon = migrations = migration_cycles = lock_contended = 0
     evictions = invalidations = 0
     for event in events:
         etype = type(event)
+        ts = event.ts
         if etype is OperationFinished:
             op_cycles.append(event.cycles)
             if event.dram is not None:
@@ -414,14 +370,17 @@ def summarise_stream(events: Sequence[Event],
         elif etype is MigrationStarted:
             migrations += 1
             migration_cycles += event.arrive_ts - event.ts
+            ts = max(ts, event.arrive_ts)
         elif etype is LockContended:
             lock_contended += 1
         elif etype is CacheEvicted:
             evictions += 1
         elif etype is CacheInvalidated:
             invalidations += event.copies
+        if ts > horizon:
+            horizon = ts
     return StreamSummary(
-        label=label, horizon=stream_horizon(events), ops=len(op_cycles),
+        label=label, horizon=horizon, ops=len(op_cycles),
         migrations=migrations, migration_cycles=migration_cycles,
         lock_contended=lock_contended, evictions=evictions,
         invalidations=invalidations, op_cycles=op_cycles, op_dram=op_dram,
@@ -482,7 +441,7 @@ def _sample_delta(name: str, base: List[int],
     return MetricDelta(name, summarise(base), summarise(cand))
 
 
-def diff_streams(baseline: Sequence[Event], candidate: Sequence[Event],
+def diff_streams(baseline: Iterable[Event], candidate: Iterable[Event],
                  baseline_label: str = "baseline",
                  candidate_label: str = "candidate") -> List[MetricDelta]:
     """Per-metric deltas between two recordings, CI-qualified.
@@ -544,17 +503,6 @@ def diff_metrics(baseline: Dict[str, Any],
 # text rendering
 # ---------------------------------------------------------------------------
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [max(len(headers[i]), *(len(row[i]) for row in rows))
-              if rows else len(headers[i]) for i in range(len(headers))]
-    def fmt(cells: Sequence[str]) -> str:
-        return "  ".join(cell.rjust(width)
-                         for cell, width in zip(cells, widths))
-    lines = [fmt(headers), fmt(["-" * width for width in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
-
-
 def render_object_costs(costs: Sequence[ObjectCost],
                         top: int = 10) -> str:
     """Top-N attribution table, §4's per-object story as text."""
@@ -576,7 +524,7 @@ def render_object_costs(costs: Sequence[ObjectCost],
             f"{cost.migrations:,}",
             f"{cost.migration_cycles:,}",
         ])
-    table = _table(
+    table = format_table(
         ["object", "ops", "cycles", "cyc/op", "dram/op", "remote/op",
          "stall", "spin/op", "migr", "migr-cyc"], rows)
     shown = min(top, len(costs))
@@ -602,7 +550,7 @@ def render_core_breakdown(cores: Sequence[CoreBreakdown]) -> str:
             f"{100 * item.frac(item.idle):.0f}%",
             f"{item.unplaced_ops:,}",
         ])
-    table = _table(
+    table = format_table(
         ["core", "ops", "busy", "mem-stall", "spin", "migrating",
          "idle/other", "x-core ops"], rows)
     horizon = cores[0].horizon
@@ -628,7 +576,7 @@ def render_migration_matrix(matrix: Dict[Tuple[int, int], int]) -> str:
         row.append(f"{total:,}")
         rows.append(row)
     return ("Core-to-core migration matrix (rows = departing core)\n"
-            + _table(headers, rows))
+            + format_table(headers, rows))
 
 
 def render_lock_table(locks: Sequence[LockStat], top: int = 10) -> str:
@@ -642,8 +590,8 @@ def render_lock_table(locks: Sequence[LockStat], top: int = 10) -> str:
     note = (f" (top {shown} of {len(locks)}; {dropped:,} rows dropped)"
             if dropped else "")
     return (f"Lock contention (one event per contended acquire){note}\n"
-            + _table(["lock", "contended", "threads", "hottest core"],
-                     rows))
+            + format_table(["lock", "contended", "threads",
+                            "hottest core"], rows))
 
 
 def render_diff(deltas: Sequence[MetricDelta]) -> str:
@@ -668,24 +616,5 @@ def render_diff(deltas: Sequence[MetricDelta]) -> str:
         pct = delta.delta_pct
         change += f" ({pct:+.1f}%)" if pct is not None else ""
         rows.append([delta.name, base, cand, change, verdict])
-    return _table(["metric", "baseline", "candidate", "delta", ""], rows)
-
-
-def render_report(run: Run, top: int = 10, width: int = 72) -> str:
-    """Full offline report for one run: every §4 explanation as text.
-
-    Rebased on the streaming core: one :class:`repro.obs.stream
-    .RunProfile` fed with the run's events renders exactly this report,
-    which is what makes ``repro-analyze report --stream`` byte-identical
-    to the batch path.
-    """
-    from repro.obs.stream import RunProfile
-    return RunProfile.from_events(run.label, run.events).render(
-        top=top, width=width)
-
-
-def render_stream_report(events: Sequence[Event], top: int = 10,
-                         width: int = 72) -> str:
-    """Report every run in a stream (streams may hold several)."""
-    return "\n\n".join(render_report(run, top=top, width=width)
-                       for run in split_runs(events))
+    return format_table(["metric", "baseline", "candidate", "delta", ""],
+                        rows)

@@ -1,13 +1,15 @@
 """Single-pass, constant-memory streaming profiles over event streams.
 
-The batch analyzer (:mod:`repro.obs.profile`) materializes a whole
-recording as ``List[Event]`` before attributing anything; fleet-scale
-recordings (ROADMAP's million-user scenario) are multi-GB, so this
-module re-expresses every §4 attribution as an incremental *reducer*
-that folds one event at a time and never looks back:
+Every report of a recording — ``repro-analyze report``, ``folded``,
+``profile``, ``merge`` and ``tail``, and
+``Observability.profile_report()`` — is a :class:`Profile`: one
+:class:`RunProfile` section per :class:`~repro.obs.events.RunMarker`,
+each a set of incremental *reducers* that fold one event at a time and
+never look back:
 
-* memory is proportional to the number of distinct objects, cores,
-  locks and threads — never to the number of events;
+* memory is proportional to the number of runs times the distinct
+  objects, cores, locks and threads of each — never to the number of
+  events;
 * every reducer's partial state is serializable and *mergeable*, so a
   distributed sweep's workers can each emit a per-shard
   :class:`Profile` and the coordinator folds them fleet-wide
@@ -17,12 +19,9 @@ that folds one event at a time and never looks back:
   gracefully through deterministic bottom-k sampling (keyed hashing, so
   any partition of the stream prunes to the same sample).
 
-The batch report has no attribution code of its own: it feeds each
-run of a loaded recording to a :class:`RunProfile`
-(``RunProfile.from_events``), so ``repro-analyze report`` and
-``report --stream`` render byte-identical text for a stream whose run
-labels are distinct.  A label that repeats is one section per run in
-the batch report and one merged section in the streaming one.
+Runs that share a label stay separate sections: every simulator run
+restarts at cycle 0, so one section summing two runs over one run's
+horizon would show cores more than 100% busy.
 """
 
 from __future__ import annotations
@@ -48,6 +47,10 @@ from repro.obs.events import (CacheEvicted, CacheInvalidated, Event,
 from repro.obs.export import SCHEMA_VERSION, jsonl_meta_line, open_text
 from repro.obs.metrics import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
                                Histogram)
+from repro.obs.profile import (CoreBreakdown, EventDecoder, LockStat,
+                               ObjectCost, iter_jsonl, render_core_breakdown,
+                               render_lock_table, render_migration_matrix,
+                               render_object_costs)
 
 __all__ = [
     "DEFAULT_SAMPLE_CAPACITY", "NO_OPERATION", "PROFILE_FORMAT_VERSION",
@@ -64,12 +67,12 @@ NO_OPERATION = "(no operation)"
 
 #: Maximum distinct occupancy changes a profile keeps before the
 #: deterministic bottom-k sampler starts pruning.  The default of every
-#: :class:`RunProfile`, so the batch and streaming reports prune
-#: identically.
+#: :class:`RunProfile`, so every report of a stream prunes identically.
 DEFAULT_SAMPLE_CAPACITY = 65_536
 
-#: Version of the :class:`Profile` JSON artifact.
-PROFILE_FORMAT_VERSION = 1
+#: Version of the :class:`Profile` JSON artifact.  Version 2 holds one
+#: section per run; version 1 folded runs that shared a label.
+PROFILE_FORMAT_VERSION = 2
 
 #: Sentinel distinguishing "thread never seen" from "thread known to be
 #: outside any operation" in :class:`ObjectCostsReducer`.
@@ -103,9 +106,7 @@ class ObjectCostsReducer:
     """
 
     def __init__(self) -> None:
-        from repro.obs.profile import ObjectCost
-        self._cost_cls = ObjectCost
-        self.costs: Dict[str, Any] = {}
+        self.costs: Dict[str, ObjectCost] = {}
         self.known: Dict[str, Optional[str]] = {}
         self.pending: Dict[str, List[int]] = {}
 
@@ -121,10 +122,10 @@ class ObjectCostsReducer:
         if handler is not None:
             handler(event)
 
-    def _cost(self, name: str) -> Any:
+    def _cost(self, name: str) -> ObjectCost:
         entry = self.costs.get(name)
         if entry is None:
-            entry = self.costs[name] = self._cost_cls(name)
+            entry = self.costs[name] = ObjectCost(name)
         return entry
 
     def _op_start(self, event: OperationStarted) -> None:
@@ -194,7 +195,7 @@ class ObjectCostsReducer:
             cost.migration_cycles += cycles
         self.known.update(other.known)
 
-    def result(self) -> List[Any]:
+    def result(self) -> List[ObjectCost]:
         """Sorted :class:`~repro.obs.profile.ObjectCost` list.
 
         Most expensive first (by ``total_cycles``).  Leftover pending
@@ -207,7 +208,7 @@ class ObjectCostsReducer:
         if self.pending:
             entry = costs.get(NO_OPERATION)
             if entry is None:
-                entry = costs[NO_OPERATION] = self._cost_cls(NO_OPERATION)
+                entry = costs[NO_OPERATION] = ObjectCost(NO_OPERATION)
             for migrations, cycles in self.pending.values():
                 entry.migrations += migrations
                 entry.migration_cycles += cycles
@@ -225,7 +226,7 @@ class ObjectCostsReducer:
     def from_state(cls, state: Dict[str, Any]) -> "ObjectCostsReducer":
         reducer = cls()
         for name, fields in state["costs"].items():
-            reducer.costs[name] = reducer._cost_cls(**fields)
+            reducer.costs[name] = ObjectCost(**fields)
         reducer.known.update(state["known"])
         for thread, entry in state["pending"].items():
             reducer.pending[thread] = list(entry)
@@ -277,8 +278,7 @@ class CoreBreakdownReducer:
             for index, value in enumerate(counts):
                 entry[index] += value
 
-    def result(self, horizon: int) -> List[Any]:
-        from repro.obs.profile import CoreBreakdown
+    def result(self, horizon: int) -> List[CoreBreakdown]:
         breakdowns = []
         for core in sorted(self.cores):
             counts = self.cores[core]
@@ -373,8 +373,7 @@ class LockTableReducer:
             for core, count in per_core.items():
                 mine[2][core] = mine[2].get(core, 0) + count
 
-    def result(self) -> List[Any]:
-        from repro.obs.profile import LockStat
+    def result(self) -> List[LockStat]:
         stats = []
         for name, (counts, threads, per_core) in self.locks.items():
             stats.append(LockStat(name, contended_acquires=counts[0],
@@ -777,11 +776,11 @@ class SweepReducer:
 # ---------------------------------------------------------------------------
 
 class RunProfile:
-    """All reducers for one run label, with one combined dispatch table.
+    """All reducers for one run, with one combined dispatch table.
 
-    Renders the same five batch-report sections (header, per-object
-    attribution, per-core breakdown, migration matrix, lock table,
-    occupancy timeline) plus latency/sweep sections when populated.
+    Renders the report sections (header, per-object attribution,
+    per-core breakdown, migration matrix, lock table, occupancy
+    timeline) plus latency/sweep sections when populated.
     """
 
     def __init__(self, label: Optional[str],
@@ -798,11 +797,13 @@ class RunProfile:
         self.occupancy = OccupancyReducer(capacity=sample_capacity,
                                           seed=sample_seed)
         self.sweep = SweepReducer()
-        self._reducers = (self.objects, self.cores, self.matrix,
-                          self.locks, self.latency, self.occupancy,
-                          self.sweep)
+        self._wire()
+
+    def _wire(self) -> None:
+        """Build the dispatch table over the current reducers."""
         dispatch: Dict[Type[Event], List[Handler]] = {}
-        for reducer in self._reducers:
+        for reducer in (self.objects, self.cores, self.matrix, self.locks,
+                        self.latency, self.occupancy, self.sweep):
             for etype, handler in reducer.handlers().items():
                 dispatch.setdefault(etype, []).append(handler)
         self._dispatch = dispatch
@@ -843,10 +844,6 @@ class RunProfile:
         self.sweep.merge_from(other.sweep)
 
     def render(self, top: int = 10, width: int = 72) -> str:
-        from repro.obs.profile import (render_core_breakdown,
-                                       render_lock_table,
-                                       render_migration_matrix,
-                                       render_object_costs)
         sections = [
             f"=== run: {self.display_label} "
             f"({self.events:,} events, horizon "
@@ -897,16 +894,7 @@ class RunProfile:
         section.latency = LatencyReducer.from_state(state["latency"])
         section.occupancy = OccupancyReducer.from_state(occupancy)
         section.sweep = SweepReducer.from_state(state["sweep"])
-        # rebuild dispatch over the replaced reducers
-        section._reducers = (section.objects, section.cores,
-                             section.matrix, section.locks,
-                             section.latency, section.occupancy,
-                             section.sweep)
-        dispatch: Dict[Type[Event], List[Handler]] = {}
-        for reducer in section._reducers:
-            for etype, handler in reducer.handlers().items():
-                dispatch.setdefault(etype, []).append(handler)
-        section._dispatch = dispatch
+        section._wire()
         return section
 
 
@@ -915,46 +903,37 @@ class RunProfile:
 # ---------------------------------------------------------------------------
 
 class Profile:
-    """A serializable, mergeable whole-stream profile.
+    """A serializable, mergeable whole-stream profile: one section per run.
 
-    Sections are keyed by run label (``RunMarker``); events before any
-    marker go to a headless section rendered as ``run``, matching the
-    batch analyzer's ``split_runs``.  Merging treats the right profile
-    as the continuation of the left stream: the right's headless prefix
-    folds into the left's active section, same-label sections fold
-    together, new labels are appended in first-appearance order.  With
-    that, ``merge(P(a), P(b)) == P(a + b)`` holds for any split point of
-    one stream — the tested algebraic law distributed sweeps rely on.
+    Every :class:`RunMarker` opens a new section, whatever its label;
+    events before the first marker go to a headless section (label
+    None, rendered as ``run``), matching
+    :func:`~repro.obs.profile.split_runs`.  Merging concatenates: the
+    right profile's headless prefix continues the left profile's last
+    section, and the right's other sections are appended.  With that,
+    ``merge(P(a), P(b)) == P(a + b)`` holds for any split point of one
+    stream — the tested algebraic law distributed sweeps rely on.
     """
 
     def __init__(self, sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
                  sample_seed: int = 0) -> None:
         self.sample_capacity = sample_capacity
         self.sample_seed = sample_seed
-        self._sections: Dict[Optional[str], RunProfile] = {}
-        self._active: Optional[RunProfile] = None
+        #: One section per run, in stream order.
+        self.sections: List[RunProfile] = []
 
-    # ------------------------------------------------------------------
-    # feeding
-    # ------------------------------------------------------------------
+    def _open(self, label: Optional[str]) -> None:
+        self.sections.append(RunProfile(
+            label, sample_capacity=self.sample_capacity,
+            sample_seed=self.sample_seed))
 
     def feed(self, event: Event) -> None:
         if type(event) is RunMarker:
-            section = self._sections.get(event.label)
-            if section is None:
-                section = self._sections[event.label] = RunProfile(
-                    event.label, sample_capacity=self.sample_capacity,
-                    sample_seed=self.sample_seed)
-            self._active = section
+            self._open(event.label)
             return
-        if self._active is None:
-            section = self._sections.get(None)
-            if section is None:
-                section = self._sections[None] = RunProfile(
-                    None, sample_capacity=self.sample_capacity,
-                    sample_seed=self.sample_seed)
-            self._active = section
-        self._active.feed(event)
+        if not self.sections:
+            self._open(None)
+        self.sections[-1].feed(event)
 
     @classmethod
     def from_events(cls, events: Iterable[Event],
@@ -966,25 +945,16 @@ class Profile:
             profile.feed(event)
         return profile
 
-    # ------------------------------------------------------------------
-    # sections
-    # ------------------------------------------------------------------
-
-    @property
-    def sections(self) -> List[RunProfile]:
-        """Sections in first-appearance order."""
-        return list(self._sections.values())
-
     @property
     def total_events(self) -> int:
-        return sum(section.events for section in self._sections.values())
+        return sum(section.events for section in self.sections)
 
     # ------------------------------------------------------------------
     # merge
     # ------------------------------------------------------------------
 
     def _ingest(self, other: "Profile") -> None:
-        """Fold ``other`` (the right-hand stream) into self, in place.
+        """Append ``other`` (the right-hand stream) to self, in place.
 
         ``other``'s sections are adopted directly, so callers must pass
         a profile they own (``merge`` round-trips through JSON to
@@ -997,29 +967,13 @@ class Profile:
                 f"parameters (capacity {other.sample_capacity}, seed "
                 f"{other.sample_seed} vs capacity "
                 f"{self.sample_capacity}, seed {self.sample_seed})")
-        for label, section in other._sections.items():
-            if label is None:
-                # the right stream's pre-marker events continue the
-                # left stream's active run
-                target = self._active
-                if target is None:
-                    target = self._sections.get(None)
-                if target is None:
-                    target = self._sections[None] = RunProfile(
-                        None, sample_capacity=self.sample_capacity,
-                        sample_seed=self.sample_seed)
-                target.merge_from(section)
-                continue
-            mine = self._sections.get(label)
-            if mine is None:
-                self._sections[label] = section
-            else:
-                mine.merge_from(section)
-        if other._active is not None:
-            if other._active.label is not None:
-                self._active = self._sections[other._active.label]
-            elif self._active is None:
-                self._active = self._sections.get(None)
+        sections = other.sections
+        if sections and sections[0].label is None and self.sections:
+            # the right stream's pre-marker events continue the left
+            # stream's last run
+            self.sections[-1].merge_from(sections[0])
+            sections = sections[1:]
+        self.sections.extend(sections)
 
     def merge(self, other: "Profile") -> "Profile":
         """Non-destructive fold: a new profile equal to ``P(a + b)``."""
@@ -1033,18 +987,13 @@ class Profile:
 
     def to_json(self) -> str:
         """Deterministic JSON (sorted keys, sections in stream order)."""
-        active: Optional[Dict[str, Any]] = None
-        if self._active is not None:
-            active = {"label": self._active.label}
         document = {
             "kind": "repro.profile",
             "version": PROFILE_FORMAT_VERSION,
             "schema_version": SCHEMA_VERSION,
             "sample_capacity": self.sample_capacity,
             "sample_seed": self.sample_seed,
-            "active": active,
-            "sections": [section.state()
-                         for section in self._sections.values()],
+            "sections": [section.state() for section in self.sections],
         }
         return json.dumps(document, separators=(",", ":"), sort_keys=True)
 
@@ -1069,43 +1018,21 @@ class Profile:
                 f"{PROFILE_FORMAT_VERSION})")
         profile = cls(sample_capacity=document["sample_capacity"],
                       sample_seed=document["sample_seed"])
-        for state in document["sections"]:
-            section = RunProfile.from_state(state)
-            profile._sections[section.label] = section
-        active = document.get("active")
-        if active is not None:
-            profile._active = profile._sections.get(active["label"])
+        profile.sections = [RunProfile.from_state(state)
+                            for state in document["sections"]]
         return profile
 
-    # ------------------------------------------------------------------
-    # equality (the merge law's notion of "same profile")
-    # ------------------------------------------------------------------
-
-    def _canonical(self) -> Dict[Optional[str], Dict[str, Any]]:
-        return {label: section.state()
-                for label, section in self._sections.items()}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Profile):
-            return NotImplemented
-        return self._canonical() == other._canonical()
-
     def __repr__(self) -> str:
-        labels = [section.display_label
-                  for section in self._sections.values()]
+        labels = [section.display_label for section in self.sections]
         return (f"Profile(sections={labels}, "
                 f"events={self.total_events:,})")
 
-    # ------------------------------------------------------------------
-    # rendering
-    # ------------------------------------------------------------------
-
     def render(self, top: int = 10, width: int = 72) -> str:
-        """Full report: one section per run label, batch layout."""
-        if not self._sections:
+        """Full report: one section per run, in stream order."""
+        if not self.sections:
             return "(empty profile)"
         return "\n\n".join(section.render(top=top, width=width)
-                           for section in self._sections.values())
+                           for section in self.sections)
 
 
 def load_profile(path: str) -> Profile:
@@ -1139,7 +1066,6 @@ class StreamProfiler:
 
     def __init__(self, sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
                  sample_seed: int = 0) -> None:
-        from repro.obs.profile import EventDecoder
         self.profile = Profile(sample_capacity=sample_capacity,
                                sample_seed=sample_seed)
         self._decoder = EventDecoder()
@@ -1157,7 +1083,6 @@ class StreamProfiler:
         return event
 
     def feed_path(self, path: str) -> "StreamProfiler":
-        from repro.obs.profile import iter_jsonl
         for event in iter_jsonl(path):
             self.feed(event)
         return self

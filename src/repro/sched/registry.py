@@ -28,8 +28,7 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigError
 
-#: Monitoring window benchmarks use for CoreTime on scaled machines
-#: (``repro.bench.harness`` re-exports this as ``BENCH_MONITOR_INTERVAL``).
+#: Monitoring window benchmarks use for CoreTime on scaled machines.
 BENCH_MONITOR_INTERVAL = 100_000
 
 SchedulerFactory = Callable[[], "object"]

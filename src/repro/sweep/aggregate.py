@@ -9,8 +9,8 @@ comparisons reuse :class:`repro.analysis.SpeedupResult`: seeds are
 paired, so a "robust" speedup means the candidate won on *every* seed.
 
 ``export_events_jsonl`` writes the sweep as a schema-version-5 obs event
-stream (``sweep_start``/``sweep_end``/``sweep_fail``), loadable by the
-same ``repro.obs.profile`` ingest that ``repro-analyze diff`` uses.
+stream (``sweep_start``/``sweep_end``/``sweep_fail``), readable by
+``repro.obs.profile.iter_jsonl``, the reader behind ``repro-analyze``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis import SampleStats, SpeedupResult, summarise
+from repro.analysis import (SampleStats, SpeedupResult, format_table,
+                            summarise)
 from repro.obs.events import (Event, SweepCaseFailed, SweepCaseFinished,
                               SweepCaseStarted)
 from repro.obs.export import write_jsonl
@@ -126,17 +127,6 @@ def compare_schedulers(cells: Sequence[SweepCell], baseline: str,
 # rendering
 # ---------------------------------------------------------------------------
 
-def _format_table(headers: List[str], rows: List[List[str]]) -> str:
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows))
-              if rows else len(headers[i]) for i in range(len(headers))]
-    def fmt(cells: Sequence[str]) -> str:
-        return "  ".join(cell.rjust(width)
-                         for cell, width in zip(cells, widths))
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
-
-
 def render_cells(cells: Sequence[SweepCell]) -> str:
     """Per-cell statistics table (kops/s across seeds)."""
     if not cells:
@@ -151,7 +141,7 @@ def render_cells(cells: Sequence[SweepCell]) -> str:
             f"[{low:,.0f}, {high:,.0f}]",
             f"{cell.p50:,.0f}", f"{cell.p95:,.0f}",
         ])
-    return _format_table(
+    return format_table(
         ["machine", "workload", "scheduler", "seeds", "mean kops/s",
          "95% CI", "p50", "p95"], rows)
 
@@ -172,7 +162,7 @@ def render_comparison(cells: Sequence[SweepCell], baseline: str,
             f"{result.mean_speedup:.2f}x",
             "robust" if result.robust else "mixed",
         ])
-    return _format_table(
+    return format_table(
         ["machine", "workload", f"{baseline} kops/s",
          f"{candidate} kops/s", "speedup", "across seeds"], rows)
 
@@ -275,7 +265,7 @@ def render_rank(cells: Sequence[SweepCell], pivot: str) -> str:
                + ["geomean"])
     legend = (f"speedup vs {pivot} (seed-paired mean; "
               "* = same winner on every seed)")
-    return _format_table(headers, table_rows) + "\n" + legend
+    return format_table(headers, table_rows) + "\n" + legend
 
 
 def render_rank_report(name: str, records: Iterable[Optional[dict]],
@@ -311,7 +301,7 @@ def diff_cells(base_cells: Sequence[SweepCell],
         ])
     if not rows:
         return "(no overlapping cells)"
-    return _format_table(
+    return format_table(
         ["machine", "workload", "scheduler", "base kops/s",
          "cand kops/s", "delta", "confidence"], rows)
 

@@ -104,9 +104,8 @@ class SweepOutcome:
 
 
 def _scheduler_factory(name: str):
-    # The registry is the single source of truth (the bench harness's
-    # SCHEDULERS is a view of it); resolve raises ConfigError listing
-    # every registered name.
+    # The registry is the single source of truth; resolve raises
+    # ConfigError listing every registered name.
     from repro.sched import registry
     return registry.resolve(name)
 

@@ -70,7 +70,8 @@ class TestIntegrationWithSimulator:
     def test_coretime_speedup_is_seed_robust(self):
         """The paper's headline holds across workload seeds, not just
         on one lucky draw."""
-        from repro.bench.harness import SCHEDULERS, run_point
+        from repro.bench.harness import run_point
+        from repro.sched import registry
         from repro.cpu.topology import MachineSpec
         from repro.workloads.dirlookup import DirWorkloadSpec
 
@@ -81,8 +82,8 @@ class TestIntegrationWithSimulator:
                 workload = DirWorkloadSpec(
                     n_dirs=128, files_per_dir=64, cluster_bytes=512,
                     think_cycles=10, threads_per_core=4, seed=seed)
-                return run_point(spec, SCHEDULERS[scheduler], workload,
-                                 warmup_cycles=300_000,
+                return run_point(spec, registry.resolve(scheduler),
+                                 workload, warmup_cycles=300_000,
                                  measure_cycles=400_000).kops_per_sec
             return experiment
 

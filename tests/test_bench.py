@@ -3,10 +3,11 @@
 import pytest
 
 from repro.bench.ascii_plot import plot
-from repro.bench.harness import (SCHEDULERS, BenchPoint, Series,
-                                 coretime_factory, run_point, sweep)
+from repro.bench.harness import BenchPoint, Series, run_point, sweep
 from repro.bench.report import figure_report, table
 from repro.errors import ConfigError
+from repro.sched import registry
+from repro.sched.registry import coretime_factory
 from repro.workloads.dirlookup import DirWorkloadSpec
 
 from tests.helpers import tiny_spec
@@ -20,7 +21,7 @@ def quick_workload(n_dirs=4):
 
 class TestRunPoint:
     def test_measures_throughput(self):
-        point = run_point(tiny_spec(), SCHEDULERS["thread"],
+        point = run_point(tiny_spec(), registry.resolve("thread"),
                           quick_workload(), warmup_cycles=50_000,
                           measure_cycles=100_000)
         assert point.scheduler == "thread"
@@ -28,10 +29,10 @@ class TestRunPoint:
         assert point.ops > 0
 
     def test_window_excludes_warmup(self):
-        short = run_point(tiny_spec(), SCHEDULERS["thread"],
+        short = run_point(tiny_spec(), registry.resolve("thread"),
                           quick_workload(), warmup_cycles=0,
                           measure_cycles=50_000)
-        long = run_point(tiny_spec(), SCHEDULERS["thread"],
+        long = run_point(tiny_spec(), registry.resolve("thread"),
                          quick_workload(), warmup_cycles=200_000,
                          measure_cycles=50_000)
         # Warm caches: the measured window is at least as fast.
@@ -39,17 +40,17 @@ class TestRunPoint:
 
     def test_x_defaults_to_total_kb(self):
         workload = quick_workload()
-        point = run_point(tiny_spec(), SCHEDULERS["thread"], workload,
-                          warmup_cycles=0, measure_cycles=20_000)
+        point = run_point(tiny_spec(), registry.resolve("thread"),
+                          workload, warmup_cycles=0, measure_cycles=20_000)
         assert point.x == workload.total_data_bytes / 1024
 
     def test_invalid_windows_rejected(self):
         with pytest.raises(ConfigError):
-            run_point(tiny_spec(), SCHEDULERS["thread"], quick_workload(),
-                      warmup_cycles=-1, measure_cycles=10)
+            run_point(tiny_spec(), registry.resolve("thread"),
+                      quick_workload(), warmup_cycles=-1, measure_cycles=10)
         with pytest.raises(ConfigError):
-            run_point(tiny_spec(), SCHEDULERS["thread"], quick_workload(),
-                      warmup_cycles=0, measure_cycles=0)
+            run_point(tiny_spec(), registry.resolve("thread"),
+                      quick_workload(), warmup_cycles=0, measure_cycles=0)
 
     def test_coretime_factory_overrides(self):
         factory = coretime_factory(rebalance=False, lookup_cost=5)
@@ -139,7 +140,8 @@ class TestSweep:
     def test_parallel_rejects_unpicklable_configurations(self):
         with pytest.raises(ConfigError):
             sweep(tiny_spec(), ("thread",), [quick_workload()],
-                  workers=2, schedulers={"thread": SCHEDULERS["thread"]})
+                  workers=2,
+                  schedulers={"thread": registry.resolve("thread")})
         with pytest.raises(ConfigError):
             sweep(tiny_spec(), ("thread",), [quick_workload()],
                   workers=2, workload_factory=lambda m, s: None)

@@ -7,10 +7,12 @@ asserts a *qualitative* result from the paper.
 """
 
 
-from repro.bench.harness import SCHEDULERS, coretime_factory, run_point
+from repro.bench.harness import run_point
 from repro.cpu.machine import Machine
 from repro.cpu.topology import MachineSpec
 from repro.core.coretime import CoreTimeConfig, CoreTimeScheduler
+from repro.sched import registry
+from repro.sched.registry import coretime_factory
 from repro.sim.engine import Simulator
 from repro.workloads.dirlookup import (DirectoryLookupWorkload,
                                        DirWorkloadSpec)
@@ -27,7 +29,7 @@ def workload_spec(n_dirs, **overrides):
 
 
 def throughput(scheduler_name, wspec, warmup=400_000, measure=600_000):
-    return run_point(SPEC, SCHEDULERS[scheduler_name], wspec,
+    return run_point(SPEC, registry.resolve(scheduler_name), wspec,
                      warmup_cycles=warmup, measure_cycles=measure)
 
 
@@ -76,8 +78,8 @@ class TestCacheContents:
             off = len(groups.get(OFF_CHIP, []))
             return n_dirs - off
 
-        thread_resident = resident_dirs(SCHEDULERS["thread"])
-        coretime_resident = resident_dirs(SCHEDULERS["coretime"])
+        thread_resident = resident_dirs(registry.resolve("thread"))
+        coretime_resident = resident_dirs(registry.resolve("coretime"))
         assert coretime_resident > thread_resident
 
     def test_coretime_issues_fewer_dram_loads_per_op(self):

@@ -19,9 +19,8 @@ from repro.obs.events import (ALL_EVENTS, CacheEvicted, CacheInvalidated,
                               ThreadArrived, ThreadFinished, ThreadSpawned,
                               WorkerJoined, WorkerLost)
 from repro.obs.export import SCHEMA_VERSION, events_to_jsonl
-from repro.obs.profile import (MetricDelta, diff_metrics, diff_streams,
-                               folded_stacks, load_jsonl, parse_jsonl,
-                               render_report, split_runs, stream_horizon,
+from repro.obs.profile import (EventDecoder, MetricDelta, diff_metrics,
+                               diff_streams, folded_stacks, split_runs,
                                summarise_stream)
 from repro.obs.stream import RunProfile
 from repro.sched.thread_sched import ThreadScheduler
@@ -71,6 +70,14 @@ def run_events(until=120_000):
     return obs.events()
 
 
+def decode_lines(lines):
+    """Decode JSONL text lines; returns the decoder and the events."""
+    decoder = EventDecoder()
+    events = [decoder.decode_line(line, lineno)
+              for lineno, line in enumerate(lines, 1)]
+    return decoder, [event for event in events if event is not None]
+
+
 # ---------------------------------------------------------------------------
 # schema round-trip (satellite: no field loss for any event type)
 # ---------------------------------------------------------------------------
@@ -78,18 +85,18 @@ def run_events(until=120_000):
 class TestSchemaRoundTrip:
     def test_every_event_type_survives_export_and_ingest(self):
         assert {type(e) for e in SAMPLE_EVENTS} == set(ALL_EVENTS)
-        recording = parse_jsonl(
+        decoder, events = decode_lines(
             events_to_jsonl(SAMPLE_EVENTS).splitlines())
-        assert recording.schema_version == SCHEMA_VERSION
-        assert len(recording.events) == len(SAMPLE_EVENTS)
-        for original, parsed in zip(SAMPLE_EVENTS, recording.events):
+        assert decoder.schema == SCHEMA_VERSION
+        assert len(events) == len(SAMPLE_EVENTS)
+        for original, parsed in zip(SAMPLE_EVENTS, events):
             assert type(parsed) is type(original)
             assert parsed == original        # field-by-field equality
 
     def test_real_run_round_trips_with_no_field_loss(self):
         events = run_events()
-        recording = parse_jsonl(events_to_jsonl(events).splitlines())
-        assert recording.events == events
+        _, parsed = decode_lines(events_to_jsonl(events).splitlines())
+        assert parsed == events
 
     def test_exporter_stamps_schema_version(self):
         first = events_to_jsonl(SAMPLE_EVENTS).splitlines()[0]
@@ -101,43 +108,42 @@ class TestSchemaRoundTrip:
         lines = [json.dumps({"kind": "meta",
                              "schema_version": SCHEMA_VERSION + 1})]
         with pytest.raises(ProfileError, match="newer than this analyzer"):
-            parse_jsonl(lines)
+            decode_lines(lines)
 
     def test_unknown_kind_is_refused(self):
         with pytest.raises(ProfileError, match="unknown event kind"):
-            parse_jsonl([json.dumps({"kind": "warp_drive", "ts": 1})])
+            decode_lines([json.dumps({"kind": "warp_drive", "ts": 1})])
 
     def test_unknown_field_is_refused(self):
         line = json.dumps({"kind": "spawn", "ts": 1, "core": 0,
                            "thread": "t0", "color": "red"})
         with pytest.raises(ProfileError, match="unknown fields"):
-            parse_jsonl([line])
+            decode_lines([line])
 
     def test_missing_field_is_refused_on_current_schema(self):
         meta = json.dumps({"kind": "meta",
                            "schema_version": SCHEMA_VERSION})
         line = json.dumps({"kind": "spawn", "ts": 1, "core": 0})
         with pytest.raises(ProfileError, match="missing fields"):
-            parse_jsonl([meta, line])
+            decode_lines([meta, line])
 
     def test_legacy_headerless_stream_none_fills_new_fields(self):
         # PR 1's exporter wrote no meta line and no attribution fields.
         line = json.dumps({"kind": "op_end", "ts": 900, "core": 1,
                            "thread": "t0", "obj": "dir:D1", "cycles": 500})
-        recording = parse_jsonl([line])
-        assert recording.schema_version == 1
-        event = recording.events[0]
+        decoder, (event,) = decode_lines([line])
+        assert decoder.schema == 1
         assert event.cycles == 500
         assert event.dram is None and event.spin is None
 
     def test_non_json_line_is_refused(self):
         with pytest.raises(ProfileError, match="not valid JSON"):
-            parse_jsonl(["{nope"])
+            decode_lines(["{nope"])
 
     def test_blank_lines_are_skipped(self):
         text = events_to_jsonl(SAMPLE_EVENTS) + "\n\n"
-        recording = parse_jsonl(text.splitlines())
-        assert len(recording.events) == len(SAMPLE_EVENTS)
+        _, events = decode_lines(text.splitlines())
+        assert len(events) == len(SAMPLE_EVENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +190,8 @@ class TestStreamStructure:
 
     def test_horizon_counts_migration_landing(self):
         events = [MigrationStarted(100, 0, "t0", 1, 300)]
-        assert stream_horizon(events) == 300
+        assert RunProfile.from_events("run", events).horizon == 300
+        assert summarise_stream(events).horizon == 300
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +199,7 @@ class TestStreamStructure:
 # ---------------------------------------------------------------------------
 
 def profile_of(events):
-    """One run's reducers, fed the way ``render_report`` feeds them."""
+    """One run's reducers, fed the way every report feeds them."""
     return RunProfile.from_events("run", events)
 
 
@@ -309,7 +316,8 @@ class TestFoldedStacks:
             MigrationStarted(20, 0, "t0", 1, 120),
             OperationFinished(1000, 0, "t0", "x", 800, 2, 1, 300, 100),
         ]
-        lines = folded_stacks(events, label="wl")
+        lines = folded_stacks(profile_of(events).objects.result(),
+                              label="wl")
         parsed = {}
         for line in lines:
             stack, cycles = line.rsplit(" ", 1)
@@ -326,11 +334,11 @@ class TestFoldedStacks:
     def test_unattributed_phase_for_migrated_ops(self):
         events = [OperationFinished(1000, 0, "t0", "x", 500,
                                     None, None, None, None)]
-        (line,) = folded_stacks(events)
+        (line,) = folded_stacks(profile_of(events).objects.result())
         assert line == "run;x;unattributed 500"
 
     def test_real_run_folds(self):
-        lines = folded_stacks(run_events())
+        lines = folded_stacks(profile_of(run_events()).objects.result())
         assert lines
         for line in lines:
             stack, cycles = line.rsplit(" ", 1)
@@ -417,21 +425,15 @@ class TestReportAndCli:
                            encoding="utf-8")
         return path, metrics
 
-    def test_render_report_has_all_sections(self, recorded):
-        path, _ = recorded
-        (run,) = split_runs(load_jsonl(str(path)).events)
-        text = render_report(run)
-        assert "Per-object attribution" in text
-        assert "Per-core time breakdown" in text
-        assert "Lock contention" in text or "no lock contention" in text
-        assert "dir:" in text
-
     def test_cli_report(self, recorded, capsys):
         path, metrics = recorded
         assert analyze_main(["report", str(path),
                              "--metrics", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "Per-object attribution" in out
+        assert "Per-core time breakdown" in out
+        assert "Lock contention" in out or "no lock contention" in out
+        assert "dir:" in out
         assert "Metrics snapshot" in out
 
     def test_cli_report_to_file(self, recorded, tmp_path):
@@ -511,6 +513,7 @@ class TestSummariseStream:
             CacheInvalidated(600, 0, 2, 3, None),
         ]
         summary = summarise_stream(events)
+        assert summary.horizon == 600
         assert summary.ops == 2
         assert summary.op_cycles == [500, 400]
         assert summary.op_dram == [1]          # attributed ops only

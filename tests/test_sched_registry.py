@@ -110,33 +110,3 @@ class TestUnknownScheduler:
         message = str(excinfo.value)
         for name in registry.names():
             assert name in message
-
-
-class TestHarnessView:
-    """The back-compat SCHEDULERS mapping in repro.bench.harness."""
-
-    def test_mapping_protocol(self):
-        from repro.bench.harness import SCHEDULERS
-        assert "coretime" in SCHEDULERS
-        assert "no-such-policy" not in SCHEDULERS
-        assert set(SCHEDULERS) == set(registry.names())
-        assert len(SCHEDULERS) == len(registry.names())
-
-    def test_getitem_builds_schedulers(self):
-        from repro.bench.harness import SCHEDULERS
-        assert SCHEDULERS["sjf"]().name == "sjf"
-
-    def test_unknown_name_raises_keyerror(self):
-        # sweep() catches KeyError for its "unknown scheduler" message;
-        # the view must keep that contract rather than leak ConfigError.
-        from repro.bench.harness import SCHEDULERS
-        with pytest.raises(KeyError):
-            SCHEDULERS["no-such-policy"]
-
-    def test_view_sees_late_registrations(self, scratch_registry):
-        from repro.bench.harness import SCHEDULERS
-        registry.register("late-bird", ThreadScheduler,
-                          summary="registered after import",
-                          family="thread")
-        assert "late-bird" in SCHEDULERS
-        assert SCHEDULERS["late-bird"]().name == "thread"

@@ -9,20 +9,25 @@ import threading
 import pytest
 
 from repro.analysis import RunningStats
+from repro.core.coretime import CoreTimeScheduler
+from repro.cpu.machine import Machine
 from repro.errors import ConfigError, ProfileError
 from repro.obs import Observability
 from repro.obs.cli import main as analyze_main
 from repro.obs.events import (LockContended, ObjectAssigned,
-                              OperationFinished)
+                              OperationFinished, RunMarker)
 from repro.obs.export import write_jsonl
 from repro.obs.metrics import OP_LATENCY_BUCKETS, Histogram
-from repro.obs.profile import (iter_jsonl, load_jsonl, render_lock_table,
+from repro.obs.profile import (iter_jsonl, render_lock_table,
                                render_object_costs, split_runs)
 from repro.obs.stream import (OccupancyReducer, Profile, RunProfile,
                               ShardRecorder, StreamProfiler, load_profile,
                               merge_profiles, synthesize)
+from repro.sim.engine import Simulator
 from repro.sweep.runner import run_sweep
+from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
+from tests.helpers import tiny_spec
 from tests.test_sweep import quick_options, tiny_sweep
 
 
@@ -44,7 +49,6 @@ class TestMergeLaw:
             left = Profile.from_events(events[:cut])
             right = Profile.from_events(events[cut:])
             merged = left.merge(right)
-            assert merged == whole, f"split at {cut}"
             assert merged.to_json() == whole.to_json(), f"split at {cut}"
 
     def test_merge_does_not_mutate_operands(self):
@@ -63,13 +67,6 @@ class TestMergeLaw:
         c = Profile.from_events(events[300:])
         assert a.merge(b).merge(c).to_json() \
             == a.merge(b.merge(c)).to_json()
-
-    def test_commutes_for_disjoint_labels(self):
-        a = Profile.from_events(synth(200, seed=1, label="alpha"))
-        b = Profile.from_events(synth(200, seed=2, label="beta"))
-        # Section order differs (first-appearance), so byte equality is
-        # out; profile equality is section-order-insensitive.
-        assert a.merge(b) == b.merge(a)
 
     def test_merge_profiles_folds_left_to_right(self):
         events = synth(300, seed=4)
@@ -101,45 +98,68 @@ class TestMergeLaw:
 
 
 # ---------------------------------------------------------------------------
-# streaming == batch, byte for byte
+# one section per run, even when runs share a label
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def fig2_events(tmp_path_factory):
-    from repro.bench.figures import figure_2
-
+def two_runs_one_label():
+    """Two CoreTime runs recorded into one stream: both are labelled
+    ``coretime`` and each restarts at cycle 0."""
     obs = Observability()
-    figure_2(n_dirs=6, run_cycles=120_000, seed=11, obs=obs)
-    path = tmp_path_factory.mktemp("fig2") / "fig2.events.jsonl"
-    obs.write_jsonl(str(path))
-    return str(path)
+    for n_dirs in (4, 12):
+        machine = Machine(tiny_spec())
+        sim = Simulator(machine, CoreTimeScheduler(), obs=obs)
+        spec = DirWorkloadSpec(n_dirs=n_dirs, files_per_dir=16,
+                               think_cycles=10, threads_per_core=2, seed=7)
+        DirectoryLookupWorkload(machine, spec).spawn_all(sim)
+        sim.run(until=200_000)
+    return obs.events()
 
+
+class TestRepeatedLabels:
+    def test_each_run_is_its_own_section(self, two_runs_one_label):
+        profile = Profile.from_events(two_runs_one_label)
+        assert [s.display_label for s in profile.sections] \
+            == ["coretime", "coretime"]
+        assert profile.render().count("=== run: coretime (") == 2
+        # Folding both runs over one run's horizon pushed cores past
+        # 100% busy; per run, no per-core share can exceed the horizon.
+        for section in profile.sections:
+            for core in section.cores.result(section.horizon):
+                for value in (core.busy, core.mem_stall, core.spin,
+                              core.migrating, core.idle):
+                    assert core.frac(value) <= 1.0, core
+
+    def test_merge_law_across_the_second_marker(self, two_runs_one_label):
+        events = two_runs_one_label
+        whole = Profile.from_events(events).to_json()
+        # Independent oracle: each section is its run profiled alone.
+        per_run = [RunProfile.from_events(run.label, run.events).state()
+                   for run in split_runs(events)]
+        second = next(index for index, event in enumerate(events)
+                      if type(event) is RunMarker and index > 0)
+        for cut in (second - 1, second, second + 1):
+            left = Profile.from_events(events[:cut])
+            right = Profile.from_events(events[cut:])
+            merged = left.merge(right)
+            assert merged.to_json() == whole, f"cut at {cut}"
+            assert [s.state() for s in merged.sections] == per_run
+
+
+# ---------------------------------------------------------------------------
+# a recording's report == the in-memory report, byte for byte
+# ---------------------------------------------------------------------------
 
 class TestStreamingMatchesBatch:
-    def test_report_identical_on_real_recording(self, fig2_events,
-                                                capsys):
-        assert analyze_main(["report", fig2_events]) == 0
-        batch = capsys.readouterr().out
-        assert analyze_main(["report", fig2_events, "--stream"]) == 0
-        stream = capsys.readouterr().out
-        assert stream == batch
+    def test_report_identical_on_real_recording(self, tmp_path, capsys):
+        from repro.bench.figures import figure_2
 
-    def test_run_filter_identical(self, fig2_events, capsys):
-        runs = split_runs(load_jsonl(fig2_events).events)
-        label = runs[0].label
-        assert analyze_main(["report", fig2_events, "--run", label]) == 0
-        batch = capsys.readouterr().out
-        assert analyze_main(["report", fig2_events, "--run", label,
-                             "--stream"]) == 0
-        assert capsys.readouterr().out == batch
-
-    def test_synthetic_stream_identical_too(self, tmp_path, capsys):
-        path = str(tmp_path / "s.events.jsonl.gz")
-        write_jsonl(path, synthesize(3_000, seed=6))
+        obs = Observability()
+        figure_2(n_dirs=6, run_cycles=120_000, seed=11, obs=obs)
+        path = str(tmp_path / "fig2.events.jsonl.gz")
+        obs.write_jsonl(path)
         assert analyze_main(["report", path]) == 0
-        batch = capsys.readouterr().out
-        assert analyze_main(["report", path, "--stream"]) == 0
-        assert capsys.readouterr().out == batch
+        assert capsys.readouterr().out == obs.profile_report() + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +237,7 @@ class TestGzip:
         gzipped = str(tmp_path / "r.events.jsonl.gz")
         write_jsonl(plain, events)
         write_jsonl(gzipped, events)
-        assert load_jsonl(gzipped).events == load_jsonl(plain).events
+        assert list(iter_jsonl(gzipped)) == list(iter_jsonl(plain))
         with gzip.open(gzipped, "rt", encoding="utf-8") as handle:
             assert handle.read() == open(plain, encoding="utf-8").read()
 
@@ -237,14 +257,14 @@ class TestGzip:
             write_jsonl(member, part)
             with open(cat, mode) as out:
                 out.write(open(member, "rb").read())
-        events = load_jsonl(cat).events
+        events = list(iter_jsonl(cat))
         assert [r.label for r in split_runs(events)] == ["alpha", "beta"]
         assert len(events) == len(a) + len(b)
 
-    def test_iter_jsonl_matches_load_jsonl(self, tmp_path):
+    def test_iter_jsonl_reads_back_written_events(self, tmp_path):
         path = str(tmp_path / "x.events.jsonl.gz")
         write_jsonl(path, synthesize(300, seed=4))
-        assert list(iter_jsonl(path)) == load_jsonl(path).events
+        assert list(iter_jsonl(path)) == synth(300, seed=4)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +272,11 @@ class TestGzip:
 # ---------------------------------------------------------------------------
 
 class TestDiagnostics:
-    def test_load_jsonl_error_names_file_and_line(self, tmp_path):
+    def test_iter_jsonl_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.events.jsonl"
         path.write_text('{"kind":"meta","schema_version":5}\nnot json\n')
         with pytest.raises(ProfileError) as info:
-            load_jsonl(str(path))
+            list(iter_jsonl(str(path)))
         assert str(path) in str(info.value)
         assert "line 2" in str(info.value)
 
@@ -362,7 +382,7 @@ class TestCli:
     def test_empty_stream_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text('{"kind":"meta","schema_version":5}\n')
-        assert analyze_main(["report", str(path), "--stream"]) == 2
+        assert analyze_main(["report", str(path)]) == 2
         assert "stream contains no events" in capsys.readouterr().err
         assert analyze_main(["profile", str(path), "-o",
                              str(tmp_path / "p.json")]) == 2
@@ -370,8 +390,7 @@ class TestCli:
     def test_rss_cap_must_be_positive(self, tmp_path, capsys):
         path = str(tmp_path / "e.jsonl")
         write_jsonl(path, synthesize(10, seed=0))
-        assert analyze_main(["report", path, "--stream",
-                             "--max-rss-mb", "0"]) == 2
+        assert analyze_main(["report", path, "--max-rss-mb", "0"]) == 2
 
     def test_generous_rss_cap_passes(self, tmp_path, capsys):
         pytest.importorskip("resource")
@@ -383,7 +402,7 @@ class TestCli:
         # unprivileged process, so the cap must not leak into pytest.
         result = subprocess.run(
             [sys.executable, "-m", "repro.obs.cli", "report", path,
-             "--stream", "--max-rss-mb", "2048"],
+             "--max-rss-mb", "2048"],
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert "=== run: synthetic" in result.stdout
@@ -475,9 +494,9 @@ class TestSweepShardProfiles:
                                              "serial.profile.json"))
         replayed = _profile_of_concatenated_shards(shards)
         assert recorded.to_json() == replayed.to_json()
-        # One section per scheduler, every case folded in.
-        assert sorted(s.display_label for s in recorded.sections) \
-            == ["coretime", "thread"]
+        # One section per case, in grid order.
+        assert [s.display_label for s in recorded.sections] \
+            == [case.scheduler for case in tiny_sweep().expand()]
 
     def test_worker_shards_merge_to_concatenated_profile(self, tmp_path):
         shards = str(tmp_path / "shards")

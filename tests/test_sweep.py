@@ -478,16 +478,17 @@ class TestCli:
 
     def test_events_export_parses_as_current_schema(self, tmp_path, capsys):
         from repro.obs.export import SCHEMA_VERSION
-        from repro.obs.profile import load_jsonl
+        from repro.obs.profile import iter_jsonl
         out = str(tmp_path / "sw")
         events_path = str(tmp_path / "events.jsonl")
         code = sweep_main(["run", "smoke", "--out", out, "--workers", "0",
                            "--seeds", "1", "--quiet",
                            "--events-out", events_path])
         assert code == 0
-        recording = load_jsonl(events_path)
-        assert recording.schema_version == SCHEMA_VERSION == 5
-        kinds = {event.kind for event in recording.events}
+        with open(events_path, encoding="utf-8") as handle:
+            meta = json.loads(handle.readline())
+        assert meta["schema_version"] == SCHEMA_VERSION == 5
+        kinds = {event.kind for event in iter_jsonl(events_path)}
         assert kinds == {"sweep_start", "sweep_end"}
 
     def test_run_refuses_mismatched_store(self, tmp_path, capsys):

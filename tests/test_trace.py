@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.bench.harness import SCHEDULERS
 from repro.cpu.machine import Machine
 from repro.errors import ConfigError
+from repro.sched import registry
 from repro.sim.engine import Simulator
 from repro.workloads.popularity import ZipfPopularity
 from repro.workloads.trace import OperationTrace, TraceReplayWorkload
@@ -55,7 +55,7 @@ class TestOperationTrace:
 class TestReplay:
     def _replay(self, scheduler_name, trace):
         machine = Machine(tiny_spec())
-        sim = Simulator(machine, SCHEDULERS[scheduler_name]())
+        sim = Simulator(machine, registry.resolve(scheduler_name)())
         workload = TraceReplayWorkload(machine, trace)
         workload.spawn_all(sim)
         sim.run(until=50_000_000)
@@ -79,7 +79,7 @@ class TestReplay:
     def test_unfinished_replay_rejected(self):
         trace = OperationTrace.synthesise(2, 50, 8, 32, seed=5)
         machine = Machine(tiny_spec())
-        sim = Simulator(machine, SCHEDULERS["thread"]())
+        sim = Simulator(machine, registry.resolve("thread")())
         workload = TraceReplayWorkload(machine, trace)
         workload.spawn_all(sim)
         sim.run(until=100)   # nowhere near done

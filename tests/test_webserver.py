@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.bench.harness import SCHEDULERS
 from repro.cpu.machine import Machine
 from repro.errors import ConfigError
+from repro.sched import registry
 from repro.sim.engine import Simulator
 from repro.threads.program import (Acquire, Compute, CtEnd, CtStart,
                                    Release, Store)
@@ -102,7 +102,7 @@ class TestRequestStream:
     def test_end_to_end_under_both_schedulers(self):
         for name in ("thread", "coretime"):
             machine = Machine(tiny_spec())
-            sim = Simulator(machine, SCHEDULERS[name]())
+            sim = Simulator(machine, registry.resolve(name)())
             workload = WebServerWorkload(machine, tiny_server())
             workload.spawn_all(sim)
             sim.run(until=400_000)
@@ -111,7 +111,7 @@ class TestRequestStream:
     def test_same_seed_spawn_all_is_deterministic(self):
         def run(seed):
             machine = Machine(tiny_spec())
-            sim = Simulator(machine, SCHEDULERS["coretime"]())
+            sim = Simulator(machine, registry.resolve("coretime")())
             workload = WebServerWorkload(machine,
                                          tiny_server(seed=seed))
             threads = workload.spawn_all(sim)
@@ -132,7 +132,7 @@ class TestRequestStream:
 
     def test_stores_hit_connection_table(self):
         machine = Machine(tiny_spec())
-        sim = Simulator(machine, SCHEDULERS["thread"]())
+        sim = Simulator(machine, registry.resolve("thread")())
         workload = WebServerWorkload(machine, tiny_server())
         workload.spawn_all(sim)
         sim.run(until=200_000)
