@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.errors import FilesystemError
 from repro.fs.fat import DIR_ENTRY_SIZE, FatImage
@@ -77,7 +77,11 @@ class FatDirectory:
         return self.n_entries * DIR_ENTRY_SIZE
 
     def entry_offset(self, index: int) -> int:
-        """Image offset of entry ``index`` (walking the chain)."""
+        """Image offset of entry ``index`` (walking the chain).
+
+        Walks the chain on every call, so a chain corrupted since the last
+        call is seen; :meth:`entry_offsets` serves bulk work.
+        """
         if not 0 <= index < self.capacity_entries:
             raise FilesystemError(
                 f"{self.name}: entry {index} out of range")
@@ -88,18 +92,36 @@ class FatDirectory:
             byte_index -= nbytes
         raise FilesystemError(f"{self.name}: chain shorter than capacity")
 
+    def entry_offsets(self) -> List[int]:
+        """Image offset of every entry slot, in index order, from one walk
+        of the chain (``[entry_offset(i) for i in range(capacity)]``)."""
+        offsets: List[int] = []
+        for offset, nbytes in self.extents():
+            offsets.extend(range(offset, offset + nbytes, DIR_ENTRY_SIZE))
+        if len(offsets) < self.capacity_entries:
+            raise FilesystemError(
+                f"{self.name}: chain shorter than capacity")
+        del offsets[self.capacity_entries:]
+        return offsets
+
     # ------------------------------------------------------------------
     # entries
     # ------------------------------------------------------------------
 
     def append(self, entry: DirEntry) -> int:
         """Write ``entry`` into the next free slot; returns its index."""
-        if self.n_entries >= self.capacity_entries:
-            raise FilesystemError(f"directory {self.name} is full")
-        index = self.n_entries
-        self.image.write(self.entry_offset(index), entry.encode())
-        self.n_entries += 1
-        return index
+        self.extend((entry,))
+        return self.n_entries - 1
+
+    def extend(self, entries: Iterable[DirEntry]) -> None:
+        """Write ``entries`` into the next free slots, in order, walking
+        the chain once for all of them."""
+        offsets = self.entry_offsets()
+        for entry in entries:
+            if self.n_entries >= self.capacity_entries:
+                raise FilesystemError(f"directory {self.name} is full")
+            self.image.write(offsets[self.n_entries], entry.encode())
+            self.n_entries += 1
 
     def entry_at(self, index: int) -> Optional[DirEntry]:
         raw = self.image.read(self.entry_offset(index), DIR_ENTRY_SIZE)

@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List
 from repro.core.object_table import CtObject
 from repro.cpu.machine import Machine
 from repro.errors import FilesystemError
-from repro.fs.directory import FatDirectory
+from repro.fs.directory import DirEntry, FatDirectory
 from repro.fs.fat import DIR_ENTRY_SIZE
 from repro.fs.image import FatFilesystem
 from repro.threads.program import (Acquire, CtEnd, CtStart,
@@ -105,8 +105,10 @@ class EfslFat:
     def _index_names(fat_dir: FatDirectory) -> Dict[str, int]:
         """Decode every entry once; doubles as an image validity check."""
         names: Dict[str, int] = {}
-        for index in range(fat_dir.n_entries):
-            entry = fat_dir.entry_at(index)
+        read = fat_dir.image.read
+        offsets = fat_dir.entry_offsets()[:fat_dir.n_entries]
+        for index, offset in enumerate(offsets):
+            entry = DirEntry.decode(read(offset, DIR_ENTRY_SIZE))
             if entry is None:
                 raise FilesystemError(
                     f"{fat_dir.name}: unexpected free slot at {index}")

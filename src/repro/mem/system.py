@@ -23,12 +23,17 @@ generating interconnect traffic — are exactly what §1 of the paper blames
 for poor implicit on-chip-memory scheduling.
 
 Hot-path layout: per-line lookups run through :meth:`_load_line` and
-whole scans through :meth:`_scan`.  Both work on a per-core tuple of
-flattened state — counter bank, the caches' underlying ordered dicts and
-capacities, chip id, L3 holder id — plus the directory's raw
-line->holders dict, so the hit paths and the insert cascade make no
-Python method calls.  :mod:`repro.verify.reference` is a naive model of
-the same semantics that the fuzzer checks both loops against.
+whole scans through :meth:`_scan`.  A core's L1 and L2 are one
+:class:`~repro.mem.cache.PrivateStack` (``stacks``): a private hit
+restamps the line at the top of the core's recency stack, and L1's LRU
+line drops into L2 by moving the stack's level boundary past it, not by
+moving the line.  ``l1s`` and ``l2s`` are per-level views of the stacks.
+Both loops work on a per-core tuple of flattened state — counter bank,
+stack, level views and capacities, the L3's ordered dict, chip id, L3
+holder id — plus the directory's raw line->holders dict, so the hit
+paths and the insert cascade make no Python method calls.
+:mod:`repro.verify.reference` is a naive model of the same semantics
+that the fuzzer checks both loops against.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from math import exp as _exp
 from typing import List, Optional, Tuple
 
 from repro.cpu.topology import MachineSpec
-from repro.mem.cache import LRUCache
+from repro.mem.cache import LRUCache, PrivateStack, StackLevel
 from repro.obs.events import CacheEvicted, CacheInvalidated
 from repro.mem.counters import CoreCounters
 from repro.mem.dram import UTILISATION_CAP, UTILISATION_TAU, Dram
@@ -63,10 +68,13 @@ class MemorySystem:
         self.spec = spec
         self.line_size = spec.line_size
         n_cores = spec.n_cores
-        self.l1s: List[LRUCache] = [
-            LRUCache(spec.l1_lines, f"L1.{c}") for c in range(n_cores)]
-        self.l2s: List[LRUCache] = [
-            LRUCache(spec.l2_lines, f"L2.{c}") for c in range(n_cores)]
+        #: Each core's exclusive L1 + L2, one recency stack per core.
+        self.stacks: List[PrivateStack] = [
+            PrivateStack(spec.l1_lines, spec.l2_lines, c)
+            for c in range(n_cores)]
+        #: Per-level views of the stacks, with the LRUCache interface.
+        self.l1s: List[StackLevel] = [stack.l1 for stack in self.stacks]
+        self.l2s: List[StackLevel] = [stack.l2 for stack in self.stacks]
         self.l3s: List[LRUCache] = [
             LRUCache(spec.l3_lines, f"L3.{chip}")
             for chip in range(spec.n_chips)]
@@ -93,22 +101,18 @@ class MemorySystem:
         #: system (``flush_all`` clears it in place).
         self._holders = self.directory._holders
         # Flattened per-core state for the hot path: one tuple per core,
-        # unpacked in C on every line access instead of chasing
-        # list-index + attribute chains.
+        # unpacked in C once per scan and on every single-line access
+        # that misses L1, instead of chasing list-index + attribute
+        # chains.
         self._core_state: List[tuple] = []
-        for c in range(n_cores):
-            l1, l2 = self.l1s[c], self.l2s[c]
+        for c, stack in enumerate(self.stacks):
             chip = self._chip_of[c]
             l3 = self.l3s[chip]
             self._core_state.append((
-                self.counters[c],
-                l1, l1._lines, l1.capacity,
-                l2, l2._lines, l2.capacity,
+                self.counters[c], stack,
+                stack.l1, stack.l1.capacity, stack.l2, stack.l2.capacity,
                 l3, l3._lines, l3.capacity,
-                chip, self.directory.l3_holder(chip), c))
-        #: Just the L1 ordered dicts, for the hit path's early probe
-        #: (no 13-tuple unpack on a hit).
-        self._l1ds = [l1._lines for l1 in self.l1s]
+                chip, self.directory.l3_holder(chip)))
         #: Interned (latency, source) results for the fixed-latency
         #: hit levels — no tuple allocation per access.
         self._res_l1 = (self._lat_l1, SRC_L1)
@@ -221,15 +225,17 @@ class MemorySystem:
         """Whole-scan inline loop over lines ``first..last``.
 
         Unrolls :meth:`_load_line` across the scanned range with the
-        per-core state, the directory dict, the interconnect cost tables
-        and the DRAM controllers all held in locals, and with counter
-        increments accumulated outside the loop.  Mutations — dict probe
-        order, the L1 -> L2 -> L3 victim cascade, holder-set history, DRAM
-        demand decay — are performed in exactly the order of the per-line
-        path, so counters and event streams stay byte-identical to it.
+        per-core state, the recency stack's integers, the directory dict,
+        the interconnect cost tables and the DRAM controllers all held in
+        locals, and with counter increments accumulated outside the loop.
+        Mutations — the L1 -> L2 -> L3 victim cascade, holder-set history,
+        DRAM demand decay — are performed in exactly the order of the
+        per-line path, so counters and event streams stay byte-identical
+        to it.  The stack's integers are written back before any event is
+        published, so a subscriber never sees a stale boundary.
         """
-        (counters, l1, l1d, l1_cap, l2, l2d, l2_cap, l3, l3d, l3_cap,
-         chip, l3_holder, _) = state
+        (counters, stack, l1, l1_cap, l2, l2_cap, l3, l3d, l3_cap,
+         chip, l3_holder) = state
         holders_map = self._holders
         hit1 = self._lat_l1 + per_line_compute
         hit2 = self._lat_l2 + per_line_compute
@@ -267,27 +273,62 @@ class MemorySystem:
         # (L3 spill) and the DRAM controller clock; when eviction events
         # are off, only the DRAM branches need ``line_now``.
         publishing = bus is not None and bus.wants(CacheEvicted)
-        l1_move = l1d.move_to_end
-        l2_move = l2d.move_to_end
+        where = stack.where
+        where_get = where.get
+        slots = stack.slots
+        push = slots.append
+        limit = stack.limit
+        # The stack's integers live in locals for the whole scan (the
+        # loop performs every mutation of the stack); ``top`` is the next
+        # stamp, i.e. ``len(slots)``.
+        edge = stack.edge
+        low = stack.low
+        n1 = stack.n1
+        n2 = stack.n2
+        top = len(slots)
         l3_move = l3d.move_to_end
-        l1_pop = l1d.popitem
-        l2_pop = l2d.popitem
         l3_pop = l3d.popitem
-        # Cache occupancies tracked in locals: the loop below performs
-        # every mutation of these three dicts, so the counts stay exact
-        # without a len() call per level per line.
-        n1 = len(l1d)
-        n2 = len(l2d)
         n3 = len(l3d)
         c1 = c2 = c3 = cr = cd = e1 = e2 = e3 = 0
         total = 0
         stream_run = False
         for line in range(first, last + 1):
-            if line in l1d:
-                l1_move(line)
+            if top >= limit:
+                stack.edge = edge
+                stack.low = low
+                stack.renumber()
+                edge = stack.edge
+                low = 0
+                top = len(slots)
+            stamp = where_get(line, -1)
+            if stamp >= edge:
+                # L1 hit: restamp the line at the top.
+                slots[stamp] = None
+                where[line] = top
+                push(line)
+                top += 1
                 c1 += 1
                 total += hit1
                 stream_run = False
+                continue
+            if stamp >= 0:
+                # L2 hit: restamp the line at the top.  If L1 was full,
+                # its LRU line takes the freed place in L2.
+                slots[stamp] = None
+                where[line] = top
+                push(line)
+                top += 1
+                c2 += 1
+                total += hit2
+                stream_run = False
+                if n1 < l1_cap:
+                    n1 += 1
+                    n2 -= 1
+                    continue
+                e1 += 1
+                while slots[edge] is None:
+                    edge += 1
+                edge += 1
                 continue
             if publishing:
                 line_now = now + total
@@ -295,14 +336,7 @@ class MemorySystem:
             # cascade below (``grow`` is the set to extend with core_id,
             # or None when a fresh singleton must be created) — the
             # per-line path probes twice, with identical results.
-            if line in l2d:
-                c2 += 1
-                del l2d[line]
-                n2 -= 1
-                grow = False
-                total += hit2
-                stream_run = False
-            elif line in l3d:
+            if line in l3d:
                 c3 += 1
                 holders = holders_map.get(line)
                 if holders is not None and len(holders) > 1:
@@ -393,28 +427,31 @@ class MemorySystem:
                               + per_line_compute)
                     stream_run = True
             # --- inlined insert cascade ---------------------------------
-            if grow is not False:
-                if grow is None:
-                    holders_map[line] = {core_id}
-                else:
-                    grow.add(core_id)
-            l1d[line] = None
-            n1 += 1
-            if n1 <= l1_cap:
+            if grow is None:
+                holders_map[line] = {core_id}
+            else:
+                grow.add(core_id)
+            where[line] = top
+            push(line)
+            top += 1
+            if n1 < l1_cap:
+                n1 += 1
                 continue
+            # L1 was full: its LRU line becomes L2's MRU line in place.
             e1 += 1
-            n1 -= 1
-            victim = l1_pop(False)[0]
-            if victim in l2d:
-                l2_move(victim)
-                continue
-            l2d[victim] = None
-            n2 += 1
-            if n2 <= l2_cap:
+            while slots[edge] is None:
+                edge += 1
+            edge += 1
+            if n2 < l2_cap:
+                n2 += 1
                 continue
             e2 += 1
-            n2 -= 1
-            victim2 = l2_pop(False)[0]
+            while slots[low] is None:
+                low += 1
+            victim2 = slots[low]
+            slots[low] = None
+            low += 1
+            del where[victim2]
             holders = holders_map.get(victim2)
             if holders is not None:
                 holders.discard(core_id)
@@ -441,8 +478,16 @@ class MemorySystem:
                 if not holders:
                     del holders_map[victim3]
             if publishing:
+                stack.edge = edge
+                stack.low = low
+                stack.n1 = n1
+                stack.n2 = n2
                 bus.publish(CacheEvicted(line_now, core_id, "L3", victim3,
                                          self.op_obj[core_id]))
+        stack.edge = edge
+        stack.low = low
+        stack.n1 = n1
+        stack.n2 = n2
         if one_chip:
             ctrl.demand = ctl_demand
             ctrl.clock = ctl_clock
@@ -470,26 +515,45 @@ class MemorySystem:
                    sequential: bool) -> Tuple[int, int]:
         """Load one line for ``core_id``; return (latency, source).
 
-        Operates directly on the caches' ordered dicts and the directory's
-        holder-set dict — the lookup, the hit bookkeeping, and the full
-        L1 -> L2 -> L3 victim cascade run inline with zero intermediate
-        method calls.
+        Operates directly on the core's recency stack, the L3's ordered
+        dict and the directory's holder-set dict — the lookup, the hit
+        bookkeeping, and the full L1 -> L2 -> L3 victim cascade run inline
+        with no method calls short of a renumbering.
         """
-        l1d = self._l1ds[core_id]
-        if line in l1d:
-            l1d.move_to_end(line)
+        stack = self.stacks[core_id]
+        slots = stack.slots
+        if len(slots) >= stack.limit:
+            stack.renumber()
+        where = stack.where
+        stamp = where.get(line, -1)
+        if stamp >= stack.edge:
+            # L1 hit: restamp the line at the top.
+            slots[stamp] = None
+            where[line] = len(slots)
+            slots.append(line)
             self.counters[core_id].l1_hits += 1
             return self._res_l1
-        (counters, l1, _, l1_cap, l2, l2d, l2_cap, l3, l3d, l3_cap,
-         chip, l3_holder, _) = self._core_state[core_id]
-        holders_map = self._holders
-        already_held = False
-        if line in l2d:
+        (counters, _, l1, l1_cap, l2, l2_cap, l3, l3d, l3_cap,
+         chip, l3_holder) = self._core_state[core_id]
+        if stamp >= 0:
+            # L2 hit: restamp the line at the top.  If L1 was full, its
+            # LRU line takes the freed place in L2.
             counters.l2_hits += 1
-            del l2d[line]
-            already_held = True
-            result = self._res_l2
-        elif line in l3d:
+            slots[stamp] = None
+            where[line] = len(slots)
+            slots.append(line)
+            if stack.n1 < l1_cap:
+                stack.n1 += 1
+                stack.n2 -= 1
+            else:
+                l1.evictions += 1
+                edge = stack.edge
+                while slots[edge] is None:
+                    edge += 1
+                stack.edge = edge + 1
+            return self._res_l2
+        holders_map = self._holders
+        if line in l3d:
             # AMD K10's non-inclusive L3: on a hit, keep the L3 copy when
             # the line is shared (other private holders exist), so chip-
             # shared data keeps serving at 75 cycles; hand it over
@@ -539,30 +603,34 @@ class MemorySystem:
                 result = (self.dram.load(line, chip, now, sequential),
                           SRC_DRAM)
         # --- insert at L1, cascading victims downward ------------------
-        if not already_held:
-            holders = holders_map.get(line)
-            if holders is None:
-                holders_map[line] = {core_id}
-            else:
-                holders.add(core_id)
+        holders = holders_map.get(line)
+        if holders is None:
+            holders_map[line] = {core_id}
+        else:
+            holders.add(core_id)
         # L1 insert (MRU); the cascade below only runs on overflow.
-        if line in l1d:
-            l1d.move_to_end(line)
+        where[line] = len(slots)
+        slots.append(line)
+        if stack.n1 < l1_cap:
+            stack.n1 += 1
             return result
-        l1d[line] = None
-        if len(l1d) <= l1_cap:
-            return result
+        # L1 was full: its LRU line becomes L2's MRU line in place.
         l1.evictions += 1
-        victim = l1d.popitem(False)[0]
-        # L2 insert.
-        if victim in l2d:
-            l2d.move_to_end(victim)
-            return result
-        l2d[victim] = None
-        if len(l2d) <= l2_cap:
+        edge = stack.edge
+        while slots[edge] is None:
+            edge += 1
+        stack.edge = edge + 1
+        if stack.n2 < l2_cap:
+            stack.n2 += 1
             return result
         l2.evictions += 1
-        victim2 = l2d.popitem(False)[0]
+        low = stack.low
+        while slots[low] is None:
+            low += 1
+        victim2 = slots[low]
+        slots[low] = None
+        stack.low = low + 1
+        del where[victim2]
         # Leaving the private hierarchy for the chip's shared L3.  One
         # probe serves both the discard and the add; the mutation history
         # (set emptied -> entry deleted -> fresh set created) is the one
@@ -602,8 +670,7 @@ class MemorySystem:
         if self.directory.is_l3_holder(holder):
             self.l3s[holder - self.directory.n_cores].remove(line)
         else:
-            self.l1s[holder].remove(line)
-            self.l2s[holder].remove(line)
+            self.stacks[holder].drop(line)
         self.directory.discard(line, holder)
 
     # ------------------------------------------------------------------
@@ -611,7 +678,7 @@ class MemorySystem:
     # ------------------------------------------------------------------
 
     def flush_all(self) -> None:
-        for cache in self.l1s + self.l2s + self.l3s:
+        for cache in self.stacks + self.l3s:
             cache.clear()
         # Clear in place: the hot path holds a reference to the
         # directory's holder dict, so the directory object must survive.

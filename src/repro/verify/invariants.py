@@ -12,10 +12,15 @@ flight-recorder dump) the moment one fails.
 
 Rules (each individually selectable via the ``rules`` argument):
 
-``cache_capacity``   no cache holds more lines than its capacity;
+``cache_capacity``   no cache holds more lines than its capacity
+                     (counted from its contents, not its stored size);
 ``residency``        sharing directory and actual cache contents agree,
-                     and no line sits in both levels of a private
-                     hierarchy (levels are exclusive);
+                     no line sits in both levels of a private hierarchy
+                     (levels are exclusive), and each core's recency
+                     stack is consistent: every stamp's slot holds its
+                     line, the live slots are exactly the stamped lines,
+                     and the stored L1/L2 counts match the levels'
+                     contents;
 ``object_table``     object-table entries point at live cores, carry no
                      duplicate replicas, and match each object's own
                      ``assigned_cores`` view;
@@ -206,18 +211,20 @@ class InvariantChecker:
     def _check_cache_capacity(self, now: int) -> None:
         memory = self.memory
         for cache in memory.l1s + memory.l2s + memory.l3s:
-            if len(cache) > cache.capacity:
+            held = sum(1 for _ in cache.lines())
+            if held > cache.capacity:
                 self._fail("cache_capacity",
-                           f"{cache.cache_id} holds {len(cache)} lines, "
+                           f"{cache.cache_id} holds {held} lines, "
                            f"capacity {cache.capacity}", now)
 
     def _check_residency(self, now: int) -> None:
         memory = self.memory
         directory = memory.directory
         seen: Dict[int, set] = {}
-        for core_id in range(memory.spec.n_cores):
-            l1_lines = set(memory.l1s[core_id].lines())
-            l2_lines = set(memory.l2s[core_id].lines())
+        for core_id, stack in enumerate(memory.stacks):
+            self._check_stack(core_id, stack, now)
+            l1_lines = set(stack.l1.lines())
+            l2_lines = set(stack.l2.lines())
             both = l1_lines & l2_lines
             if both:
                 self._fail("residency",
@@ -239,6 +246,26 @@ class InvariantChecker:
                         "residency",
                         f"line {line}: caches hold {sorted(have)}, "
                         f"directory claims {sorted(claim)}", now)
+
+    def _check_stack(self, core_id: int, stack: Any, now: int) -> None:
+        slots = stack.slots
+        for line, stamp in stack.where.items():
+            held = slots[stamp] if 0 <= stamp < len(slots) else "nothing"
+            if held != line:
+                self._fail("residency",
+                           f"core {core_id}: line {line} has stamp {stamp}, "
+                           f"whose slot holds {held}", now)
+        live = len(slots) - slots.count(None)
+        if live != len(stack.where):
+            self._fail("residency",
+                       f"core {core_id}: {live} live slots for "
+                       f"{len(stack.where)} stamped lines", now)
+        for level, stored in ((stack.l1, stack.n1), (stack.l2, stack.n2)):
+            held = sum(1 for _ in level.lines())
+            if held != stored:
+                self._fail("residency",
+                           f"{level.cache_id} holds {held} lines, its "
+                           f"stack counts {stored}", now)
 
     def _check_object_table(self, now: int) -> None:
         table = getattr(self.sim.scheduler, "table", None)

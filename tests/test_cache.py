@@ -1,18 +1,20 @@
 """Tests for repro.mem.cache (the LRU capacity model).
 
-An ``LRUCache`` holds presence and recency; the memory system's load
-path inserts into it and evicts from it.  The replacement cases therefore
-drive core 0's L1 through :meth:`MemorySystem.load` and read it back.
+A cache holds presence and recency; the memory system's load path
+inserts into it and evicts from it.  The replacement cases therefore
+drive core 0's private levels (views of its :class:`PrivateStack`)
+through :class:`MemorySystem` and read them back.
 """
 
+import random
 from collections import OrderedDict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.mem.cache import LRUCache
+from repro.mem.cache import LRUCache, PrivateStack, StackLevel
 from repro.mem.system import MemorySystem
 
 from tests.helpers import tiny_spec
@@ -20,7 +22,7 @@ from tests.helpers import tiny_spec
 LINE = 64
 
 
-def l1_after(*lines, capacity=2) -> LRUCache:
+def l1_after(*lines, capacity=2) -> StackLevel:
     """Core 0's L1 (``capacity`` lines) after loading ``lines`` in order."""
     memory = MemorySystem(tiny_spec(n_chips=1, cores_per_chip=1,
                                     l1_bytes=capacity * LINE))
@@ -70,34 +72,126 @@ class TestLRUCache:
             LRUCache(0)
 
 
+OPS = ("load", "store", "scan", "other_load", "other_store")
+
+
+def seeded_ops(seed, n):
+    rng = random.Random(seed)
+    return [(rng.choice(OPS), rng.randrange(31), rng.randrange(1, 7))
+            for _ in range(n)]
+
+
 @settings(max_examples=50, deadline=None)
 @given(ops=st.lists(
-    st.tuples(st.sampled_from(["load", "store", "other_load", "other_store"]),
-              st.integers(min_value=0, max_value=30)),
+    st.tuples(st.sampled_from(OPS),
+              st.integers(min_value=0, max_value=30),
+              st.integers(min_value=1, max_value=6)),
     max_size=200))
+# One long run, always checked: it reaches every stack path (holes in
+# both levels, L2 evictions, renumberings) on every run of the suite.
+@example(ops=seeded_ops(3, 3000))
 def test_lru_matches_reference_model(ops):
-    """Core 0's L1 behaves exactly like an OrderedDict LRU model: its own
-    accesses insert or refresh a line, another core's store invalidates
-    it, and another core's load leaves it alone."""
-    capacity = 8
-    memory = MemorySystem(tiny_spec(n_chips=1, l1_bytes=capacity * LINE))
-    cache = memory.l1s[0]
-    model: "OrderedDict[int, None]" = OrderedDict()
-    evictions = 0
-    for op, line in ops:
+    """Core 0's L1 and L2 behave exactly like two OrderedDict LRU models
+    joined by the exclusive victim cascade: its own accesses (loads,
+    stores, the lines of a scan) refresh a line in L1 or move it up from
+    L2, L1's LRU line drops into L2 and L2's leaves; another core's store
+    invalidates the line in either level, and another core's load leaves
+    it alone."""
+    l1_cap, l2_cap = 4, 8
+    memory = MemorySystem(tiny_spec(n_chips=1, l1_bytes=l1_cap * LINE,
+                                    l2_bytes=l2_cap * LINE))
+    l1, l2 = memory.l1s[0], memory.l2s[0]
+    model1: "OrderedDict[int, None]" = OrderedDict()
+    model2: "OrderedDict[int, None]" = OrderedDict()
+    evictions = [0, 0]
+
+    def access(line):
+        if line in model1:
+            model1.move_to_end(line)
+            return
+        model2.pop(line, None)
+        model1[line] = None
+        if len(model1) > l1_cap:
+            evictions[0] += 1
+            model2[model1.popitem(last=False)[0]] = None
+            if len(model2) > l2_cap:
+                evictions[1] += 1
+                model2.popitem(last=False)
+
+    for op, line, length in ops:
         if op == "other_load":
             memory.load(1, line * LINE, 0)
         elif op == "other_store":
             memory.store(1, line * LINE, 0)
-            model.pop(line, None)
+            model1.pop(line, None)
+            model2.pop(line, None)
+        elif op == "scan":
+            memory.scan(0, line * LINE, length * LINE, 0)
+            for scanned in range(line, line + length):
+                access(scanned)
         else:
             getattr(memory, op)(0, line * LINE, 0)
-            if line in model:
-                model.move_to_end(line)
+            access(line)
+        assert list(l1.lines()) == list(model1)
+        assert list(l2.lines()) == list(model2)
+        assert (len(l1), len(l2)) == (len(model1), len(model2))
+    assert [l1.evictions, l2.evictions] == evictions
+
+
+class TestPrivateStack:
+    def test_l2_hit_fills_an_invalidated_l1_hole(self):
+        memory = MemorySystem(tiny_spec(n_chips=1, l1_bytes=2 * LINE,
+                                        l2_bytes=4 * LINE))
+        l1, l2 = memory.l1s[0], memory.l2s[0]
+        for line in (1, 2, 3, 4):
+            memory.load(0, line * LINE, 0)
+        assert (list(l2.lines()), list(l1.lines())) == ([1, 2], [3, 4])
+        # Another core's store invalidates 4: L1 keeps a hole, and 2
+        # (the newest L2 line) does not move up into it.
+        memory.store(1, 4 * LINE, 0)
+        assert (list(l2.lines()), list(l1.lines())) == ([1, 2], [3])
+        evictions = l1.evictions
+        # The L2 hit fills the hole; L1's LRU line 3 stays in L1.
+        memory.load(0, 1 * LINE, 0)
+        assert (list(l2.lines()), list(l1.lines())) == ([2], [3, 1])
+        assert l1.evictions == evictions
+        # L1 is full again, so the next miss demotes 3.
+        memory.load(0, 5 * LINE, 0)
+        assert (list(l2.lines()), list(l1.lines())) == ([2, 3], [1, 5])
+        assert l1.evictions == evictions + 1
+
+    def test_renumbering_keeps_both_levels(self, monkeypatch):
+        renumberings = []
+        renumber = PrivateStack.renumber
+
+        def recorded(stack):
+            before = (list(stack.l1.lines()), list(stack.l2.lines()))
+            renumber(stack)
+            after = (list(stack.l1.lines()), list(stack.l2.lines()))
+            renumberings.append((before, after, list(stack.slots)))
+
+        monkeypatch.setattr(PrivateStack, "renumber", recorded)
+        memory = MemorySystem(tiny_spec())
+        stack = memory.stacks[0]
+        rng = random.Random(11)
+        for _ in range(3000):
+            line = rng.randrange(64)
+            if rng.random() < 0.5:
+                memory.scan(0, line * LINE, rng.randrange(1, 9) * LINE, 0)
             else:
-                model[line] = None
-                if len(model) > capacity:
-                    model.popitem(last=False)
-                    evictions += 1
-        assert list(cache.lines()) == list(model)
-    assert cache.evictions == evictions
+                memory.load(0, line * LINE, 0)
+            if rng.random() < 0.2:
+                # Stores by another core punch holes in both levels.
+                memory.store(1, rng.randrange(64) * LINE, 0)
+            assert len(stack.slots) <= stack.limit
+        assert len(renumberings) >= 20
+        for before, after, slots in renumberings:
+            assert before == after
+            # Stamps restart at 0 with no dead slots, L2 first.
+            assert slots == before[1] + before[0]
+        assert stack.where == {line: stamp for stamp, line
+                               in enumerate(stack.slots) if line is not None}
+
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(ConfigError):
+            PrivateStack(0, 4)

@@ -88,6 +88,41 @@ class TestFatFilesystem:
         with pytest.raises(FilesystemError):
             directory.entry_offset(10)
 
+    def test_entry_offsets_walk_a_fragmented_chain_once(self):
+        fs = FatFilesystem()
+        # 300 entries x 32 B = 3 clusters; relink the last one past a
+        # hole so the chain is two extents.
+        directory = fs.mkdir("D", 300)
+        image = fs.image
+        chain = image.chain(directory.first_cluster)
+        image.alloc_cluster()             # hole
+        image.fat_write(chain[-2], image.alloc_chain(1))
+        assert len(directory.extents()) == 2
+        assert directory.entry_offsets() == [
+            directory.entry_offset(i) for i in range(300)]
+
+    def test_entry_offsets_reject_a_short_chain(self):
+        fs = FatFilesystem()
+        directory = fs.mkdir("D", 300)
+        chain = fs.image.chain(directory.first_cluster)
+        fs.image.fat_write(chain[0], 0xFFFF)
+        with pytest.raises(FilesystemError):
+            directory.entry_offsets()
+
+    def test_extend_writes_like_repeated_append(self):
+        entries = [DirEntry(file_name(i), ATTR_ARCHIVE, 0, i)
+                   for i in range(150)]
+        one, many = FatFilesystem(), FatFilesystem()
+        single = one.mkdir("D", 200)
+        for entry in entries:
+            single.append(entry)
+        bulk = many.mkdir("D", 200)
+        bulk.extend(entries)
+        assert one.image.data == many.image.data
+        assert bulk.n_entries == 150
+        with pytest.raises(FilesystemError):
+            bulk.extend(entries)
+
 
 class TestBenchmarkImage:
     def test_shape(self):

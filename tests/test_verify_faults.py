@@ -69,6 +69,50 @@ class TestMutationSelfTest:
         assert set(EXPECTED_RULE) == set(FAULT_KINDS)
 
 
+class TestStackInvariants:
+    """The checker re-derives each core's recency stack from its slots:
+    a corrupted count or slot trips ``residency``, and ``cache_capacity``
+    counts a level's lines instead of trusting its stored size."""
+
+    @staticmethod
+    def warm_stack():
+        machine = Machine(tiny_spec())
+        checker = InvariantChecker(interval=1_000_000)
+        sim = Simulator(machine, ThreadScheduler(), checker=checker)
+        ObjectOpsWorkload(machine, ObjectOpsSpec(
+            n_objects=4, object_bytes=1024, think_cycles=0,
+            seed=3)).spawn_all(sim)
+        sim.run(until=100_000)
+        checker.check(100_000)                  # clean before corruption
+        stack = max(machine.memory.stacks, key=lambda s: s.n2)
+        assert stack.n1 and stack.n2
+        return checker, stack
+
+    @staticmethod
+    def violated_rule(checker) -> str:
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.check(100_000)
+        return excinfo.value.rule
+
+    def test_corrupt_count_trips_residency(self):
+        checker, stack = self.warm_stack()
+        stack.n2 -= 1
+        assert self.violated_rule(checker) == "residency"
+
+    def test_corrupt_slot_trips_residency(self):
+        checker, stack = self.warm_stack()
+        line = next(stack.l1.lines())
+        stack.slots[stack.where[line]] = line + 1_000_000
+        assert self.violated_rule(checker) == "residency"
+
+    def test_capacity_counts_lines_not_stored_size(self):
+        checker, stack = self.warm_stack()
+        # Every L2 line now reads as L1's while ``n1`` stays in bounds.
+        stack.edge = stack.low
+        assert len(stack.l1) <= stack.l1.capacity
+        assert self.violated_rule(checker) == "cache_capacity"
+
+
 class TestConfigValidation:
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(ConfigError):
