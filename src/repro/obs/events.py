@@ -19,7 +19,7 @@ the flight recorder) back to classes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 
 class Event:
@@ -27,33 +27,35 @@ class Event:
 
     __slots__ = ("ts",)
     kind = "event"
+    #: Slot names, base class first: the keys of :meth:`as_dict` after
+    #: ``kind``.  Set once per class, when the class is created.
+    fields: ClassVar[Tuple[str, ...]] = ("ts",)
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.fields = tuple(name for klass in reversed(cls.__mro__)
+                           for name in vars(klass).get("__slots__", ()))
 
     def __init__(self, ts: int) -> None:
         self.ts = ts
 
-    def _fields(self) -> Tuple[str, ...]:
-        names = []
-        for klass in reversed(type(self).__mro__):
-            names.extend(getattr(klass, "__slots__", ()))
-        return tuple(names)
-
     def as_dict(self) -> Dict[str, Any]:
         """Primitive dict form (JSONL export, flight-recorder dumps)."""
         data: Dict[str, Any] = {"kind": self.kind}
-        for name in self._fields():
+        for name in self.fields:
             data[name] = getattr(self, name)
         return data
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}"
-                           for n in self._fields())
+                           for n in self.fields)
         return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
         return all(getattr(self, n) == getattr(other, n)
-                   for n in self._fields())
+                   for n in self.fields)
 
 
 class RunMarker(Event):

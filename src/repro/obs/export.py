@@ -22,6 +22,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+from itertools import islice
 from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO
 
 from repro.obs.events import (CacheEvicted, CacheInvalidated, Event,
@@ -57,8 +58,10 @@ class _DeterministicGzipText(io.TextIOWrapper):
 
     def __init__(self, path: str) -> None:
         self._raw_file = open(path, "wb")
+        # Level 6, zlib's default: GzipFile's default of 9 took 5x as
+        # long on a simulator recording for 11% fewer bytes.
         gz = gzip.GzipFile(filename="", fileobj=self._raw_file,
-                           mode="wb", mtime=0)
+                           mode="wb", compresslevel=6, mtime=0)
         super().__init__(gz, encoding="utf-8", newline="")
 
     def close(self) -> None:
@@ -194,15 +197,42 @@ def write_chrome_trace(path: str, events: Sequence[Event],
 # JSONL
 # ---------------------------------------------------------------------------
 
+#: The one JSONL line encoder: compact separators and sorted keys, so
+#: equal events encode to equal bytes.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+#: Lines joined into one write: large enough that per-write costs
+#: vanish, small enough that memory stays flat on any stream length.
+_CHUNK_LINES = 256
+
+
 def jsonl_meta_line() -> str:
     """The header record every JSONL dump starts with.
 
     Deterministic on purpose (no timestamps, no hostnames): two runs with
     the same seed must produce byte-identical streams.
     """
-    return json.dumps({"kind": "meta", "schema_version": SCHEMA_VERSION,
-                       "source": "repro.obs"},
-                      separators=(",", ":"), sort_keys=True)
+    return _LINE_ENCODER.encode({"kind": "meta",
+                                 "schema_version": SCHEMA_VERSION,
+                                 "source": "repro.obs"})
+
+
+def write_events(handle: TextIO, events: Iterable[Event]) -> None:
+    """Append one line per event to ``handle``: the one JSONL encoder.
+
+    Each line is the event's :meth:`~Event.as_dict` form, newline
+    terminated; lines reach ``handle`` ``_CHUNK_LINES`` at a time,
+    so ``events`` may be a generator of any length.
+    """
+    encode = _LINE_ENCODER.encode
+    pending = iter(events)
+    while True:
+        lines = [encode(event.as_dict())
+                 for event in islice(pending, _CHUNK_LINES)]
+        if not lines:
+            return
+        lines.append("")
+        handle.write("\n".join(lines))
 
 
 def events_to_jsonl(events: Iterable[Event]) -> str:
@@ -211,26 +241,22 @@ def events_to_jsonl(events: Iterable[Event]) -> str:
     The first line is a ``meta`` record carrying :data:`SCHEMA_VERSION`;
     every following line is one event's :meth:`~Event.as_dict` form.
     """
-    lines = [jsonl_meta_line()]
-    lines.extend(
-        json.dumps(event.as_dict(), separators=(",", ":"), sort_keys=True)
-        for event in events)
-    return "\n".join(lines)
+    buffer = io.StringIO()
+    buffer.write(jsonl_meta_line() + "\n")
+    write_events(buffer, events)
+    return buffer.getvalue()[:-1]
 
 
 def write_jsonl(path: str, events: Iterable[Event]) -> str:
     """Write a JSONL recording; ``.jsonl.gz`` paths are gzipped.
 
-    Streams one event at a time (``events`` may be a generator of any
-    length) and produces bytes identical to ``events_to_jsonl`` plus a
-    trailing newline.
+    Streams ``events`` in chunks (it may be a generator of any length)
+    and produces bytes identical to ``events_to_jsonl`` plus a trailing
+    newline.
     """
     with open_text(path, "w") as handle:
         handle.write(jsonl_meta_line() + "\n")
-        for event in events:
-            handle.write(json.dumps(event.as_dict(),
-                                    separators=(",", ":"),
-                                    sort_keys=True) + "\n")
+        write_events(handle, events)
     return path
 
 

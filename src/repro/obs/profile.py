@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Type)
+from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Type)
 
 from repro.analysis import SampleStats, format_table, summarise
 from repro.errors import ProfileError
@@ -51,12 +51,31 @@ __all__ = [
 # ingest: JSONL -> typed events
 # ---------------------------------------------------------------------------
 
-def _fields_of(cls: Type[Event]) -> Tuple[str, ...]:
-    """Slot names of an event class, base-first (mirrors Event._fields)."""
-    names: List[str] = []
-    for klass in reversed(cls.__mro__):
-        names.extend(getattr(klass, "__slots__", ()))
-    return tuple(names)
+#: The one JSONL line decoder: ``raw_decode`` skips the per-call
+#: wrappers of ``json.loads``.
+_LINE_DECODER = json.JSONDecoder()
+
+#: Each kind's class and the exact key set of its lines: ``kind`` plus
+#: the class's fields.
+_SHAPES: Dict[str, Tuple[Type[Event], FrozenSet[str]]] = {
+    kind: (cls, frozenset(("kind",) + cls.fields))
+    for kind, cls in EVENT_KINDS.items()}
+
+
+def _shaped(data: Any) -> Optional[Event]:
+    """The event ``data`` encodes, when its key set is exactly its
+    kind's; None for everything else (``meta``, legacy or malformed
+    frames, non-objects), which :class:`EventDecoder` diagnoses."""
+    try:
+        cls, keys = _SHAPES[data["kind"]]
+    except (KeyError, TypeError):
+        return None
+    if data.keys() != keys:
+        return None
+    event = object.__new__(cls)
+    for name in cls.fields:
+        setattr(event, name, data[name])
+    return event
 
 
 class EventDecoder:
@@ -74,6 +93,9 @@ class EventDecoder:
 
     Repeated ``meta`` lines are accepted mid-stream: concatenated shard
     recordings (``cat a.jsonl.gz b.jsonl.gz``) are valid streams.
+
+    A line whose keys are exactly its kind's becomes an event at once;
+    only the rest pay for the checks that name what is wrong.
     """
 
     def __init__(self, source: Optional[str] = None) -> None:
@@ -87,6 +109,15 @@ class EventDecoder:
 
     def decode_line(self, raw: str, lineno: int) -> Optional[Event]:
         """Decode one text line; None for blanks and ``meta`` headers."""
+        try:
+            data, end = _LINE_DECODER.raw_decode(raw)
+        except ValueError:
+            data, end = None, 0
+        # Fast path: one document filling the line (so json.loads would
+        # read it alike) with exactly its kind's keys.
+        event = _shaped(data) if raw[end:] in ("\n", "") else None
+        if event is not None:
+            return event
         line = raw.strip()
         if not line:
             return None
@@ -95,17 +126,26 @@ class EventDecoder:
             data = json.loads(line)
         except ValueError as exc:
             raise self._error(where, f"not valid JSON: {exc}")
-        return self.decode(data, where)
+        return self._diagnose(data, where)
 
     def decode(self, data: Any, where: str = "event") -> Optional[Event]:
         """Decode one ``as_dict``-shaped mapping; None for ``meta``."""
+        event = _shaped(data)
+        if event is None:
+            event = self._diagnose(data, where)
+        return event
+
+    def _diagnose(self, data: Any, where: str) -> Optional[Event]:
+        """Decode what :func:`_shaped` refused: ``meta`` headers and
+        legacy lines, or raise the error that names what is wrong."""
         if not isinstance(data, dict) or "kind" not in data:
             raise self._error(
                 where, "expected an object with a 'kind' field")
         kind = data["kind"]
         if kind == "meta":
             version = data.get("schema_version")
-            if not isinstance(version, int) or version < 1:
+            if (isinstance(version, bool) or not isinstance(version, int)
+                    or version < 1):
                 raise self._error(
                     where, f"bad schema_version {version!r}")
             if version > SCHEMA_VERSION:
@@ -116,10 +156,10 @@ class EventDecoder:
             self.schema = version
             self.saw_meta = True
             return None
-        cls = EVENT_KINDS.get(kind)
+        cls = EVENT_KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise self._error(where, f"unknown event kind {kind!r}")
-        fields = _fields_of(cls)
+        fields = cls.fields
         given = set(data) - {"kind"}
         missing = set(fields) - given
         extra = given - set(fields)

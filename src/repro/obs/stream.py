@@ -44,7 +44,8 @@ from repro.obs.events import (CacheEvicted, CacheInvalidated, Event,
                               OperationStarted, RunMarker,
                               SweepCaseFailed, SweepCaseFinished,
                               SweepCaseStarted, WorkerJoined, WorkerLost)
-from repro.obs.export import SCHEMA_VERSION, jsonl_meta_line, open_text
+from repro.obs.export import (SCHEMA_VERSION, jsonl_meta_line, open_text,
+                              write_events)
 from repro.obs.metrics import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
                                Histogram)
 from repro.obs.profile import (CoreBreakdown, EventDecoder, LockStat,
@@ -1122,10 +1123,8 @@ class ShardRecorder:
         if self._handle is None:
             self._handle = open_text(self.events_path, "w")
             self._handle.write(jsonl_meta_line() + "\n")
+        write_events(self._handle, events)
         for event in events:
-            self._handle.write(json.dumps(event.as_dict(),
-                                          separators=(",", ":"),
-                                          sort_keys=True) + "\n")
             self._profiler.feed(event)
         self.cases += 1
 

@@ -1,6 +1,8 @@
 """Tests for repro.obs.profile and the repro-analyze CLI."""
 
+import gzip
 import json
+import math
 
 import pytest
 
@@ -18,11 +20,11 @@ from repro.obs.events import (ALL_EVENTS, CacheEvicted, CacheInvalidated,
                               SweepCaseFinished, SweepCaseStarted,
                               ThreadArrived, ThreadFinished, ThreadSpawned,
                               WorkerJoined, WorkerLost)
-from repro.obs.export import SCHEMA_VERSION, events_to_jsonl
+from repro.obs.export import SCHEMA_VERSION, events_to_jsonl, write_jsonl
 from repro.obs.profile import (EventDecoder, MetricDelta, diff_metrics,
-                               diff_streams, folded_stacks, split_runs,
-                               summarise_stream)
-from repro.obs.stream import RunProfile
+                               diff_streams, folded_stacks, iter_jsonl,
+                               split_runs, summarise_stream)
+from repro.obs.stream import RunProfile, synthesize
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
@@ -68,6 +70,10 @@ def run_events(until=120_000):
     DirectoryLookupWorkload(machine, spec).spawn_all(sim)
     sim.run(until=until)
     return obs.events()
+
+
+#: The header line of a current-schema stream.
+META_LINE = json.dumps({"kind": "meta", "schema_version": SCHEMA_VERSION})
 
 
 def decode_lines(lines):
@@ -117,15 +123,14 @@ class TestSchemaRoundTrip:
     def test_unknown_field_is_refused(self):
         line = json.dumps({"kind": "spawn", "ts": 1, "core": 0,
                            "thread": "t0", "color": "red"})
-        with pytest.raises(ProfileError, match="unknown fields"):
-            decode_lines([line])
+        for header in ([], [META_LINE]):
+            with pytest.raises(ProfileError, match="unknown fields"):
+                decode_lines(header + [line])
 
     def test_missing_field_is_refused_on_current_schema(self):
-        meta = json.dumps({"kind": "meta",
-                           "schema_version": SCHEMA_VERSION})
         line = json.dumps({"kind": "spawn", "ts": 1, "core": 0})
         with pytest.raises(ProfileError, match="missing fields"):
-            decode_lines([meta, line])
+            decode_lines([META_LINE, line])
 
     def test_legacy_headerless_stream_none_fills_new_fields(self):
         # PR 1's exporter wrote no meta line and no attribution fields.
@@ -140,10 +145,133 @@ class TestSchemaRoundTrip:
         with pytest.raises(ProfileError, match="not valid JSON"):
             decode_lines(["{nope"])
 
+    def test_unhashable_kind_is_refused_naming_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.events.jsonl"
+        path.write_text(META_LINE + '\n{"kind": []}\n')
+        with pytest.raises(ProfileError) as info:
+            list(iter_jsonl(str(path)))
+        assert str(info.value) == (
+            f"{path}: line 2: unknown event kind []")
+
+    def test_bool_schema_version_is_refused(self):
+        with pytest.raises(ProfileError, match="bad schema_version True"):
+            decode_lines(['{"kind":"meta","schema_version":true}'])
+
+    def test_repeated_meta_line_is_accepted(self):
+        # Concatenated shards repeat the header mid-stream.
+        line = json.dumps({"kind": "spawn", "ts": 1, "core": 0,
+                           "thread": "t0"})
+        decoder, events = decode_lines([META_LINE, line, META_LINE, line])
+        assert events == [ThreadSpawned(1, 0, "t0")] * 2
+        assert decoder.saw_meta and decoder.schema == SCHEMA_VERSION
+
     def test_blank_lines_are_skipped(self):
         text = events_to_jsonl(SAMPLE_EVENTS) + "\n\n"
         _, events = decode_lines(text.splitlines())
         assert len(events) == len(SAMPLE_EVENTS)
+
+
+# ---------------------------------------------------------------------------
+# the JSONL codec: byte parity with json.dumps, unchanged diagnostics
+# ---------------------------------------------------------------------------
+
+#: Field values that stress JSON escaping and number formatting.
+ADVERSARIAL = [
+    None, True, False, 0, -1, 2 ** 64 + 1, -(2 ** 70), 0.1, -0.0, 1e300,
+    "", 'say "hi"', "back\\slash\\", "ctl \x00\x01\x1f\x7f \n\r\t end",
+    "non-ascii \u00e9 \u2603 \U0001d11e \u2028", '{"kind":"done"}',
+    float("nan"), float("inf"), float("-inf"),
+]
+
+
+def slot_names(cls):
+    """Every slot of an event class, walked independently of
+    ``Event.fields``."""
+    return [name for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__slots__", ())]
+
+
+def adversarial_events():
+    """Every event class, each slot taking every adversarial value."""
+    events = []
+    for cls in ALL_EVENTS:
+        names = slot_names(cls)
+        for shift in range(len(ADVERSARIAL)):
+            event = object.__new__(cls)
+            for index, name in enumerate(names):
+                setattr(event, name,
+                        ADVERSARIAL[(index + shift) % len(ADVERSARIAL)])
+            events.append(event)
+    return events
+
+
+def same_value(left, right):
+    """Equal and of one type, with NaN equal to NaN."""
+    if isinstance(left, float) and math.isnan(left):
+        return isinstance(right, float) and math.isnan(right)
+    return type(left) is type(right) and left == right
+
+
+class TestCodec:
+    def test_written_bytes_equal_the_json_dumps_reference(self, tmp_path):
+        events = adversarial_events()
+        heats = [e.heat for e in events if type(e) is ObjectMoved]
+        assert any(math.isnan(h) for h in heats if isinstance(h, float))
+        assert float("inf") in heats and float("-inf") in heats
+        reference = "".join(
+            json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"
+            for data in [{"kind": "meta", "schema_version": SCHEMA_VERSION,
+                          "source": "repro.obs"}]
+            + [event.as_dict() for event in events])
+        for event in events:
+            assert list(event.as_dict()) == ["kind"] + slot_names(type(event))
+        path = tmp_path / "adversarial.events.jsonl.gz"
+        write_jsonl(str(path), iter(events))
+        assert gzip.decompress(path.read_bytes()).decode("utf-8") \
+            == reference
+        assert events_to_jsonl(events) + "\n" == reference
+        parsed = list(iter_jsonl(str(path)))
+        assert len(parsed) == len(events)
+        for original, back in zip(events, parsed):
+            assert type(back) is type(original)
+            for name in slot_names(type(original)):
+                assert same_value(getattr(back, name),
+                                  getattr(original, name)), (original, name)
+
+    @pytest.mark.parametrize("bad, detail", [
+        ('{"kind":"spawn","ts":1,"core":0,"thread":"t0","color":"red"}',
+         "spawn carries unknown fields ['color']"),
+        ('{"kind":"spawn","ts":1,"core":0}',
+         "spawn is missing fields ['thread']"),
+        ('{"kind":"warp_drive","ts":1}', "unknown event kind 'warp_drive'"),
+        ('[{"kind":"spawn"}]', "expected an object with a 'kind' field"),
+        ('{"kind":"meta","schema_version":"5"}', "bad schema_version '5'"),
+        ('  {"kind":"spawn",', None),
+    ], ids=["extra", "missing", "kind", "array", "meta", "json"])
+    def test_late_error_keeps_message_and_line(self, tmp_path, bad, detail):
+        if detail is None:
+            try:
+                json.loads(bad.strip())
+            except ValueError as exc:
+                detail = f"not valid JSON: {exc}"
+        lines = events_to_jsonl(synthesize(1_500, seed=5)).splitlines()
+        lines[1_233] = bad
+        path = tmp_path / "late.events.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProfileError) as info:
+            list(iter_jsonl(str(path)))
+        assert str(info.value) == f"{path}: line 1234: {detail}"
+
+    def test_lines_are_decoded_one_at_a_time(self, tmp_path):
+        # Neither line is JSON; joined by a comma they are two events.
+        first = '{"kind":"done","ts":1,"core":0,"thread":"a"},{"kind":"done","ts":2'
+        second = '"core":0,"thread":"b"}'
+        assert len(json.loads(f"[{first},{second}]")) == 2
+        path = tmp_path / "split.events.jsonl"
+        path.write_text(f"{first}\n{second}\n")
+        with pytest.raises(ProfileError) as info:
+            list(iter_jsonl(str(path)))
+        assert str(info.value).startswith(f"{path}: line 1: not valid JSON")
 
 
 # ---------------------------------------------------------------------------

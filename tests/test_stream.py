@@ -5,6 +5,7 @@ import gzip
 import os
 import socket
 import threading
+import tracemalloc
 
 import pytest
 
@@ -265,6 +266,17 @@ class TestGzip:
         path = str(tmp_path / "x.events.jsonl.gz")
         write_jsonl(path, synthesize(300, seed=4))
         assert list(iter_jsonl(path)) == synth(300, seed=4)
+
+    def test_writing_never_buffers_the_whole_stream(self, tmp_path):
+        path = tmp_path / "flat.events.jsonl.gz"
+        tracemalloc.start()
+        try:
+            write_jsonl(str(path), synthesize(20_000, seed=6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = len(gzip.decompress(path.read_bytes()))
+        assert peak < size / 3, (peak, size)
 
 
 # ---------------------------------------------------------------------------
