@@ -31,7 +31,8 @@ class Interconnect:
         self.context_transfers: Dict[Tuple[int, int], int] = {}
         # Hop costs depend only on the chip pair; precompute every pair
         # once so the per-miss path is two list indexes, not a distance
-        # computation plus latency-spec attribute chain.
+        # computation plus latency-spec attribute chain.  The memory
+        # system's per-chip rings copy the remote and stream costs.
         latency = spec.latency
         n = spec.n_chips
         self._remote_cost = [
@@ -53,12 +54,6 @@ class Interconnect:
             key = (holder_chip, from_chip)
             self.transfers[key] = self.transfers.get(key, 0) + 1
         return self._remote_cost[from_chip][holder_chip]
-
-    def remote_stream_latency(self, from_chip: int, holder_chip: int) -> int:
-        """Prefetch-pipelined cost of a remote fetch continuing a
-        sequential stream (no per-line message accounting — the stream is
-        one pipelined transfer, like a streamed DRAM read)."""
-        return self._stream_cost[from_chip][holder_chip]
 
     def invalidate_latency(self, from_chip: int, holder_chip: int) -> int:
         """Latency contribution of invalidating a copy on ``holder_chip``."""

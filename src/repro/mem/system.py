@@ -20,7 +20,10 @@ Reads may be satisfied from any remote cache (replicating the line into the
 local hierarchy); stores invalidate every remote copy via the sharing
 directory.  Both effects — replication eating capacity, invalidation
 generating interconnect traffic — are exactly what §1 of the paper blames
-for poor implicit on-chip-memory scheduling.
+for poor implicit on-chip-memory scheduling.  A remote read is served by
+the nearest holder, and among equally near holders by the lowest holder
+id; hop cost depends only on distance, so the tie-break decides only
+which link ``Interconnect.transfers`` counts.
 
 Hot-path layout: per-line lookups run through :meth:`_load_line` and
 whole scans through :meth:`_scan`.  A core's L1 and L2 are one
@@ -29,11 +32,15 @@ restamps the line at the top of the core's recency stack, and L1's LRU
 line drops into L2 by moving the stack's level boundary past it, not by
 moving the line.  ``l1s`` and ``l2s`` are per-level views of the stacks.
 Both loops work on a per-core tuple of flattened state — counter bank,
-stack, level views and capacities, the L3's ordered dict, chip id, L3
-holder id — plus the directory's raw line->holders dict, so the hit
-paths and the insert cascade make no Python method calls.
-:mod:`repro.verify.reference` is a naive model of the same semantics
-that the fuzzer checks both loops against.
+stack, level views and capacities, the L3's ordered dict, chip id, the
+core's and its L3's holder bits, the chip's rings of equally distant
+holders — plus the directory's raw line -> holder-mask dict.  On a
+private miss one mask probe tells an L3 hit (the chip's L3 bit is set),
+a remote hit (the first ring that intersects the mask serves) and a DRAM
+fetch (no bit set) apart, and each change of a line's holders is one dict
+store of an int, so the hit paths and the insert cascade make no Python
+method calls.  :mod:`repro.verify.reference` is a naive model of the same
+semantics that the fuzzer checks both loops against.
 """
 
 from __future__ import annotations
@@ -47,10 +54,9 @@ from repro.obs.events import CacheEvicted, CacheInvalidated
 from repro.mem.counters import CoreCounters
 from repro.mem.dram import UTILISATION_CAP, UTILISATION_TAU, Dram
 from repro.mem.interconnect import Interconnect
-from repro.mem.sharing import SharingDirectory
+from repro.mem.sharing import SharingDirectory, holder_ids
 
-#: Where a load was satisfied (returned by the internal load path and used
-#: by the scan loop's stream-prefetch logic and by tests).
+#: Where a load was satisfied (returned by the internal load path).
 SRC_L1 = 0
 SRC_L2 = 1
 SRC_L3 = 2
@@ -92,14 +98,35 @@ class MemorySystem:
         self._holder_chip: List[int] = (
             [spec.chip_of(c) for c in range(n_cores)]
             + list(range(spec.n_chips)))
-        #: chip x chip hop-distance matrix (avoids spec method calls).
-        self._dist: List[List[int]] = [
-            [spec.chip_distance(a, b) for b in range(spec.n_chips)]
-            for a in range(spec.n_chips)]
-        #: The directory's raw line -> holder-set dict.  Shared identity
+        #: The directory's raw line -> holder-mask dict.  Shared identity
         #: with ``self.directory._holders`` for the lifetime of the
         #: system (``flush_all`` clears it in place).
         self._holders = self.directory._holders
+        #: Per requesting chip, its rings: one (holder mask, remote cost,
+        #: stream cost, link keys) per hop distance, nearest first.  A
+        #: ring's mask has the bit of every holder at that distance; link
+        #: keys (None on the chip itself) map a serving holder id to its
+        #: ``Interconnect.transfers`` key.
+        n_chips = spec.n_chips
+        chip_bits = [1 << self.directory.l3_holder(chip)
+                     for chip in range(n_chips)]
+        for core, chip in enumerate(self._chip_of):
+            chip_bits[chip] |= 1 << core
+        remote_cost = self.interconnect._remote_cost
+        stream_cost = self.interconnect._stream_cost
+        rings: List[tuple] = []
+        for chip in range(n_chips):
+            keys = [(other, chip) for other in range(n_chips)]
+            links = tuple(keys[hchip] for hchip in self._holder_chip)
+            by_distance: dict = {}
+            for other in range(n_chips):
+                ring = by_distance.setdefault(
+                    spec.chip_distance(chip, other), [0, other])
+                ring[0] |= chip_bits[other]
+            rings.append(tuple(
+                (bits, remote_cost[chip][other], stream_cost[chip][other],
+                 links if distance else None)
+                for distance, (bits, other) in sorted(by_distance.items())))
         # Flattened per-core state for the hot path: one tuple per core,
         # unpacked in C once per scan and on every single-line access
         # that misses L1, instead of chasing list-index + attribute
@@ -112,7 +139,8 @@ class MemorySystem:
                 self.counters[c], stack,
                 stack.l1, stack.l1.capacity, stack.l2, stack.l2.capacity,
                 l3, l3._lines, l3.capacity,
-                chip, self.directory.l3_holder(chip)))
+                chip, 1 << c, 1 << self.directory.l3_holder(chip),
+                rings[chip]))
         #: Interned (latency, source) results for the fixed-latency
         #: hit levels — no tuple allocation per access.
         self._res_l1 = (self._lat_l1, SRC_L1)
@@ -163,8 +191,7 @@ class MemorySystem:
 
     def load(self, core_id: int, addr: int, now: int) -> int:
         """Load the line containing ``addr``; return latency in cycles."""
-        latency, _ = self._load_line(
-            core_id, addr // self.line_size, now, False)
+        latency, _ = self._load_line(core_id, addr // self.line_size, now)
         self.counters[core_id].mem_cycles += latency
         return latency
 
@@ -172,23 +199,29 @@ class MemorySystem:
         """Store to the line containing ``addr``; return latency in cycles.
 
         The line is first brought local (charged like a load), then every
-        remote copy is invalidated.  Invalidations happen in parallel on
-        real hardware, so we charge the slowest one, not the sum.
+        other copy is invalidated, in ascending holder id, leaving the
+        writer the line's only holder.  Invalidations happen in parallel
+        on real hardware, so we charge the slowest one, not the sum.
         """
         line = addr // self.line_size
-        latency, _ = self._load_line(core_id, line, now, False)
+        latency, _ = self._load_line(core_id, line, now)
         counters = self.counters[core_id]
         counters.stores += 1
-        holders = self._holders.get(line)
-        others = ([h for h in holders if h != core_id]
-                  if holders else None)
+        holders_map = self._holders
+        bit = 1 << core_id
+        others = holder_ids(holders_map[line] & ~bit)
         if others:
+            holders_map[line] = bit
             my_chip = self._chip_of[core_id]
             holder_chip = self._holder_chip
             invalidate = self.interconnect.invalidate_latency
+            n_cores = self.spec.n_cores
             worst = 0
             for holder in others:
-                self._drop_from_holder(line, holder)
+                if holder < n_cores:
+                    self.stacks[holder].drop(line)
+                else:
+                    self.l3s[holder - n_cores].remove(line)
                 cost = invalidate(my_chip, holder_chip[holder])
                 if cost > worst:
                     worst = cost
@@ -226,38 +259,37 @@ class MemorySystem:
 
         Unrolls :meth:`_load_line` across the scanned range with the
         per-core state, the recency stack's integers, the directory dict,
-        the interconnect cost tables and the DRAM controllers all held in
-        locals, and with counter increments accumulated outside the loop.
-        Mutations — the L1 -> L2 -> L3 victim cascade, holder-set history,
-        DRAM demand decay — are performed in exactly the order of the
-        per-line path, so counters and event streams stay byte-identical
-        to it.  The stack's integers are written back before any event is
-        published, so a subscriber never sees a stale boundary.
+        the chip's rings and the DRAM controllers all held in locals, and
+        with counter increments accumulated outside the loop.  Mutations
+        — the L1 -> L2 -> L3 victim cascade, holder masks, DRAM demand
+        decay — follow the per-line path, so counters and event streams
+        stay byte-identical to it.  The stack's integers are written back
+        before any event is published, so a subscriber never sees a stale
+        boundary.
         """
         (counters, stack, l1, l1_cap, l2, l2_cap, l3, l3d, l3_cap,
-         chip, l3_holder) = state
+         chip, bit, l3_bit, rings) = state
         holders_map = self._holders
+        holders_get = holders_map.get
+        # AND-masks that clear this core's bit and its L3's bit.
+        keep = ~bit
+        keep3 = ~l3_bit
         hit1 = self._lat_l1 + per_line_compute
         hit2 = self._lat_l2 + per_line_compute
         hit3 = self._lat_l3 + per_line_compute
-        dist = self._dist[chip]
-        holder_chips = self._holder_chip
-        one_chip = len(dist) == 1
-        interconnect = self.interconnect
-        remote_cost = interconnect._remote_cost[chip]
-        stream_cost = interconnect._stream_cost[chip]
-        transfers = interconnect.transfers
+        transfers = self.interconnect.transfers
         dram = self.dram
         n_chips = dram._n_chips
+        one_chip = n_chips == 1
         raw_base = dram._raw_base[chip]
         raw_stream = dram._raw_stream[chip]
         controllers = dram.controllers
         if one_chip:
             # Single-chip machine: every line's home bank is controller
-            # 0 and every holder is distance 0, so the cost tables are
-            # scalars and the controller's queueing state can live in
-            # locals for the whole scan (written back below) — the
-            # arithmetic runs in the exact order of the general branch.
+            # 0, so the raw latencies are scalars and the controller's
+            # queueing state can live in locals for the whole scan
+            # (written back below) — the arithmetic runs in the exact
+            # order of the general branch.
             ctrl = controllers[0]
             ctl_occ = ctrl.occupancy
             ctl_demand = ctrl.demand
@@ -266,8 +298,6 @@ class MemorySystem:
             ctl_queued = 0
             rb0 = raw_base[0]
             rs0 = raw_stream[0]
-            rc0 = remote_cost[0]
-            sc0 = stream_cost[0]
         bus = self._bus
         # Pre-line timestamps are only observable through CacheEvicted
         # (L3 spill) and the DRAM controller clock; when eviction events
@@ -332,105 +362,79 @@ class MemorySystem:
                 continue
             if publishing:
                 line_now = now + total
-            # One holders probe classifies the line AND feeds the insert
-            # cascade below (``grow`` is the set to extend with core_id,
-            # or None when a fresh singleton must be created) — the
-            # per-line path probes twice, with identical results.
-            if line in l3d:
+            # One mask probe classifies the private miss, and one store
+            # records this core as a holder.
+            mask = holders_get(line, 0)
+            if mask & l3_bit:
                 c3 += 1
-                holders = holders_map.get(line)
-                if holders is not None and len(holders) > 1:
+                if mask & (mask - 1):
                     l3_move(line)
-                    grow = holders
+                    holders_map[line] = mask | bit
                 else:
                     del l3d[line]
                     n3 -= 1
-                    grow = None
-                    if holders is not None:
-                        holders.discard(l3_holder)
-                        if holders:
-                            grow = holders
-                        else:
-                            del holders_map[line]
+                    holders_map[line] = bit
                 total += hit3
                 stream_run = False
-            elif one_chip:
-                holders = holders_map.get(line)
-                grow = holders or None
-                if holders:
-                    # Any holder is distance 0; identity never affects
-                    # cost or counters on one chip.
-                    cr += 1
-                    total += (sc0 if stream_run else rc0) \
-                        + per_line_compute
+            elif mask:
+                # Served by the first ring holding a copy: the nearest
+                # holders, and among them the lowest id.
+                for ring, cost, stream, links in rings:
+                    if mask & ring:
+                        break
+                cr += 1
+                if stream_run:
+                    total += stream + per_line_compute
                 else:
-                    cd += 1
-                    line_now = now + total
-                    if line_now > ctl_clock:
-                        ctl_demand *= _exp(
-                            (ctl_clock - line_now) / UTILISATION_TAU)
-                        ctl_clock = line_now
-                    ctl_demand += ctl_occ
-                    rho = ctl_demand / UTILISATION_TAU
-                    if rho > UTILISATION_CAP:
-                        rho = UTILISATION_CAP
-                    queue_delay = int(ctl_occ * rho / (1.0 - rho) * 0.5)
-                    ctl_lines += 1
-                    ctl_queued += queue_delay
-                    total += (queue_delay
-                              + (rs0 if stream_run else rb0)
-                              + per_line_compute)
+                    if links is not None:
+                        near = mask & ring
+                        key = links[(near & -near).bit_length() - 1]
+                        transfers[key] = transfers.get(key, 0) + 1
+                    total += cost + per_line_compute
                 stream_run = True
+                holders_map[line] = mask | bit
+            elif one_chip:
+                cd += 1
+                line_now = now + total
+                if line_now > ctl_clock:
+                    ctl_demand *= _exp(
+                        (ctl_clock - line_now) / UTILISATION_TAU)
+                    ctl_clock = line_now
+                ctl_demand += ctl_occ
+                rho = ctl_demand / UTILISATION_TAU
+                if rho > UTILISATION_CAP:
+                    rho = UTILISATION_CAP
+                queue_delay = int(ctl_occ * rho / (1.0 - rho) * 0.5)
+                ctl_lines += 1
+                ctl_queued += queue_delay
+                total += (queue_delay + (rs0 if stream_run else rb0)
+                          + per_line_compute)
+                stream_run = True
+                holders_map[line] = bit
             else:
-                holders = holders_map.get(line)
-                holder = None
-                if holders:
-                    best_d = 1 << 30
-                    for h in holders:
-                        d = dist[holder_chips[h]]
-                        if d < best_d:
-                            holder, best_d = h, d
-                            if d == 0:
-                                break
-                grow = holders or None
-                if holder is not None:
-                    cr += 1
-                    hchip = holder_chips[holder]
-                    if stream_run:
-                        total += stream_cost[hchip] + per_line_compute
-                    else:
-                        if chip != hchip:
-                            key = (hchip, chip)
-                            transfers[key] = transfers.get(key, 0) + 1
-                        total += remote_cost[hchip] + per_line_compute
-                    stream_run = True
-                else:
-                    cd += 1
-                    line_now = now + total
-                    bank = line % n_chips
-                    controller = controllers[bank]
-                    if line_now > controller.clock:
-                        controller.demand *= _exp(
-                            (controller.clock - line_now) / UTILISATION_TAU)
-                        controller.clock = line_now
-                    demand = controller.demand + controller.occupancy
-                    controller.demand = demand
-                    rho = demand / UTILISATION_TAU
-                    if rho > UTILISATION_CAP:
-                        rho = UTILISATION_CAP
-                    queue_delay = int(
-                        controller.occupancy * rho / (1.0 - rho) * 0.5)
-                    controller.lines_served += 1
-                    controller.queued_cycles += queue_delay
-                    total += (queue_delay + (raw_stream if stream_run
-                                             else raw_base)[bank]
-                              + per_line_compute)
-                    stream_run = True
+                cd += 1
+                line_now = now + total
+                bank = line % n_chips
+                controller = controllers[bank]
+                if line_now > controller.clock:
+                    controller.demand *= _exp(
+                        (controller.clock - line_now) / UTILISATION_TAU)
+                    controller.clock = line_now
+                demand = controller.demand + controller.occupancy
+                controller.demand = demand
+                rho = demand / UTILISATION_TAU
+                if rho > UTILISATION_CAP:
+                    rho = UTILISATION_CAP
+                queue_delay = int(
+                    controller.occupancy * rho / (1.0 - rho) * 0.5)
+                controller.lines_served += 1
+                controller.queued_cycles += queue_delay
+                total += (queue_delay + (raw_stream if stream_run
+                                         else raw_base)[bank]
+                          + per_line_compute)
+                stream_run = True
+                holders_map[line] = bit
             # --- inlined insert cascade ---------------------------------
-            if grow is None:
-                holders_map[line] = {core_id}
-            else:
-                grow.add(core_id)
             where[line] = top
             push(line)
             top += 1
@@ -452,17 +456,10 @@ class MemorySystem:
             slots[low] = None
             low += 1
             del where[victim2]
-            holders = holders_map.get(victim2)
-            if holders is not None:
-                holders.discard(core_id)
-                if not holders:
-                    del holders_map[victim2]
-                    holders = None
-            if holders is None:
-                holders_map[victim2] = {l3_holder}
-            else:
-                holders.add(l3_holder)
-            if victim2 in l3d:
+            # Leaving the private hierarchy for the chip's shared L3.
+            mask = holders_map[victim2]
+            holders_map[victim2] = mask & keep | l3_bit
+            if mask & l3_bit:
                 l3_move(victim2)
                 continue
             l3d[victim2] = None
@@ -472,11 +469,11 @@ class MemorySystem:
             e3 += 1
             n3 -= 1
             victim3 = l3_pop(False)[0]
-            holders = holders_map.get(victim3)
-            if holders is not None:
-                holders.discard(l3_holder)
-                if not holders:
-                    del holders_map[victim3]
+            mask = holders_map[victim3] & keep3
+            if mask:
+                holders_map[victim3] = mask
+            else:
+                del holders_map[victim3]
             if publishing:
                 stack.edge = edge
                 stack.low = low
@@ -511,12 +508,12 @@ class MemorySystem:
     # hot path
     # ------------------------------------------------------------------
 
-    def _load_line(self, core_id: int, line: int, now: int,
-                   sequential: bool) -> Tuple[int, int]:
+    def _load_line(self, core_id: int, line: int,
+                   now: int) -> Tuple[int, int]:
         """Load one line for ``core_id``; return (latency, source).
 
         Operates directly on the core's recency stack, the L3's ordered
-        dict and the directory's holder-set dict — the lookup, the hit
+        dict and the directory's holder-mask dict — the lookup, the hit
         bookkeeping, and the full L1 -> L2 -> L3 victim cascade run inline
         with no method calls short of a renumbering.
         """
@@ -534,7 +531,7 @@ class MemorySystem:
             self.counters[core_id].l1_hits += 1
             return self._res_l1
         (counters, _, l1, l1_cap, l2, l2_cap, l3, l3d, l3_cap,
-         chip, l3_holder) = self._core_state[core_id]
+         chip, bit, l3_bit, rings) = self._core_state[core_id]
         if stamp >= 0:
             # L2 hit: restamp the line at the top.  If L1 was full, its
             # LRU line takes the freed place in L2.
@@ -553,61 +550,39 @@ class MemorySystem:
                 stack.edge = edge + 1
             return self._res_l2
         holders_map = self._holders
-        if line in l3d:
+        mask = holders_map.get(line, 0)
+        if mask & l3_bit:
             # AMD K10's non-inclusive L3: on a hit, keep the L3 copy when
-            # the line is shared (other private holders exist), so chip-
-            # shared data keeps serving at 75 cycles; hand it over
-            # exclusively when this requester is the only interested
-            # party, so single-reader data (CoreTime-partitioned objects)
-            # does not burn capacity twice.
+            # the line is shared (other holders exist), so chip-shared
+            # data keeps serving at 75 cycles; hand it over exclusively
+            # when this requester is the only interested party, so
+            # single-reader data (CoreTime-partitioned objects) does not
+            # burn capacity twice.
             counters.l3_hits += 1
-            holders = holders_map.get(line)
-            if holders is not None and len(holders) > 1:
+            if mask & (mask - 1):
                 l3d.move_to_end(line)
+                holders_map[line] = mask | bit
             else:
                 del l3d[line]
-                if holders is not None:
-                    holders.discard(l3_holder)
-                    if not holders:
-                        del holders_map[line]
+                holders_map[line] = bit
             result = self._res_l3
+        elif mask:
+            # The nearest holders' ring serves; its lowest holder id breaks
+            # ties.  Read-sharing: the remote copy stays put; we replicate.
+            counters.remote_hits += 1
+            for ring, _, _, _ in rings:
+                if mask & ring:
+                    break
+            near = mask & ring
+            result = (self.interconnect.remote_cache_latency(
+                chip, self._holder_chip[(near & -near).bit_length() - 1]),
+                SRC_REMOTE)
+            holders_map[line] = mask | bit
         else:
-            # Nearest holder by chip distance (first found on ties).
-            holders = holders_map.get(line)
-            holder = None
-            if holders:
-                holder_chips = self._holder_chip
-                dist = self._dist[chip]
-                best_d = 1 << 30
-                for h in holders:
-                    d = dist[holder_chips[h]]
-                    if d < best_d:
-                        holder, best_d = h, d
-                        if d == 0:
-                            break
-            if holder is not None:
-                counters.remote_hits += 1
-                holder_chip = self._holder_chip[holder]
-                if sequential:
-                    # A remote fetch continuing a sequential stream is
-                    # prefetch-pipelined like a streamed DRAM read.
-                    latency = self.interconnect.remote_stream_latency(
-                        chip, holder_chip)
-                else:
-                    latency = self.interconnect.remote_cache_latency(
-                        chip, holder_chip)
-                # Read-sharing: the remote copy stays put; we replicate.
-                result = (latency, SRC_REMOTE)
-            else:
-                counters.dram_loads += 1
-                result = (self.dram.load(line, chip, now, sequential),
-                          SRC_DRAM)
+            counters.dram_loads += 1
+            result = (self.dram.load(line, chip, now, False), SRC_DRAM)
+            holders_map[line] = bit
         # --- insert at L1, cascading victims downward ------------------
-        holders = holders_map.get(line)
-        if holders is None:
-            holders_map[line] = {core_id}
-        else:
-            holders.add(core_id)
         # L1 insert (MRU); the cascade below only runs on overflow.
         where[line] = len(slots)
         slots.append(line)
@@ -631,21 +606,10 @@ class MemorySystem:
         slots[low] = None
         stack.low = low + 1
         del where[victim2]
-        # Leaving the private hierarchy for the chip's shared L3.  One
-        # probe serves both the discard and the add; the mutation history
-        # (set emptied -> entry deleted -> fresh set created) is the one
-        # _scan replays, keeping holder-set iteration order identical.
-        holders = holders_map.get(victim2)
-        if holders is not None:
-            holders.discard(core_id)
-            if not holders:
-                del holders_map[victim2]
-                holders = None
-        if holders is None:
-            holders_map[victim2] = {l3_holder}
-        else:
-            holders.add(l3_holder)
-        if victim2 in l3d:
+        # Leaving the private hierarchy for the chip's shared L3.
+        mask = holders_map[victim2]
+        holders_map[victim2] = mask & ~bit | l3_bit
+        if mask & l3_bit:
             l3d.move_to_end(victim2)
             return result
         l3d[victim2] = None
@@ -654,24 +618,16 @@ class MemorySystem:
         l3.evictions += 1
         victim3 = l3d.popitem(False)[0]
         # Clean drop: DRAM always has the data.
-        holders = holders_map.get(victim3)
-        if holders is not None:
-            holders.discard(l3_holder)
-            if not holders:
-                del holders_map[victim3]
+        mask = holders_map[victim3] & ~l3_bit
+        if mask:
+            holders_map[victim3] = mask
+        else:
+            del holders_map[victim3]
         bus = self._bus
         if bus is not None and bus.wants(CacheEvicted):
             bus.publish(CacheEvicted(now, core_id, "L3", victim3,
                                      self.op_obj[core_id]))
         return result
-
-    def _drop_from_holder(self, line: int, holder: int) -> None:
-        """Remove ``line`` from ``holder``'s caches and the directory."""
-        if self.directory.is_l3_holder(holder):
-            self.l3s[holder - self.directory.n_cores].remove(line)
-        else:
-            self.stacks[holder].drop(line)
-        self.directory.discard(line, holder)
 
     # ------------------------------------------------------------------
     # maintenance

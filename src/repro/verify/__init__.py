@@ -9,8 +9,9 @@ Four tools that keep the simulator honest (DESIGN.md §9):
   flight-recorder dump.
 * :class:`FaultPlan` — seeded, deterministic corruption of live
   simulator state (drop/delay a migration, evict a line behind the
-  directory's back, corrupt a counter, stall a core), used to prove the
-  checker catches real bugs.
+  directory's back, mark a holder without a copy in the directory,
+  corrupt a counter, stall a core), used to prove the checker catches
+  real bugs.
 * :class:`ReferenceMemory` (:mod:`repro.verify.reference`) — a
   deliberately naive model of the memory hierarchy; :func:`shadow`
   checks every access of a live memory system against it and

@@ -17,6 +17,7 @@ kind               corruption                                 caught by
 drop_migration     remove an in-flight arrival event          migrations
 delay_migration    push an arrival event ~1k cycles late      migrations
 evict_line         drop a cached line, directory unaware      residency
+phantom_holder     set a directory bit for an absent copy     residency
 corrupt_counter    negate (or inflate) a counter field        counters
 stall_core         flip a core's ``in_heap`` flag             heap
 =================  =========================================  ===========
@@ -37,7 +38,7 @@ from repro.obs.events import FaultInjected
 from repro.sim.rng import make_rng
 
 FAULT_KINDS: Tuple[str, ...] = (
-    "drop_migration", "delay_migration", "evict_line",
+    "drop_migration", "delay_migration", "evict_line", "phantom_holder",
     "corrupt_counter", "stall_core",
 )
 
@@ -46,6 +47,7 @@ EXPECTED_RULE = {
     "drop_migration": "migrations",
     "delay_migration": "migrations",
     "evict_line": "residency",
+    "phantom_holder": "residency",
     "corrupt_counter": "counters",
     "stall_core": "heap",
 }
@@ -179,6 +181,27 @@ class FaultPlan:
 
         def apply() -> None:
             cache.remove(line)
+
+        return detail, apply
+
+    def _inject_phantom_holder(self, sim: Any, rng: Any) -> _Prepared:
+        memory = sim.memory
+        holders = memory.directory._holders
+        if not holders:
+            return None
+        lines = sorted(holders)
+        line = lines[rng.randrange(len(lines))]
+        n_holders = memory.spec.n_cores + memory.spec.n_chips
+        absent = [holder for holder in range(n_holders)
+                  if not holders[line] >> holder & 1]
+        if not absent:
+            return None
+        holder = absent[rng.randrange(len(absent))]
+        detail = (f"set holder {holder}'s bit for line {line} in the "
+                  f"sharing directory; no cache of that holder has it")
+
+        def apply() -> None:
+            holders[line] |= 1 << holder
 
         return detail, apply
 

@@ -12,16 +12,14 @@ DRAM queueing are recomputed from the
 :func:`shadow` makes a live :class:`~repro.mem.system.MemorySystem`
 replay every ``load`` / ``store`` / ``scan`` on a fresh model and raise
 :class:`ReferenceMismatch` the moment the two charge different
-latencies; :func:`compare` checks the end state.  The model cannot tell
-*which* of several equidistant holders serves a remote read, but hop
-costs depend only on distance, so that choice reaches only the per-link
-keys of ``Interconnect.transfers``, whose total is compared.
+latencies; :func:`compare` checks the end state, the interconnect's
+traffic link by link included.
 """
 
 from __future__ import annotations
 
 from math import exp
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cpu.topology import MachineSpec
 from repro.errors import ConfigError, SimulationError
@@ -69,6 +67,14 @@ class ListCache:
 #: (holder id, chip, the holder's caches) — see :meth:`ReferenceMemory.holders`.
 Holder = Tuple[int, int, Tuple[ListCache, ...]]
 
+#: (source chip, destination chip) -> messages carried on that link.
+Links = Dict[Tuple[int, int], int]
+
+
+def count(links: Links, src: int, dst: int) -> None:
+    """One more message on the ``src`` -> ``dst`` link."""
+    links[src, dst] = links.get((src, dst), 0) + 1
+
 
 class ReferenceMemory:
     """Naive model of :class:`~repro.mem.system.MemorySystem`."""
@@ -82,8 +88,10 @@ class ReferenceMemory:
         self.counters = [dict.fromkeys(MEMORY_COUNTERS, 0) for _ in cores]
         self.controllers = [dict(clock=0, demand=0.0, lines_served=0,
                                  queued_cycles=0) for _ in chips]
-        #: Cross-chip line transfers and invalidation messages.
-        self.transfers = self.invalidations = 0
+        #: Cross-chip line transfers, per (serving chip, requesting chip).
+        self.transfers: Links = {}
+        #: Cross-chip invalidations, per (writer's chip, holder's chip).
+        self.invalidations: Links = {}
 
     def load(self, core: int, addr: int, now: int) -> int:
         latency, _ = self.load_line(core, addr // self.spec.line_size, now,
@@ -100,12 +108,13 @@ class ReferenceMemory:
         others = [(chip, caches) for holder, chip, caches
                   in self.holders(line) if holder != core]
         worst = 0
+        my_chip = spec.chip_of(core)
         for chip, caches in others:
             for cache in caches:
                 cache.remove(line)
-            hops = spec.chip_distance(spec.chip_of(core), chip)
+            hops = spec.chip_distance(my_chip, chip)
             if hops:
-                self.invalidations += 1
+                count(self.invalidations, my_chip, chip)
             worst = max(worst, spec.latency.invalidate
                         + spec.latency.remote_hop * hops)
         counters = self.counters[core]
@@ -154,16 +163,19 @@ class ReferenceMemory:
                 l3.remove(line)
             latency, source = lat.l3, "l3"
         else:
-            hops = [spec.chip_distance(chip, holder_chip)
-                    for _, holder_chip, _ in self.holders(line)]
-            if hops:
-                nearest = min(hops)
+            # The nearest holder serves, the lowest id among equally near
+            # ones.
+            found = [(spec.chip_distance(chip, holder_chip), holder,
+                      holder_chip)
+                     for holder, holder_chip, _ in self.holders(line)]
+            if found:
+                hops, _, server_chip = min(found)
                 if streaming:
-                    latency = lat.remote_stream + lat.remote_hop * nearest // 3
+                    latency = lat.remote_stream + lat.remote_hop * hops // 3
                 else:
-                    latency = lat.remote_same_chip + lat.remote_hop * nearest
-                    if nearest:
-                        self.transfers += 1
+                    latency = lat.remote_same_chip + lat.remote_hop * hops
+                    if hops:
+                        count(self.transfers, server_chip, chip)
                 source = "remote"
             else:
                 latency, source = self.dram(line, chip, now, streaming), "dram"
@@ -245,8 +257,9 @@ def compare(memory: Any) -> None:
     """Raise :class:`ReferenceMismatch` unless the end state of a
     :func:`shadow`-ed ``memory`` matches its model: the memory-owned
     counters, every cache's lines in LRU order and eviction count, each
-    DRAM controller's state, the interconnect's transfer and invalidation
-    totals, and the sharing directory against the caches' contents."""
+    DRAM controller's state, the interconnect's transfers and
+    invalidations on every link, and the sharing directory against the
+    caches' contents."""
     model = getattr(memory, "reference", None)
     if model is None:
         raise ConfigError("compare() needs a memory system from shadow()")
@@ -268,9 +281,11 @@ def compare(memory: Any) -> None:
         for name in CONTROLLER_FIELDS:
             check(f"DRAM {chip} {name}", getattr(controller, name), ref[name])
     interconnect = memory.interconnect
-    check("transfers", interconnect.total_transfers, model.transfers)
-    check("invalidations", interconnect.total_invalidations,
-          model.invalidations)
+    for name in ("transfers", "invalidations"):
+        got, want = getattr(interconnect, name), getattr(model, name)
+        for src, dst in sorted(got.keys() | want.keys()):
+            check(f"{name} {src}->{dst}", got.get((src, dst), 0),
+                  want.get((src, dst), 0))
     recorded = dict(memory.directory.items())
     derived = {line: {holder for holder, _, _ in model.holders(line)}
                for cache in model.l1 + model.l2 + model.l3

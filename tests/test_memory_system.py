@@ -7,10 +7,11 @@ state — counters, LRU order, DRAM and interconnect state, and the
 sharing directory against the caches' contents.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.topology import LatencySpec
+from repro.cpu.topology import LatencySpec, MachineSpec
 from repro.mem.system import (SRC_DRAM, SRC_L1, SRC_L2, SRC_L3, SRC_REMOTE,
                               MemorySystem)
 from repro.verify.reference import compare, shadow
@@ -30,7 +31,7 @@ LINE = 64
 class TestLoadPath:
     def test_cold_load_comes_from_dram(self):
         memory = make()
-        latency, source = memory._load_line(0, 100, 0, False)
+        latency, source = memory._load_line(0, 100, 0)
         assert source == SRC_DRAM
         assert latency >= memory.spec.latency.dram_base
         assert memory.counters[0].dram_loads == 1
@@ -38,7 +39,7 @@ class TestLoadPath:
     def test_second_load_hits_l1(self):
         memory = make()
         memory.load(0, 100 * LINE, 0)
-        latency, source = memory._load_line(0, 100, 0, False)
+        latency, source = memory._load_line(0, 100, 0)
         assert source == SRC_L1
         assert latency == 3
 
@@ -48,7 +49,7 @@ class TestLoadPath:
         # Fill L1 (8 lines) to push line 0 into L2.
         for i in range(1, 9):
             memory.load(0, i * LINE, 0)
-        latency, source = memory._load_line(0, 0, 0, False)
+        latency, source = memory._load_line(0, 0, 0)
         assert source == SRC_L2
         assert latency == 14
 
@@ -58,21 +59,21 @@ class TestLoadPath:
         # Push line 0 through L1 (8) and L2 (32) into the chip L3.
         for i in range(1, 42):
             memory.load(0, i * LINE, 0)
-        latency, source = memory._load_line(0, 0, 0, False)
+        latency, source = memory._load_line(0, 0, 0)
         assert source == SRC_L3
         assert latency == 75
 
     def test_remote_hit_from_other_core(self):
         memory = make()
         memory.load(1, 0, 0)            # core 1 caches line 0
-        latency, source = memory._load_line(0, 0, 0, False)
+        latency, source = memory._load_line(0, 0, 0)
         assert source == SRC_REMOTE
         assert latency == 127           # same chip
 
     def test_remote_hit_cross_chip_costs_more(self):
         memory = make()
         memory.load(2, 0, 0)            # core 2 is on chip 1
-        latency, source = memory._load_line(0, 0, 0, False)
+        latency, source = memory._load_line(0, 0, 0)
         assert source == SRC_REMOTE
         assert latency > 127
 
@@ -189,6 +190,41 @@ class TestScan:
         assert warm == 4 * memory.spec.latency.l1
 
 
+class TestRemoteTieBreak:
+    """A remote read is served by the nearest holder, and among equally
+    near holders by the lowest holder id — whatever order the holders
+    arrived in.  On the paper's square of four chips, chips 1 and 2 are
+    each one hop from chip 3 and two hops from each other."""
+
+    @staticmethod
+    def read(via, holders, reader):
+        memory = MemorySystem(MachineSpec.scaled(8))
+        model = shadow(memory)
+        for core in holders:
+            memory.load(core, 0, 0)
+        # Count only the reader's traffic, on both sides.
+        memory.interconnect.reset()
+        model.transfers.clear()
+        if via == "load":
+            latency = memory.load(reader, 0, 0)
+        else:
+            latency = memory.scan(reader, 0, LINE, 0)
+        compare(memory)
+        return memory, latency
+
+    @pytest.mark.parametrize("via", ["load", "scan"])
+    def test_lowest_id_serves_among_equally_near(self, via):
+        memory, _ = self.read(via, (9, 5), 12)
+        assert memory.interconnect.transfers == {(1, 3): 1}
+
+    @pytest.mark.parametrize("via", ["load", "scan"])
+    def test_distance_beats_id(self, via):
+        memory, latency = self.read(via, (0, 13), 14)
+        assert memory.interconnect.transfers == {}
+        assert memory.counters[14].remote_hits == 1
+        assert latency == memory.spec.latency.remote_same_chip
+
+
 class TestMaintenance:
     def test_flush_all(self):
         memory = make()
@@ -196,7 +232,7 @@ class TestMaintenance:
             memory.load(0, i * LINE, 0)
         memory.flush_all()
         assert len(memory.directory) == 0
-        _, source = memory._load_line(0, 0, 0, False)
+        _, source = memory._load_line(0, 0, 0)
         assert source == SRC_DRAM
 
 

@@ -20,10 +20,10 @@ def loaded(*accesses) -> MemorySystem:
 
 class TestHolderIds:
     def test_core_and_l3_ids_distinct(self):
+        # L3 holder ids follow the core ids.
         directory = SharingDirectory(n_cores=4)
         assert directory.l3_holder(0) == 4
-        assert directory.is_l3_holder(4)
-        assert not directory.is_l3_holder(3)
+        assert directory.l3_holder(1) == 5
 
     def test_chip_of_holder(self):
         # 2 cores per chip: cores 0,1 on chip 0; l3 holder 4 is chip 0.
@@ -34,18 +34,6 @@ class TestMembership:
     def test_add_and_holders(self):
         directory = loaded((0, 10), (2, 10)).directory
         assert directory.holders(10) == frozenset({0, 2})
-
-    def test_discard(self):
-        directory = loaded((0, 10)).directory
-        directory.discard(10, 0)
-        assert directory.holders(10) == frozenset()
-        assert len(directory) == 0
-
-    def test_discard_absent_is_noop(self):
-        SharingDirectory(4).discard(10, 0)
-        directory = loaded((1, 10)).directory
-        directory.discard(10, 0)
-        assert directory.holders(10) == frozenset({1})
 
     def test_cached_lines(self):
         directory = loaded((0, 1), (1, 2)).directory

@@ -12,8 +12,11 @@ import pytest
 
 from repro.cpu.topology import MachineSpec
 from repro.mem.interconnect import Interconnect
+from repro.sim.engine import Simulator
 from repro.verify import InvariantChecker, check_case, generate_case
-from repro.verify.fuzz import run_case
+from repro.verify.fuzz import (FuzzCase, build_machine, build_scheduler,
+                               build_workload, run_case)
+from repro.verify.reference import ReferenceMismatch, compare, shadow
 
 from tests.helpers import tiny_spec
 
@@ -40,6 +43,25 @@ class TestReferenceDifferential:
         kinds = [getattr(check_case(generate_case(seed)), "kind", None)
                  for seed in range(4)]
         assert "differential" in kinds
+
+    @pytest.mark.parametrize("traffic", ["transfers", "invalidations"])
+    def test_compares_traffic_link_by_link(self, traffic):
+        # Moving one message to another link keeps the total, so only a
+        # link-by-link comparison notices.
+        case = FuzzCase(seed=3, n_chips=4, scheduler="thread",
+                        write_fraction=0.2, horizon=60_000)
+        machine = build_machine(case)
+        shadow(machine.memory)
+        sim = Simulator(machine, build_scheduler(case))
+        build_workload(machine, case).spawn_all(sim)
+        sim.run(until=case.horizon)
+        compare(machine.memory)
+        links = getattr(machine.memory.interconnect, traffic)
+        src, dst = min(links)
+        links[src, dst] -= 1
+        links[dst, src] = links.get((dst, src), 0) + 1
+        with pytest.raises(ReferenceMismatch, match=f"{traffic} "):
+            compare(machine.memory)
 
     def test_matrix_covers_every_scheduler(self):
         # The sampled matrix must actually exercise every fuzzable
