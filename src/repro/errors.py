@@ -20,10 +20,6 @@ class ConfigError(ReproError):
     """
 
 
-class AddressError(ReproError):
-    """An address is outside the allocated simulated address space."""
-
-
 class AllocationError(ReproError):
     """The simulated address-space allocator ran out of room."""
 

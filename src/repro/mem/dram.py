@@ -20,6 +20,11 @@ delay when idle, unbounded-ish delay approaching saturation.
 Sequential streams get a ``dram_stream`` per-line cost instead of the
 full ``dram_base`` latency, modelling the hardware prefetcher that makes
 linear directory scans cheaper than pointer chasing.
+
+This module is the only code that prices a DRAM fetch: the bank
+interleave, the raw latencies, the stream discount and the queueing all
+live here, and both of the memory system's loops fetch a line with one
+:meth:`Dram.load` call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from math import exp as _exp
 from typing import List
 
-from repro.cpu.topology import LatencySpec, MachineSpec
+from repro.cpu.topology import MachineSpec
 
 #: Time constant (cycles) of the utilisation estimate's exponential decay.
 UTILISATION_TAU = 4096.0
@@ -92,12 +97,9 @@ class Dram:
     commodity systems interleave physical pages across controllers.
     """
 
-    __slots__ = ("spec", "latency", "controllers", "_n_chips", "_raw_base",
-                 "_raw_stream")
+    __slots__ = ("controllers", "_n_chips", "_raw_base", "_raw_stream")
 
     def __init__(self, spec: MachineSpec) -> None:
-        self.spec = spec
-        self.latency: LatencySpec = spec.latency
         self.controllers: List[MemoryController] = [
             MemoryController(chip, spec.latency.dram_occupancy)
             for chip in range(spec.n_chips)
@@ -114,10 +116,6 @@ class Dram:
         self._raw_stream = [
             [latency.dram_stream + latency.dram_hop * spec.chip_distance(a, b)
              for b in range(spec.n_chips)] for a in range(spec.n_chips)]
-
-    def home_chip(self, line: int) -> int:
-        """Chip whose DRAM bank holds ``line``."""
-        return line % self.spec.n_chips
 
     def load(self, line: int, from_chip: int, now: int,
              sequential: bool) -> int:

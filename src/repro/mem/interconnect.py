@@ -1,27 +1,26 @@
-"""Inter-chip interconnect model.
+"""Inter-chip interconnect traffic ledger.
 
 The AMD machine's four chips sit on a square interconnect carrying
-coherence broadcasts and point-to-point cache-line transfers.  We charge
-hop-distance latencies (from :class:`repro.cpu.topology.LatencySpec`) and
-count the messages per link so experiments can report coherence traffic —
-the resource the paper warns "can saturate system interconnects".
+coherence broadcasts and point-to-point cache-line transfers.  This
+module counts the messages on each link, so experiments can report
+coherence traffic — the resource the paper warns "can saturate system
+interconnects".  It prices nothing: :class:`repro.mem.system.MemorySystem`
+builds per-chip rows of hop-distance costs (from
+:class:`repro.cpu.topology.LatencySpec`) once, and counts each remote
+read and invalidation on the link its row names.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.cpu.topology import MachineSpec
-
 
 class Interconnect:
-    """Latency oracle plus traffic accounting for chip-to-chip messages."""
+    """Per-link ledger of chip-to-chip messages."""
 
-    __slots__ = ("spec", "transfers", "invalidations", "context_transfers",
-                 "_remote_cost", "_stream_cost", "_inval_cost")
+    __slots__ = ("transfers", "invalidations", "context_transfers")
 
-    def __init__(self, spec: MachineSpec) -> None:
-        self.spec = spec
+    def __init__(self) -> None:
         #: (src_chip, dst_chip) -> cache-line transfers carried.
         self.transfers: Dict[Tuple[int, int], int] = {}
         #: (src_chip, dst_chip) -> invalidation messages carried.
@@ -29,38 +28,6 @@ class Interconnect:
         #: (src_chip, dst_chip) -> thread-context lines carried
         #: (migration payload, kept separate from data coherence traffic).
         self.context_transfers: Dict[Tuple[int, int], int] = {}
-        # Hop costs depend only on the chip pair; precompute every pair
-        # once so the per-miss path is two list indexes, not a distance
-        # computation plus latency-spec attribute chain.  The memory
-        # system's per-chip rings copy the remote and stream costs.
-        latency = spec.latency
-        n = spec.n_chips
-        self._remote_cost = [
-            [latency.remote_same_chip
-             + latency.remote_hop * spec.chip_distance(a, b)
-             for b in range(n)] for a in range(n)]
-        self._stream_cost = [
-            [latency.remote_stream
-             + latency.remote_hop * spec.chip_distance(a, b) // 3
-             for b in range(n)] for a in range(n)]
-        self._inval_cost = [
-            [latency.invalidate
-             + latency.remote_hop * spec.chip_distance(a, b)
-             for b in range(n)] for a in range(n)]
-
-    def remote_cache_latency(self, from_chip: int, holder_chip: int) -> int:
-        """Latency to fetch a line from a cache on ``holder_chip``."""
-        if from_chip != holder_chip:
-            key = (holder_chip, from_chip)
-            self.transfers[key] = self.transfers.get(key, 0) + 1
-        return self._remote_cost[from_chip][holder_chip]
-
-    def invalidate_latency(self, from_chip: int, holder_chip: int) -> int:
-        """Latency contribution of invalidating a copy on ``holder_chip``."""
-        if from_chip != holder_chip:
-            key = (from_chip, holder_chip)
-            self.invalidations[key] = self.invalidations.get(key, 0) + 1
-        return self._inval_cost[from_chip][holder_chip]
 
     def count_migration(self, from_chip: int, to_chip: int,
                         context_lines: int = 4) -> None:

@@ -1,48 +1,11 @@
-"""Address and cache-line arithmetic helpers.
+"""Address alignment.
 
-The simulated address space is a flat range of byte addresses.  Caches and
-the coherence directory operate on *line numbers* (address // line_size).
-These helpers centralise the arithmetic so that no module hard-codes the
-line size.
+The simulated address space is a flat range of byte addresses; caches and
+the coherence directory operate on line numbers (``addr // line_size``),
+which the memory system's hot paths compute inline.
 """
 
 from __future__ import annotations
-
-from typing import Iterator, Tuple
-
-from repro.errors import AddressError
-
-
-def line_of(addr: int, line_size: int) -> int:
-    """Line number containing byte address ``addr``."""
-    if addr < 0:
-        raise AddressError(f"negative address {addr:#x}")
-    return addr // line_size
-
-
-def line_addr(line: int, line_size: int) -> int:
-    """First byte address of ``line``."""
-    return line * line_size
-
-
-def lines_spanned(addr: int, nbytes: int, line_size: int) -> int:
-    """Number of lines touched by ``nbytes`` starting at ``addr``."""
-    if nbytes <= 0:
-        return 0
-    first = addr // line_size
-    last = (addr + nbytes - 1) // line_size
-    return last - first + 1
-
-
-def line_range(addr: int, nbytes: int, line_size: int) -> Tuple[int, int]:
-    """(first_line, n_lines) for the byte range ``[addr, addr + nbytes)``."""
-    return addr // line_size, lines_spanned(addr, nbytes, line_size)
-
-
-def iter_lines(addr: int, nbytes: int, line_size: int) -> Iterator[int]:
-    """Yield every line number touched by the byte range."""
-    first, count = line_range(addr, nbytes, line_size)
-    return iter(range(first, first + count))
 
 
 def align_up(addr: int, alignment: int) -> int:

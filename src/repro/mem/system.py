@@ -39,31 +39,32 @@ private miss one mask probe tells an L3 hit (the chip's L3 bit is set),
 a remote hit (the first ring that intersects the mask serves) and a DRAM
 fetch (no bit set) apart, and each change of a line's holders is one dict
 store of an int, so the hit paths and the insert cascade make no Python
-method calls.  :mod:`repro.verify.reference` is a naive model of the same
-semantics that the fuzzer checks both loops against.
+method calls.
+
+Each memory cost has one owner.  Chip-to-chip costs come from rows this
+class builds once from the hop distance: a remote read takes its cost
+and the link it counts on from the ring that serves it, and
+:meth:`store` reads one (cost, link) entry per invalidated holder from
+its chip's invalidation row; :class:`~repro.mem.interconnect.Interconnect`
+only counts the messages.  A DRAM fetch is one
+:meth:`Dram.load <repro.mem.dram.Dram.load>` call in both loops, so only
+:mod:`repro.mem.dram` knows the bank interleave, the raw latencies, the
+stream discount and the queueing.  :mod:`repro.verify.reference` is a
+naive model of the same semantics that the fuzzer checks both loops
+against.
 """
 
 from __future__ import annotations
 
-from math import exp as _exp
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.cpu.topology import MachineSpec
 from repro.mem.cache import LRUCache, PrivateStack, StackLevel
 from repro.obs.events import CacheEvicted, CacheInvalidated
 from repro.mem.counters import CoreCounters
-from repro.mem.dram import UTILISATION_CAP, UTILISATION_TAU, Dram
+from repro.mem.dram import Dram
 from repro.mem.interconnect import Interconnect
 from repro.mem.sharing import SharingDirectory, holder_ids
-
-#: Where a load was satisfied (returned by the internal load path).
-SRC_L1 = 0
-SRC_L2 = 1
-SRC_L3 = 2
-SRC_REMOTE = 3
-SRC_DRAM = 4
-
-SOURCE_NAMES = ("L1", "L2", "L3", "REMOTE", "DRAM")
 
 
 class MemorySystem:
@@ -86,7 +87,7 @@ class MemorySystem:
             for chip in range(spec.n_chips)]
         self.directory = SharingDirectory(n_cores)
         self.dram = Dram(spec)
-        self.interconnect = Interconnect(spec)
+        self.interconnect = Interconnect()
         self.counters: List[CoreCounters] = [
             CoreCounters(c) for c in range(n_cores)]
         # Pre-computed per-core values for the hot path.
@@ -112,21 +113,31 @@ class MemorySystem:
                      for chip in range(n_chips)]
         for core, chip in enumerate(self._chip_of):
             chip_bits[chip] |= 1 << core
-        remote_cost = self.interconnect._remote_cost
-        stream_cost = self.interconnect._stream_cost
+        # Chip-to-chip costs depend only on the hop distance.
+        latency = spec.latency
+        hop = latency.remote_hop
         rings: List[tuple] = []
+        #: Per writing chip, its invalidation row: one (cost, link key or
+        #: None on the writer's own chip) per holder id, the key naming
+        #: the ``Interconnect.invalidations`` entry the message counts on.
+        self._inval_rows: List[tuple] = []
         for chip in range(n_chips):
             keys = [(other, chip) for other in range(n_chips)]
             links = tuple(keys[hchip] for hchip in self._holder_chip)
             by_distance: dict = {}
             for other in range(n_chips):
-                ring = by_distance.setdefault(
-                    spec.chip_distance(chip, other), [0, other])
-                ring[0] |= chip_bits[other]
+                distance = spec.chip_distance(chip, other)
+                by_distance[distance] = (by_distance.get(distance, 0)
+                                         | chip_bits[other])
             rings.append(tuple(
-                (bits, remote_cost[chip][other], stream_cost[chip][other],
+                (bits, latency.remote_same_chip + hop * distance,
+                 latency.remote_stream + hop * distance // 3,
                  links if distance else None)
-                for distance, (bits, other) in sorted(by_distance.items())))
+                for distance, bits in sorted(by_distance.items())))
+            self._inval_rows.append(tuple(
+                (latency.invalidate + hop * spec.chip_distance(chip, hchip),
+                 (chip, hchip) if hchip != chip else None)
+                for hchip in self._holder_chip))
         # Flattened per-core state for the hot path: one tuple per core,
         # unpacked in C once per scan and on every single-line access
         # that misses L1, instead of chasing list-index + attribute
@@ -141,11 +152,6 @@ class MemorySystem:
                 l3, l3._lines, l3.capacity,
                 chip, 1 << c, 1 << self.directory.l3_holder(chip),
                 rings[chip]))
-        #: Interned (latency, source) results for the fixed-latency
-        #: hit levels — no tuple allocation per access.
-        self._res_l1 = (self._lat_l1, SRC_L1)
-        self._res_l2 = (self._lat_l2, SRC_L2)
-        self._res_l3 = (self._lat_l3, SRC_L3)
         # Observability: None until attach_observability(); publish sites
         # gate on it so the un-observed hot path allocates nothing.
         self._bus = None
@@ -191,7 +197,7 @@ class MemorySystem:
 
     def load(self, core_id: int, addr: int, now: int) -> int:
         """Load the line containing ``addr``; return latency in cycles."""
-        latency, _ = self._load_line(core_id, addr // self.line_size, now)
+        latency = self._load_line(core_id, addr // self.line_size, now)
         self.counters[core_id].mem_cycles += latency
         return latency
 
@@ -204,7 +210,7 @@ class MemorySystem:
         on real hardware, so we charge the slowest one, not the sum.
         """
         line = addr // self.line_size
-        latency, _ = self._load_line(core_id, line, now)
+        latency = self._load_line(core_id, line, now)
         counters = self.counters[core_id]
         counters.stores += 1
         holders_map = self._holders
@@ -212,9 +218,8 @@ class MemorySystem:
         others = holder_ids(holders_map[line] & ~bit)
         if others:
             holders_map[line] = bit
-            my_chip = self._chip_of[core_id]
-            holder_chip = self._holder_chip
-            invalidate = self.interconnect.invalidate_latency
+            row = self._inval_rows[self._chip_of[core_id]]
+            invalidations = self.interconnect.invalidations
             n_cores = self.spec.n_cores
             worst = 0
             for holder in others:
@@ -222,7 +227,9 @@ class MemorySystem:
                     self.stacks[holder].drop(line)
                 else:
                     self.l3s[holder - n_cores].remove(line)
-                cost = invalidate(my_chip, holder_chip[holder])
+                cost, key = row[holder]
+                if key is not None:
+                    invalidations[key] = invalidations.get(key, 0) + 1
                 if cost > worst:
                     worst = cost
             counters.invalidations += len(others)
@@ -259,11 +266,11 @@ class MemorySystem:
 
         Unrolls :meth:`_load_line` across the scanned range with the
         per-core state, the recency stack's integers, the directory dict,
-        the chip's rings and the DRAM controllers all held in locals, and
-        with counter increments accumulated outside the loop.  Mutations
-        — the L1 -> L2 -> L3 victim cascade, holder masks, DRAM demand
-        decay — follow the per-line path, so counters and event streams
-        stay byte-identical to it.  The stack's integers are written back
+        the chip's rings and the bound ``Dram.load`` all held in locals,
+        and with counter increments accumulated outside the loop.
+        Mutations — the L1 -> L2 -> L3 victim cascade, holder masks —
+        follow the per-line path, so counters and event streams stay
+        byte-identical to it.  The stack's integers are written back
         before any event is published, so a subscriber never sees a stale
         boundary.
         """
@@ -278,30 +285,11 @@ class MemorySystem:
         hit2 = self._lat_l2 + per_line_compute
         hit3 = self._lat_l3 + per_line_compute
         transfers = self.interconnect.transfers
-        dram = self.dram
-        n_chips = dram._n_chips
-        one_chip = n_chips == 1
-        raw_base = dram._raw_base[chip]
-        raw_stream = dram._raw_stream[chip]
-        controllers = dram.controllers
-        if one_chip:
-            # Single-chip machine: every line's home bank is controller
-            # 0, so the raw latencies are scalars and the controller's
-            # queueing state can live in locals for the whole scan
-            # (written back below) — the arithmetic runs in the exact
-            # order of the general branch.
-            ctrl = controllers[0]
-            ctl_occ = ctrl.occupancy
-            ctl_demand = ctrl.demand
-            ctl_clock = ctrl.clock
-            ctl_lines = 0
-            ctl_queued = 0
-            rb0 = raw_base[0]
-            rs0 = raw_stream[0]
+        dram_load = self.dram.load
         bus = self._bus
-        # Pre-line timestamps are only observable through CacheEvicted
-        # (L3 spill) and the DRAM controller clock; when eviction events
-        # are off, only the DRAM branches need ``line_now``.
+        # ``line_now``, the time a missed line's fetch starts, only stamps
+        # CacheEvicted (L3 spill), so it is kept only while eviction
+        # events are published.
         publishing = bus is not None and bus.wants(CacheEvicted)
         where = stack.where
         where_get = where.get
@@ -393,44 +381,9 @@ class MemorySystem:
                     total += cost + per_line_compute
                 stream_run = True
                 holders_map[line] = mask | bit
-            elif one_chip:
-                cd += 1
-                line_now = now + total
-                if line_now > ctl_clock:
-                    ctl_demand *= _exp(
-                        (ctl_clock - line_now) / UTILISATION_TAU)
-                    ctl_clock = line_now
-                ctl_demand += ctl_occ
-                rho = ctl_demand / UTILISATION_TAU
-                if rho > UTILISATION_CAP:
-                    rho = UTILISATION_CAP
-                queue_delay = int(ctl_occ * rho / (1.0 - rho) * 0.5)
-                ctl_lines += 1
-                ctl_queued += queue_delay
-                total += (queue_delay + (rs0 if stream_run else rb0)
-                          + per_line_compute)
-                stream_run = True
-                holders_map[line] = bit
             else:
                 cd += 1
-                line_now = now + total
-                bank = line % n_chips
-                controller = controllers[bank]
-                if line_now > controller.clock:
-                    controller.demand *= _exp(
-                        (controller.clock - line_now) / UTILISATION_TAU)
-                    controller.clock = line_now
-                demand = controller.demand + controller.occupancy
-                controller.demand = demand
-                rho = demand / UTILISATION_TAU
-                if rho > UTILISATION_CAP:
-                    rho = UTILISATION_CAP
-                queue_delay = int(
-                    controller.occupancy * rho / (1.0 - rho) * 0.5)
-                controller.lines_served += 1
-                controller.queued_cycles += queue_delay
-                total += (queue_delay + (raw_stream if stream_run
-                                         else raw_base)[bank]
+                total += (dram_load(line, chip, now + total, stream_run)
                           + per_line_compute)
                 stream_run = True
                 holders_map[line] = bit
@@ -485,11 +438,6 @@ class MemorySystem:
         stack.low = low
         stack.n1 = n1
         stack.n2 = n2
-        if one_chip:
-            ctrl.demand = ctl_demand
-            ctrl.clock = ctl_clock
-            ctrl.lines_served += ctl_lines
-            ctrl.queued_cycles += ctl_queued
         counters.l1_hits += c1
         counters.l2_hits += c2
         counters.l3_hits += c3
@@ -508,9 +456,8 @@ class MemorySystem:
     # hot path
     # ------------------------------------------------------------------
 
-    def _load_line(self, core_id: int, line: int,
-                   now: int) -> Tuple[int, int]:
-        """Load one line for ``core_id``; return (latency, source).
+    def _load_line(self, core_id: int, line: int, now: int) -> int:
+        """Load one line for ``core_id``; return its latency in cycles.
 
         Operates directly on the core's recency stack, the L3's ordered
         dict and the directory's holder-mask dict — the lookup, the hit
@@ -529,7 +476,7 @@ class MemorySystem:
             where[line] = len(slots)
             slots.append(line)
             self.counters[core_id].l1_hits += 1
-            return self._res_l1
+            return self._lat_l1
         (counters, _, l1, l1_cap, l2, l2_cap, l3, l3d, l3_cap,
          chip, bit, l3_bit, rings) = self._core_state[core_id]
         if stamp >= 0:
@@ -548,7 +495,7 @@ class MemorySystem:
                 while slots[edge] is None:
                     edge += 1
                 stack.edge = edge + 1
-            return self._res_l2
+            return self._lat_l2
         holders_map = self._holders
         mask = holders_map.get(line, 0)
         if mask & l3_bit:
@@ -565,22 +512,24 @@ class MemorySystem:
             else:
                 del l3d[line]
                 holders_map[line] = bit
-            result = self._res_l3
+            result = self._lat_l3
         elif mask:
             # The nearest holders' ring serves; its lowest holder id breaks
             # ties.  Read-sharing: the remote copy stays put; we replicate.
             counters.remote_hits += 1
-            for ring, _, _, _ in rings:
+            for ring, cost, _, links in rings:
                 if mask & ring:
                     break
-            near = mask & ring
-            result = (self.interconnect.remote_cache_latency(
-                chip, self._holder_chip[(near & -near).bit_length() - 1]),
-                SRC_REMOTE)
+            result = cost
+            if links is not None:
+                near = mask & ring
+                key = links[(near & -near).bit_length() - 1]
+                transfers = self.interconnect.transfers
+                transfers[key] = transfers.get(key, 0) + 1
             holders_map[line] = mask | bit
         else:
             counters.dram_loads += 1
-            result = (self.dram.load(line, chip, now, False), SRC_DRAM)
+            result = self.dram.load(line, chip, now, False)
             holders_map[line] = bit
         # --- insert at L1, cascading victims downward ------------------
         # L1 insert (MRU); the cascade below only runs on overflow.

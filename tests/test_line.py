@@ -1,47 +1,9 @@
-"""Tests for repro.mem.line (address arithmetic)."""
+"""Tests for repro.mem.line (address alignment)."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import AddressError
-from repro.mem.line import (align_up, iter_lines, line_addr, line_of,
-                            line_range, lines_spanned)
-
-
-class TestLineOf:
-    def test_first_line(self):
-        assert line_of(0, 64) == 0
-        assert line_of(63, 64) == 0
-
-    def test_second_line(self):
-        assert line_of(64, 64) == 1
-
-    def test_negative_address_rejected(self):
-        with pytest.raises(AddressError):
-            line_of(-1, 64)
-
-
-class TestLinesSpanned:
-    def test_within_one_line(self):
-        assert lines_spanned(0, 64, 64) == 1
-        assert lines_spanned(10, 20, 64) == 1
-
-    def test_straddles_boundary(self):
-        assert lines_spanned(60, 8, 64) == 2
-
-    def test_exact_multiple(self):
-        assert lines_spanned(0, 256, 64) == 4
-
-    def test_zero_bytes(self):
-        assert lines_spanned(100, 0, 64) == 0
-
-
-class TestLineRange:
-    def test_range_and_iter_agree(self):
-        first, count = line_range(100, 300, 64)
-        assert list(iter_lines(100, 300, 64)) == \
-            list(range(first, first + count))
+from repro.mem.line import align_up
 
 
 class TestAlignUp:
@@ -53,20 +15,6 @@ class TestAlignUp:
 
     def test_zero(self):
         assert align_up(0, 64) == 0
-
-
-@given(addr=st.integers(min_value=0, max_value=1 << 40),
-       nbytes=st.integers(min_value=1, max_value=1 << 20),
-       shift=st.sampled_from([6, 7, 9]))
-def test_spanned_covers_every_byte(addr, nbytes, shift):
-    """Every byte in [addr, addr+nbytes) falls in a spanned line."""
-    line_size = 1 << shift
-    first, count = line_range(addr, nbytes, line_size)
-    assert line_addr(first, line_size) <= addr
-    last_byte = addr + nbytes - 1
-    assert line_addr(first + count - 1, line_size) + line_size > last_byte
-    # Tight: one fewer line would not cover the range.
-    assert count == (last_byte // line_size) - (addr // line_size) + 1
 
 
 @given(addr=st.integers(min_value=0, max_value=1 << 30),

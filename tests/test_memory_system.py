@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.topology import LatencySpec, MachineSpec
-from repro.mem.system import (SRC_DRAM, SRC_L1, SRC_L2, SRC_L3, SRC_REMOTE,
-                              MemorySystem)
+from repro.mem.system import MemorySystem
 from repro.verify.reference import compare, shadow
 
 from tests.helpers import tiny_spec
@@ -27,20 +26,35 @@ def make(**overrides) -> MemorySystem:
 
 LINE = 64
 
+#: The per-core counters of the five places a load can be served from.
+SOURCES = ("l1_hits", "l2_hits", "l3_hits", "remote_hits", "dram_loads")
+
+
+def load_from(memory: MemorySystem, core: int, line: int):
+    """Load ``line`` on ``core``; return its latency and the one source
+    counter it advanced (by exactly one)."""
+    counters = memory.counters[core]
+    before = [getattr(counters, name) for name in SOURCES]
+    latency = memory.load(core, line * LINE, 0)
+    grew = [getattr(counters, name) - was
+            for name, was in zip(SOURCES, before)]
+    assert sorted(grew) == [0, 0, 0, 0, 1], grew
+    return latency, SOURCES[grew.index(1)]
+
 
 class TestLoadPath:
     def test_cold_load_comes_from_dram(self):
         memory = make()
-        latency, source = memory._load_line(0, 100, 0)
-        assert source == SRC_DRAM
+        latency, source = load_from(memory, 0, 100)
+        assert source == "dram_loads"
         assert latency >= memory.spec.latency.dram_base
         assert memory.counters[0].dram_loads == 1
 
     def test_second_load_hits_l1(self):
         memory = make()
         memory.load(0, 100 * LINE, 0)
-        latency, source = memory._load_line(0, 100, 0)
-        assert source == SRC_L1
+        latency, source = load_from(memory, 0, 100)
+        assert source == "l1_hits"
         assert latency == 3
 
     def test_l2_hit_after_l1_eviction(self):
@@ -49,8 +63,8 @@ class TestLoadPath:
         # Fill L1 (8 lines) to push line 0 into L2.
         for i in range(1, 9):
             memory.load(0, i * LINE, 0)
-        latency, source = memory._load_line(0, 0, 0)
-        assert source == SRC_L2
+        latency, source = load_from(memory, 0, 0)
+        assert source == "l2_hits"
         assert latency == 14
 
     def test_l3_hit_after_private_eviction(self):
@@ -59,22 +73,22 @@ class TestLoadPath:
         # Push line 0 through L1 (8) and L2 (32) into the chip L3.
         for i in range(1, 42):
             memory.load(0, i * LINE, 0)
-        latency, source = memory._load_line(0, 0, 0)
-        assert source == SRC_L3
+        latency, source = load_from(memory, 0, 0)
+        assert source == "l3_hits"
         assert latency == 75
 
     def test_remote_hit_from_other_core(self):
         memory = make()
         memory.load(1, 0, 0)            # core 1 caches line 0
-        latency, source = memory._load_line(0, 0, 0)
-        assert source == SRC_REMOTE
+        latency, source = load_from(memory, 0, 0)
+        assert source == "remote_hits"
         assert latency == 127           # same chip
 
     def test_remote_hit_cross_chip_costs_more(self):
         memory = make()
         memory.load(2, 0, 0)            # core 2 is on chip 1
-        latency, source = memory._load_line(0, 0, 0)
-        assert source == SRC_REMOTE
+        latency, source = load_from(memory, 0, 0)
+        assert source == "remote_hits"
         assert latency > 127
 
     def test_read_sharing_replicates(self):
@@ -227,13 +241,15 @@ class TestRemoteTieBreak:
 
 class TestMaintenance:
     def test_flush_all(self):
-        memory = make()
+        # Not shadowed: the reference model has no flush, so it would
+        # still serve line 0 from L2.
+        memory = MemorySystem(tiny_spec())
         for i in range(20):
             memory.load(0, i * LINE, 0)
         memory.flush_all()
         assert len(memory.directory) == 0
-        _, source = memory._load_line(0, 0, 0)
-        assert source == SRC_DRAM
+        _, source = load_from(memory, 0, 0)
+        assert source == "dram_loads"
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,7 @@ it catches a bug planted in code every memory path shares.
 import pytest
 
 from repro.cpu.topology import MachineSpec
-from repro.mem.interconnect import Interconnect
+from repro.mem.system import MemorySystem
 from repro.sim.engine import Simulator
 from repro.verify import InvariantChecker, check_case, generate_case
 from repro.verify.fuzz import (FuzzCase, build_machine, build_scheduler,
@@ -33,13 +33,19 @@ class TestReferenceDifferential:
         assert failure is None, str(failure)
 
     def test_catches_a_planted_invalidation_bug(self, monkeypatch):
-        # One extra cycle per invalidated copy: store() charges it on the
-        # only memory path there is, so nothing but an independent model
-        # can notice.
-        invalidate = Interconnect.invalidate_latency
-        monkeypatch.setattr(
-            Interconnect, "invalidate_latency",
-            lambda self, src, dst: invalidate(self, src, dst) + 1)
+        # One extra cycle per invalidated copy, planted in the
+        # invalidation rows the memory system builds: store() charges it
+        # on the only memory path there is, so nothing but a model that
+        # recomputes costs from the MachineSpec can notice.
+        init = MemorySystem.__init__
+
+        def planted(self, spec):
+            init(self, spec)
+            self._inval_rows = [
+                tuple((cost + 1, link) for cost, link in row)
+                for row in self._inval_rows]
+
+        monkeypatch.setattr(MemorySystem, "__init__", planted)
         kinds = [getattr(check_case(generate_case(seed)), "kind", None)
                  for seed in range(4)]
         assert "differential" in kinds
