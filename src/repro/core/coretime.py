@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.clustering import AffinityTracker
 from repro.core.monitor import Monitor
@@ -24,6 +24,7 @@ from repro.core.packing import get_policy, make_budgets
 from repro.core.policies import LfuReplacement, ReplicationPolicy
 from repro.core.rebalancer import Rebalancer
 from repro.errors import SchedulerError
+from repro.mem.counters import operation_misses
 from repro.obs.events import (ObjectAssigned, ObjectMoved, RebalanceRound,
                               SchedDecision)
 from repro.sched.base import SchedulerRuntime
@@ -122,8 +123,6 @@ class CoreTimeScheduler(SchedulerRuntime):
         #: owner -> bytes of budget currently charged to that owner.
         self._owner_bytes: Dict[str, int] = {}
         self.fairness_declines = 0
-        #: thread tid -> (object, origin core, migrations at ct_start).
-        self._op_ctx: Dict[int, Tuple[CtObject, int, int]] = {}
         self.assignments = 0
         self.declined_assignments = 0
         #: Event bus (None until bound with observability attached).
@@ -175,7 +174,6 @@ class CoreTimeScheduler(SchedulerRuntime):
         core.counters.busy_cycles += self.config.lookup_cost
         if self.affinity is not None:
             self.affinity.observe(thread.tid, obj)
-        self._op_ctx[thread.tid] = (obj, core.core_id, thread.migrations)
         cores = self.table.lookup(obj)
         if not cores:
             return None
@@ -192,17 +190,14 @@ class CoreTimeScheduler(SchedulerRuntime):
 
     def on_ct_end(self, thread: "SimThread", core: "Core",
                   now: int) -> Optional[int]:
-        ctx = self._op_ctx.pop(thread.tid, None)
         obj = thread.ct_object
         monitor = self.monitor
-        if ctx is not None and obj is not None and monitor is not None:
-            _, origin_core, migrations_at_start = ctx
-            ran_locally = (origin_core == core.core_id
-                           and thread.migrations == migrations_at_start)
-            if ran_locally and thread.ct_entry_snapshot is not None:
-                delta = core.counters.snapshot() - thread.ct_entry_snapshot
-                monitor.record_operation(
-                    obj, delta, now - thread.ct_started_at)
+        if obj is not None and monitor is not None:
+            if thread.ran_on(core.core_id):
+                expensive, loads = operation_misses(
+                    core.counters, thread.ct_entry_snapshot)
+                monitor.record_operation(obj, expensive, loads,
+                                         now - thread.ct_started_at)
             else:
                 monitor.record_use(obj)
         self._maybe_monitor(now)

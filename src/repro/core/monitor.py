@@ -8,21 +8,23 @@ overloaded cores and overpacked caches.
 
 :class:`Monitor` implements both halves against the simulated counters:
 
-* :meth:`record_operation` consumes the counter delta the engine measured
-  across one locally-executed operation and updates the object's
+* :meth:`record_operation` takes the expensive misses and loads that
+  CoreTime counted across one locally-executed operation
+  (:func:`repro.mem.counters.operation_misses`) and updates the object's
   statistics (op count, expensive misses, footprint estimate);
 * :meth:`tick` closes a monitoring window — decaying per-object heat and
-  producing one :class:`CoreLoad` per core for the rebalancer.
+  producing one :class:`CoreLoad` per core for the rebalancer, from
+  counter snapshots (plain tuples) taken at each window's edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.object_table import CtObject
 from repro.cpu.machine import Machine
-from repro.mem.counters import CounterDelta, CounterSnapshot
+from repro.mem.counters import IDX_DRAM, IDX_IDLE, IDX_L2, IDX_OPS
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class Monitor:
         self.heat_decay = heat_decay
         #: Every object ever observed (assigned or not).
         self.tracked: Dict[int, CtObject] = {}
-        self._window_start: List[CounterSnapshot] = [
+        self._window_start: List[Tuple[int, ...]] = [
             bank.snapshot() for bank in machine.memory.counters]
         self._window_started_at = 0
         self.windows_closed = 0
@@ -55,16 +57,16 @@ class Monitor:
     # per-operation measurement
     # ------------------------------------------------------------------
 
-    def record_operation(self, obj: CtObject, delta: CounterDelta,
+    def record_operation(self, obj: CtObject, expensive: int, loads: int,
                          cycles: int) -> None:
         """Attribute one locally-executed operation's misses to ``obj``.
 
-        "Expensive" misses are those served beyond the chip's caches —
-        remote fetches and DRAM loads — since those are what migration can
-        beat (§4: migration pays off only against DRAM/remote fetch cost).
+        ``expensive`` counts the operation's misses served beyond the
+        chip's caches — remote fetches and DRAM loads — since those are
+        what migration can beat (§4: migration pays off only against
+        DRAM/remote fetch cost); ``loads`` counts all its line loads.
         """
         self.tracked.setdefault(obj.oid, obj)
-        expensive = delta.remote_hits + delta.dram_loads
         obj.ops += 1
         obj.window_ops += 1
         obj.expensive_misses += expensive
@@ -72,8 +74,8 @@ class Monitor:
         obj.op_cycles += cycles
         # Footprint estimate: an operation that touches N lines bounds the
         # object's active size from below.
-        if delta.loads > obj.measured_footprint_lines:
-            obj.measured_footprint_lines = delta.loads
+        if loads > obj.measured_footprint_lines:
+            obj.measured_footprint_lines = loads
         self.operations_recorded += 1
 
     def record_use(self, obj: CtObject) -> None:
@@ -106,13 +108,13 @@ class Monitor:
         machine = self.machine
         loads: List[CoreLoad] = []
         window = max(1, now - self._window_started_at)
-        new_start: List[CounterSnapshot] = []
+        new_start: List[Tuple[int, ...]] = []
         for core_id, bank in enumerate(machine.memory.counters):
             snapshot = bank.snapshot()
-            delta = snapshot - self._window_start[core_id]
+            start = self._window_start[core_id]
             # A core idle right now has un-accounted idle time since
             # idle_since; include it so fully-idle cores read as idle.
-            idle = delta.idle_cycles
+            idle = snapshot[IDX_IDLE] - start[IDX_IDLE]
             core = machine.cores[core_id]
             if core.idle_since is not None and now > core.idle_since:
                 idle += now - max(core.idle_since, self._window_started_at)
@@ -121,9 +123,9 @@ class Monitor:
                 core_id=core_id,
                 window_cycles=window,
                 idle_frac=idle_frac,
-                dram_loads=delta.dram_loads,
-                l2_hits=delta.l2_hits,
-                ops=delta.ops_completed,
+                dram_loads=snapshot[IDX_DRAM] - start[IDX_DRAM],
+                l2_hits=snapshot[IDX_L2] - start[IDX_L2],
+                ops=snapshot[IDX_OPS] - start[IDX_OPS],
             ))
             new_start.append(snapshot)
         self._window_start = new_start

@@ -1,8 +1,7 @@
 """Simulated memory hierarchy: caches, coherence, interconnect, DRAM."""
 
 from repro.mem.cache import LRUCache
-from repro.mem.counters import (COUNTER_FIELDS, CoreCounters, CounterDelta,
-                                CounterSnapshot, aggregate)
+from repro.mem.counters import COUNTER_FIELDS, CoreCounters, aggregate
 from repro.mem.dram import Dram, MemoryController
 from repro.mem.interconnect import Interconnect
 from repro.mem.layout import AddressSpace, Region
@@ -14,8 +13,6 @@ __all__ = [
     "AddressSpace",
     "COUNTER_FIELDS",
     "CoreCounters",
-    "CounterDelta",
-    "CounterSnapshot",
     "Dram",
     "Interconnect",
     "LRUCache",

@@ -65,9 +65,6 @@ class LRUCache:
         """Lines in LRU-to-MRU order."""
         return iter(self._lines)
 
-    def clear(self) -> None:
-        self._lines.clear()
-
 
 class PrivateStack:
     """One core's exclusive L1 and L2 as a single LRU recency stack.
@@ -133,11 +130,6 @@ class PrivateStack:
         self.where.update(zip(live, range(len(live))))
         self.low = 0
 
-    def clear(self) -> None:
-        self.where.clear()
-        self.slots.clear()
-        self.edge = self.low = self.n1 = self.n2 = 0
-
 
 class StackLevel:
     """L1 (``upper``) or L2 of a :class:`PrivateStack`, with the
@@ -173,7 +165,3 @@ class StackLevel:
         span = (stack.slots[stack.edge:] if self.upper
                 else stack.slots[stack.low:stack.edge])
         return (line for line in span if line is not None)
-
-    def clear(self) -> None:
-        for line in list(self.lines()):
-            self.stack.drop(line)

@@ -4,16 +4,20 @@ CoreTime's runtime decisions are driven entirely by event counters (§4,
 "Runtime monitoring"): per-object cache-miss counts decide which objects
 are expensive to fetch, and per-core idle-cycle / DRAM-load / L2-load
 counts decide when to rebalance.  :class:`CoreCounters` is the per-core
-counter bank the memory system and engine update on the hot path, and
-:class:`CounterSnapshot` supports the delta arithmetic the monitor uses
-("misses between a pair of CoreTime annotations").
+counter bank the memory system and engine update on the hot path.  A
+snapshot of it is a plain tuple in :data:`COUNTER_FIELDS` order.  This
+module alone maps counter names to positions in that tuple and says
+which counters make up an operation's loads and expensive misses
+(:func:`operation_misses`), so "the misses between a pair of CoreTime
+annotations" is integer arithmetic on the entry snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-#: Counter names in a fixed order (snapshot/delta rely on it).
+#: Counter names in a fixed order: a snapshot's positions.  The five
+#: line-load sources come first, nearest level first.
 COUNTER_FIELDS = (
     "l1_hits",
     "l2_hits",
@@ -32,6 +36,14 @@ COUNTER_FIELDS = (
     "ops_completed",
 )
 
+#: Positions in a snapshot of the counters read from one by index.
+IDX_L2 = COUNTER_FIELDS.index("l2_hits")
+IDX_REMOTE = COUNTER_FIELDS.index("remote_hits")
+IDX_DRAM = COUNTER_FIELDS.index("dram_loads")
+IDX_IDLE = COUNTER_FIELDS.index("idle_cycles")
+IDX_MEM = COUNTER_FIELDS.index("mem_cycles")
+IDX_OPS = COUNTER_FIELDS.index("ops_completed")
+
 
 class CoreCounters:
     """Event counters for one core.  All fields are monotonically
@@ -44,86 +56,37 @@ class CoreCounters:
         for field in COUNTER_FIELDS:
             setattr(self, field, 0)
 
-    # -- derived -----------------------------------------------------------
-
-    @property
-    def loads(self) -> int:
-        """Total line loads observed by this core."""
-        return (self.l1_hits + self.l2_hits + self.l3_hits
-                + self.remote_hits + self.dram_loads)
-
-    @property
-    def l1_misses(self) -> int:
-        """Loads that missed the L1 (the paper's per-object miss signal)."""
-        return self.loads - self.l1_hits
-
-    @property
-    def offcore_loads(self) -> int:
-        """Loads served beyond the core's private caches."""
-        return self.l3_hits + self.remote_hits + self.dram_loads
-
-    def snapshot(self) -> "CounterSnapshot":
+    def snapshot(self) -> Tuple[int, ...]:
         # Tuple literal in COUNTER_FIELDS order (tests pin the
         # correspondence); every ct_start takes a snapshot, so this path
         # avoids the genexpr/getattr machinery of the generic form.
-        return CounterSnapshot((
+        return (
             self.l1_hits, self.l2_hits, self.l3_hits, self.remote_hits,
             self.dram_loads, self.stores, self.invalidations,
             self.lock_acquires, self.lock_spins, self.migrations_in,
             self.migrations_out, self.idle_cycles, self.busy_cycles,
-            self.mem_cycles, self.ops_completed))
-
-    def as_dict(self) -> Dict[str, int]:
-        return {field: getattr(self, field) for field in COUNTER_FIELDS}
-
-    def reset(self) -> None:
-        for field in COUNTER_FIELDS:
-            setattr(self, field, 0)
+            self.mem_cycles, self.ops_completed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        busy = self.busy_cycles
-        return (f"CoreCounters(core={self.core_id}, loads={self.loads}, "
+        return (f"CoreCounters(core={self.core_id}, "
                 f"dram={self.dram_loads}, idle={self.idle_cycles}, "
-                f"busy={busy})")
+                f"busy={self.busy_cycles})")
 
 
-class CounterSnapshot:
-    """Immutable copy of a counter bank, supporting subtraction."""
+def operation_misses(bank: CoreCounters,
+                     entry: Tuple[int, ...]) -> Tuple[int, int]:
+    """``(expensive misses, loads)`` counted by ``bank`` since ``entry``,
+    a snapshot of it.
 
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple) -> None:
-        self.values = values
-
-    def __getattr__(self, name: str) -> int:
-        try:
-            return self.values[COUNTER_FIELDS.index(name)]
-        except ValueError:
-            raise AttributeError(name) from None
-
-    def __sub__(self, older: "CounterSnapshot") -> "CounterDelta":
-        return CounterDelta(tuple(
-            new - old for new, old in zip(self.values, older.values)))
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(zip(COUNTER_FIELDS, self.values))
-
-
-class CounterDelta(CounterSnapshot):
-    """Difference between two snapshots of the same counter bank."""
-
-    @property
-    def loads(self) -> int:
-        return (self.l1_hits + self.l2_hits + self.l3_hits
-                + self.remote_hits + self.dram_loads)
-
-    @property
-    def l1_misses(self) -> int:
-        return self.loads - self.l1_hits
-
-    @property
-    def offcore_loads(self) -> int:
-        return self.l3_hits + self.remote_hits + self.dram_loads
+    An operation's loads are its line loads from every source level;
+    its expensive misses are those served beyond the chip's caches —
+    remote fetches and DRAM loads — since those are what migration can
+    beat (§4).
+    """
+    l1, l2, l3, remote, dram = entry[:5]
+    expensive = bank.remote_hits - remote + bank.dram_loads - dram
+    return expensive, (expensive + bank.l1_hits - l1 + bank.l2_hits - l2
+                       + bank.l3_hits - l3)
 
 
 def aggregate(banks: List[CoreCounters]) -> Dict[str, int]:

@@ -77,18 +77,6 @@ class MemoryController:
         self.queued_cycles += queue_delay
         return queue_delay + transfer_latency
 
-    def utilisation(self, horizon: int) -> float:
-        """Fraction of ``horizon`` cycles the controller was transferring."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.lines_served * self.occupancy / horizon)
-
-    def reset(self) -> None:
-        self.clock = 0
-        self.demand = 0.0
-        self.lines_served = 0
-        self.queued_cycles = 0
-
 
 class Dram:
     """All memory controllers plus the home-bank mapping.
@@ -136,7 +124,3 @@ class Dram:
     @property
     def total_queued_cycles(self) -> int:
         return sum(c.queued_cycles for c in self.controllers)
-
-    def reset(self) -> None:
-        for controller in self.controllers:
-            controller.reset()

@@ -58,8 +58,3 @@ class Interconnect:
         """All messages that crossed chip boundaries."""
         return (self.total_transfers + self.total_invalidations
                 + self.total_context_lines)
-
-    def reset(self) -> None:
-        self.transfers.clear()
-        self.invalidations.clear()
-        self.context_transfers.clear()

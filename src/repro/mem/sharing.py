@@ -67,10 +67,5 @@ class SharingDirectory:
         return ((line, frozenset(holder_ids(mask)))
                 for line, mask in self._holders.items())
 
-    def clear(self) -> None:
-        """Forget every holder, in place (keeps the dict's identity — the
-        memory system's hot path holds a direct reference to it)."""
-        self._holders.clear()
-
     def __len__(self) -> int:
         return len(self._holders)

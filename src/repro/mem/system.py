@@ -43,7 +43,8 @@ method calls.
 
 Each memory cost has one owner.  Chip-to-chip costs come from rows this
 class builds once from the hop distance: a remote read takes its cost
-and the link it counts on from the ring that serves it, and
+and the link it counts on from the ring that serves it (every read from
+another chip counts on its link, a streamed one in a scan included), and
 :meth:`store` reads one (cost, link) entry per invalidated holder from
 its chip's invalidation row; :class:`~repro.mem.interconnect.Interconnect`
 only counts the messages.  A DRAM fetch is one
@@ -99,9 +100,8 @@ class MemorySystem:
         self._holder_chip: List[int] = (
             [spec.chip_of(c) for c in range(n_cores)]
             + list(range(spec.n_chips)))
-        #: The directory's raw line -> holder-mask dict.  Shared identity
-        #: with ``self.directory._holders`` for the lifetime of the
-        #: system (``flush_all`` clears it in place).
+        #: The directory's raw line -> holder-mask dict, the same object
+        #: as ``self.directory._holders`` for the lifetime of the system.
         self._holders = self.directory._holders
         #: Per requesting chip, its rings: one (holder mask, remote cost,
         #: stream cost, link keys) per hop distance, nearest first.  A
@@ -366,18 +366,19 @@ class MemorySystem:
                 stream_run = False
             elif mask:
                 # Served by the first ring holding a copy: the nearest
-                # holders, and among them the lowest id.
+                # holders, and among them the lowest id.  A line from
+                # another chip counts on its link, streamed or not.
                 for ring, cost, stream, links in rings:
                     if mask & ring:
                         break
                 cr += 1
+                if links is not None:
+                    near = mask & ring
+                    key = links[(near & -near).bit_length() - 1]
+                    transfers[key] = transfers.get(key, 0) + 1
                 if stream_run:
                     total += stream + per_line_compute
                 else:
-                    if links is not None:
-                        near = mask & ring
-                        key = links[(near & -near).bit_length() - 1]
-                        transfers[key] = transfers.get(key, 0) + 1
                     total += cost + per_line_compute
                 stream_run = True
                 holders_map[line] = mask | bit
@@ -577,14 +578,3 @@ class MemorySystem:
             bus.publish(CacheEvicted(now, core_id, "L3", victim3,
                                      self.op_obj[core_id]))
         return result
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-
-    def flush_all(self) -> None:
-        for cache in self.stacks + self.l3s:
-            cache.clear()
-        # Clear in place: the hot path holds a reference to the
-        # directory's holder dict, so the directory object must survive.
-        self.directory.clear()

@@ -80,8 +80,12 @@ class SchedulerRuntime(abc.ABC):
                   now: int) -> Optional[int]:
         """Optionally migrate the thread after an operation completes.
 
-        Called while the thread's ``ct_object``/``ct_entry_snapshot`` are
-        still set so runtimes can account the finished operation.
+        Called while the thread's operation state (``ct_object``, the
+        entry snapshot ``ct_entry_snapshot``, a tuple in
+        :data:`~repro.mem.counters.COUNTER_FIELDS` order) is still set,
+        so runtimes can account the finished operation; a delta of
+        ``core.counters`` against the snapshot is the operation's own
+        only if ``thread.ran_on(core.core_id)``.
         """
         return None
 

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.cpu.core import Core
 from repro.cpu.machine import Machine
 from repro.errors import DeadlockError, SimulationError
-from repro.mem.counters import COUNTER_FIELDS, aggregate
+from repro.mem.counters import IDX_DRAM, IDX_MEM, IDX_REMOTE, aggregate
 from repro.obs import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
                        QUEUE_DEPTH_BUCKETS, HistogramSummary,
                        LockContended, MigrationStarted, Observability,
@@ -60,13 +60,6 @@ def set_default_checker(factory: Optional[Callable[[], Any]]) -> None:
     subsequently constructed :class:`Simulator`."""
     global _default_checker_factory
     _default_checker_factory = factory
-
-# Tuple indices into CounterSnapshot.values for the per-operation
-# attribution deltas published on OperationFinished (tuple indexing beats
-# the snapshot's name-lookup __getattr__ on the obs-enabled hot path).
-_IDX_REMOTE = COUNTER_FIELDS.index("remote_hits")
-_IDX_DRAM = COUNTER_FIELDS.index("dram_loads")
-_IDX_MEM = COUNTER_FIELDS.index("mem_cycles")
 
 
 @dataclass
@@ -537,10 +530,7 @@ class Simulator:
     def _ct_start(self, core: Core, thread: SimThread, obj: Any) -> None:
         snapshot = core.counters.snapshot()
         target = self.scheduler.on_ct_start(thread, obj, core, core.time)
-        thread.begin_operation(obj, snapshot, core.time)
-        thread.ct_entry_core = core.core_id
-        thread.ct_entry_migrations = thread.migrations
-        thread.ct_entry_spin = thread.spin_cycles
+        thread.begin_operation(obj, core.core_id, snapshot, core.time)
         thread.pending = None
         name = None
         bus = self._bus
@@ -566,19 +556,16 @@ class Simulator:
         bus = self._bus
         finished = None
         if bus is not None and bus.wants(OperationFinished):
-            # Attribution deltas are only meaningful when the whole
-            # operation ran on the entry core; after a mid-operation
-            # migration the entry snapshot belongs to another counter
-            # bank and the fields stay None.
+            # Attribution deltas exist only for an operation that ran
+            # on its entry core (``SimThread.ran_on``); after a
+            # mid-operation migration the fields stay None.
             dram = remote = mem_stall = spin = None
-            snap = thread.ct_entry_snapshot
-            if (snap is not None and thread.ct_entry_core == core.core_id
-                    and thread.ct_entry_migrations == thread.migrations):
-                values = snap.values
+            if thread.ran_on(core.core_id):
+                entry = thread.ct_entry_snapshot
                 counters = core.counters
-                dram = counters.dram_loads - values[_IDX_DRAM]
-                remote = counters.remote_hits - values[_IDX_REMOTE]
-                mem_stall = counters.mem_cycles - values[_IDX_MEM]
+                dram = counters.dram_loads - entry[IDX_DRAM]
+                remote = counters.remote_hits - entry[IDX_REMOTE]
+                mem_stall = counters.mem_cycles - entry[IDX_MEM]
                 spin = thread.spin_cycles - thread.ct_entry_spin
             finished = OperationFinished(
                 core.time, core.core_id, thread.name,

@@ -61,14 +61,15 @@ class SimThread:
         self.arrive_at: Optional[int] = None
         #: CoreTime bookkeeping: the object of the operation in progress.
         self.ct_object = None
-        #: Counter snapshot taken at ct_start for per-object miss deltas.
+        #: Counter snapshot (a tuple) taken at ct_start for per-object
+        #: miss deltas.
         self.ct_entry_snapshot = None
         self.ct_started_at = 0
         #: Where the operation started, and the thread's migration count
-        #: and spin-cycle total at that moment — the engine uses these to
-        #: decide whether the per-operation counter delta is valid (the
-        #: thread may have migrated mid-operation) and to measure spin
-        #: cycles attributable to the operation.
+        #: and spin-cycle total at that moment: :meth:`ran_on` decides
+        #: from them whether a per-operation counter delta is valid (the
+        #: thread may have migrated mid-operation), and the engine
+        #: measures the spin cycles attributable to the operation.
         self.ct_entry_core: Optional[int] = None
         self.ct_entry_migrations = 0
         self.ct_entry_spin = 0
@@ -108,15 +109,27 @@ class SimThread:
             raise SimulationError(f"advancing finished thread {self.name}")
         return next(self.program)
 
-    def begin_operation(self, obj: Any, snapshot: Any, now: int) -> None:
+    def begin_operation(self, obj: Any, core_id: int, snapshot: Any,
+                        now: int) -> None:
         if self.ct_object is not None:
             raise SimulationError(
                 f"thread {self.name}: nested ct_start on {obj!r} while "
                 f"operating on {self.ct_object!r} (CoreTime operations "
                 f"do not nest)")
         self.ct_object = obj
+        self.ct_entry_core = core_id
         self.ct_entry_snapshot = snapshot
+        self.ct_entry_migrations = self.migrations
+        self.ct_entry_spin = self.spin_cycles
         self.ct_started_at = now
+
+    def ran_on(self, core_id: int) -> bool:
+        """Has the operation in progress run from its ``ct_start`` on
+        ``core_id`` without migrating?  Only then is a delta of that
+        core's counters against ``ct_entry_snapshot`` the operation's
+        own: after a migration the snapshot belongs to another bank."""
+        return (self.ct_entry_core == core_id
+                and self.ct_entry_migrations == self.migrations)
 
     def end_operation(self) -> Any:
         if self.ct_object is None:

@@ -147,7 +147,7 @@ class InvariantChecker:
         self._inflight.clear()
         # Baselines: the checker verifies *deltas*, so an invariant-laden
         # machine reused across simulators starts clean each time.
-        self._base_values = [bank.snapshot().values
+        self._base_values = [bank.snapshot()
                              for bank in sim.memory.counters]
         self._base_agg = {
             field: sum(values[index] for values in self._base_values)
@@ -397,7 +397,7 @@ class InvariantChecker:
     def _check_counters(self, now: int) -> None:
         banks = self.memory.counters
         for bank, base in zip(banks, self._base_values):
-            values = bank.snapshot().values
+            values = bank.snapshot()
             for index, field in enumerate(COUNTER_FIELDS):
                 if values[index] < 0:
                     self._fail("counters",

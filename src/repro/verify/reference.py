@@ -174,8 +174,8 @@ class ReferenceMemory:
                     latency = lat.remote_stream + lat.remote_hop * hops // 3
                 else:
                     latency = lat.remote_same_chip + lat.remote_hop * hops
-                    if hops:
-                        count(self.transfers, server_chip, chip)
+                if hops:
+                    count(self.transfers, server_chip, chip)
                 source = "remote"
             else:
                 latency, source = self.dram(line, chip, now, streaming), "dram"

@@ -62,11 +62,6 @@ class TestLRUCache:
         cache = l1_after(1, 2, 3, 1, capacity=3)
         assert list(cache.lines()) == [2, 3, 1]
 
-    def test_clear(self):
-        cache = l1_after(1)
-        cache.clear()
-        assert len(cache) == 0
-
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigError):
             LRUCache(0)

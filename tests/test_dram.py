@@ -54,20 +54,6 @@ class TestMemoryController:
         controller.service(1, 10)
         assert controller.lines_served == 2
 
-    def test_utilisation(self):
-        controller = MemoryController(0, occupancy=8)
-        for t in range(0, 800, 8):
-            controller.service(t, 0)
-        assert 0.5 < controller.utilisation(800) <= 1.0
-        assert controller.utilisation(0) == 0.0
-
-    def test_reset(self):
-        controller = MemoryController(0, occupancy=8)
-        controller.service(0, 10)
-        controller.reset()
-        assert controller.lines_served == 0
-        assert controller.demand == 0.0
-
 
 class TestDram:
     def test_lines_interleave_across_banks(self):
@@ -77,18 +63,19 @@ class TestDram:
         assert [c.lines_served for c in dram.controllers] == [2, 2, 2, 2]
 
     def test_stream_cheaper_than_random(self):
-        dram = Dram(spec())
+        # Fresh models each, so both fetches meet an idle controller.
         line = 0  # bank 0
-        random_cost = dram.load(line, from_chip=0, now=0, sequential=False)
-        dram.reset()
-        stream_cost = dram.load(line, from_chip=0, now=0, sequential=True)
+        random_cost = Dram(spec()).load(line, from_chip=0, now=0,
+                                        sequential=False)
+        stream_cost = Dram(spec()).load(line, from_chip=0, now=0,
+                                        sequential=True)
         assert stream_cost < random_cost
 
     def test_distance_penalty(self):
-        dram = Dram(spec())
-        near = dram.load(0, from_chip=0, now=0, sequential=False)  # bank 0
-        dram.reset()
-        far = dram.load(3, from_chip=0, now=0, sequential=False)   # bank 3
+        near = Dram(spec()).load(0, from_chip=0, now=0,
+                                 sequential=False)  # bank 0
+        far = Dram(spec()).load(3, from_chip=0, now=0,
+                                sequential=False)   # bank 3
         assert far > near
 
     def test_most_distant_access_is_paper_336(self):

@@ -67,7 +67,7 @@ class TestBasics:
             yield Scan(0, 64 * 6)
         sim.spawn(program(), core_id=0)
         result = sim.run(until=1_000_000)
-        assert sim.machine.memory.counters[0].loads == 6
+        assert sim.machine.memory.counters[0].dram_loads == 6
         assert result.steps == 1
 
     def test_round_robin_placement(self):
@@ -360,7 +360,7 @@ class TestDeterminismAndTracing:
                 sim.spawn(program(core), core_id=core)
             sim.run(until=100_000)
             return [core.time for core in sim.machine.cores], \
-                sim.machine.memory.counters[0].as_dict()
+                sim.machine.memory.counters[0].snapshot()
         assert build() == build()
 
     def test_tracer_records_lifecycle(self):
@@ -423,8 +423,7 @@ class TestRunBoundaries:
                                   sliced.machine.cores):
             assert core_a.time == core_b.time
             assert core_a.steps == core_b.steps
-            assert (core_a.counters.snapshot().values
-                    == core_b.counters.snapshot().values)
+            assert core_a.counters.snapshot() == core_b.counters.snapshot()
 
     def test_finite_programs_drain_the_heap(self):
         def finite(n):

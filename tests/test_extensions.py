@@ -108,11 +108,9 @@ class TestHeterogeneousCores:
 
     def test_memory_latency_not_scaled(self):
         spec = tiny_spec(core_speeds=(4.0, 1.0, 1.0, 1.0))
-        machine = Machine(spec)
         # Memory costs are fabric properties: identical on both cores.
-        fast = machine.memory.load(0, 0, 0)
-        machine.memory.flush_all()
-        slow = machine.memory.load(1, 0, 0)
+        fast = Machine(spec).memory.load(0, 0, 0)
+        slow = Machine(spec).memory.load(1, 0, 0)
         assert fast == slow
 
     def test_heterogeneous_end_to_end(self):

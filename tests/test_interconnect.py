@@ -62,11 +62,3 @@ class TestTraffic:
         assert memory.interconnect.invalidations == {(0, 3): 1}
         # Core 12's read of core 0's copy crossed chips too.
         assert memory.interconnect.cross_chip_messages() == 2
-
-    def test_reset(self):
-        memory = make()
-        remote_read(memory, holder=4)
-        invalidate(memory, holder=12, line=1)
-        assert memory.interconnect.cross_chip_messages() > 0
-        memory.interconnect.reset()
-        assert memory.interconnect.cross_chip_messages() == 0

@@ -172,12 +172,14 @@ class TestScan:
     def test_scan_touches_every_line(self):
         memory = make()
         memory.scan(0, 0, 5 * LINE, 0)
-        assert memory.counters[0].loads == 5
+        assert sum(getattr(memory.counters[0], name)
+                   for name in SOURCES) == 5
 
     def test_scan_partial_line_counts_once(self):
         memory = make()
         memory.scan(0, 0, 1, 0)
-        assert memory.counters[0].loads == 1
+        assert sum(getattr(memory.counters[0], name)
+                   for name in SOURCES) == 1
 
     def test_scan_zero_bytes(self):
         memory = make()
@@ -204,6 +206,29 @@ class TestScan:
         assert warm == 4 * memory.spec.latency.l1
 
 
+def traffic_since(memory: MemorySystem, before: dict) -> dict:
+    """The line transfers counted on each link since the ledger read
+    ``before``."""
+    now = memory.interconnect.transfers
+    return {key: count - before.get(key, 0) for key, count in now.items()
+            if count != before.get(key, 0)}
+
+
+class TestCrossChipScan:
+    def test_every_streamed_remote_line_counts_on_its_link(self):
+        """A scan's remote lines after the first are charged the stream
+        cost, but each still crosses chips (scaled(8): cores 0-3 on chip
+        0, cores 4-7 on chip 1)."""
+        memory = MemorySystem(MachineSpec.scaled(8))
+        shadow(memory)
+        memory.scan(4, 0, 8 * LINE, 0)
+        before = dict(memory.interconnect.transfers)
+        memory.scan(0, 0, 8 * LINE, 0)
+        compare(memory)
+        assert memory.counters[0].remote_hits == 8
+        assert traffic_since(memory, before) == {(1, 0): 8}
+
+
 class TestRemoteTieBreak:
     """A remote read is served by the nearest holder, and among equally
     near holders by the lowest holder id — whatever order the holders
@@ -212,44 +237,31 @@ class TestRemoteTieBreak:
 
     @staticmethod
     def read(via, holders, reader):
+        """Return the memory system, the reader's latency and the links
+        its read counted on."""
         memory = MemorySystem(MachineSpec.scaled(8))
-        model = shadow(memory)
+        shadow(memory)
         for core in holders:
             memory.load(core, 0, 0)
-        # Count only the reader's traffic, on both sides.
-        memory.interconnect.reset()
-        model.transfers.clear()
+        before = dict(memory.interconnect.transfers)
         if via == "load":
             latency = memory.load(reader, 0, 0)
         else:
             latency = memory.scan(reader, 0, LINE, 0)
         compare(memory)
-        return memory, latency
+        return memory, latency, traffic_since(memory, before)
 
     @pytest.mark.parametrize("via", ["load", "scan"])
     def test_lowest_id_serves_among_equally_near(self, via):
-        memory, _ = self.read(via, (9, 5), 12)
-        assert memory.interconnect.transfers == {(1, 3): 1}
+        _, _, traffic = self.read(via, (9, 5), 12)
+        assert traffic == {(1, 3): 1}
 
     @pytest.mark.parametrize("via", ["load", "scan"])
     def test_distance_beats_id(self, via):
-        memory, latency = self.read(via, (0, 13), 14)
-        assert memory.interconnect.transfers == {}
+        memory, latency, traffic = self.read(via, (0, 13), 14)
+        assert traffic == {}
         assert memory.counters[14].remote_hits == 1
         assert latency == memory.spec.latency.remote_same_chip
-
-
-class TestMaintenance:
-    def test_flush_all(self):
-        # Not shadowed: the reference model has no flush, so it would
-        # still serve line 0 from L2.
-        memory = MemorySystem(tiny_spec())
-        for i in range(20):
-            memory.load(0, i * LINE, 0)
-        memory.flush_all()
-        assert len(memory.directory) == 0
-        _, source = load_from(memory, 0, 0)
-        assert source == "dram_loads"
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,7 +3,7 @@
 from repro.core.monitor import Monitor
 from repro.core.object_table import CtObject
 from repro.cpu.machine import Machine
-from repro.mem.counters import CounterDelta, COUNTER_FIELDS
+from repro.mem.counters import CoreCounters, operation_misses
 
 from tests.helpers import tiny_spec
 
@@ -12,16 +12,21 @@ def make_monitor(decay=0.5):
     return Monitor(Machine(tiny_spec()), heat_decay=decay)
 
 
-def delta(**fields) -> CounterDelta:
-    values = tuple(fields.get(name, 0) for name in COUNTER_FIELDS)
-    return CounterDelta(values)
+def counted(**advance):
+    """(expensive, loads) of an operation during which a counter bank
+    advanced by ``advance``, as CoreTime counts them."""
+    bank = CoreCounters(0)
+    entry = bank.snapshot()
+    for name, count in advance.items():
+        setattr(bank, name, count)
+    return operation_misses(bank, entry)
 
 
 class TestRecordOperation:
     def test_attributes_expensive_misses(self):
         monitor = make_monitor()
         obj = CtObject("o", 0, 4096)
-        monitor.record_operation(obj, delta(remote_hits=3, dram_loads=5),
+        monitor.record_operation(obj, *counted(remote_hits=3, dram_loads=5),
                                  cycles=100)
         assert obj.ops == 1
         assert obj.expensive_misses == 8
@@ -31,15 +36,16 @@ class TestRecordOperation:
     def test_l1_l2_hits_are_not_expensive(self):
         monitor = make_monitor()
         obj = CtObject("o", 0, 4096)
-        monitor.record_operation(obj, delta(l1_hits=50, l2_hits=20),
+        monitor.record_operation(obj, *counted(l1_hits=50, l2_hits=20),
                                  cycles=10)
         assert obj.expensive_misses == 0
+        assert obj.measured_footprint_lines == 70
 
     def test_footprint_estimate_is_max_of_op_loads(self):
         monitor = make_monitor()
         obj = CtObject("o", 0, 0)
-        monitor.record_operation(obj, delta(l1_hits=30), 10)
-        monitor.record_operation(obj, delta(l1_hits=10), 10)
+        monitor.record_operation(obj, 0, 30, 10)
+        monitor.record_operation(obj, 0, 10, 10)
         assert obj.measured_footprint_lines == 30
 
     def test_record_use_counts_without_misses(self):
@@ -55,17 +61,17 @@ class TestIsExpensive:
     def test_needs_min_samples(self):
         monitor = make_monitor()
         obj = CtObject("o", 0, 4096)
-        monitor.record_operation(obj, delta(dram_loads=100), 10)
+        monitor.record_operation(obj, 100, 100, 10)
         assert not monitor.is_expensive(obj, miss_threshold=8,
                                         min_samples=2)
-        monitor.record_operation(obj, delta(dram_loads=100), 10)
+        monitor.record_operation(obj, 100, 100, 10)
         assert monitor.is_expensive(obj, miss_threshold=8, min_samples=2)
 
     def test_threshold(self):
         monitor = make_monitor()
         obj = CtObject("o", 0, 4096)
         for _ in range(4):
-            monitor.record_operation(obj, delta(dram_loads=4), 10)
+            monitor.record_operation(obj, 4, 4, 10)
         assert monitor.is_expensive(obj, miss_threshold=4, min_samples=2)
         assert not monitor.is_expensive(obj, miss_threshold=5,
                                         min_samples=2)
@@ -75,13 +81,13 @@ class TestIsExpensive:
         windows — the paper's plateau region depends on it."""
         monitor = make_monitor(decay=0.5)
         obj = CtObject("o", 0, 4096)
-        monitor.record_operation(obj, delta(dram_loads=64), 10)
-        monitor.record_operation(obj, delta(dram_loads=64), 10)
+        monitor.record_operation(obj, 64, 64, 10)
+        monitor.record_operation(obj, 64, 64, 10)
         assert monitor.is_expensive(obj, 8, 2)
         # Quiet windows: plenty of ops, no misses.
         for window in range(4):
             for _ in range(10):
-                monitor.record_operation(obj, delta(l1_hits=64), 10)
+                monitor.record_operation(obj, 0, 64, 10)
             monitor.tick((window + 1) * 1000)
         assert not monitor.is_expensive(obj, 8, 2)
 
@@ -104,7 +110,7 @@ class TestTick:
         obj = CtObject("o", 0, 4096)
         for window in range(8):
             monitor.tick(window * 1000 + 1)
-            monitor.record_operation(obj, delta(dram_loads=20), 10)
+            monitor.record_operation(obj, 20, 20, 10)
         # Checked before the next tick (as the runtime does): the carry
         # converges to decay/(1-decay) on top of the current window's op.
         assert 1.9 < obj.window_ops < 2.0
@@ -121,12 +127,17 @@ class TestTick:
     def test_core_loads_window_ops(self):
         machine = Machine(tiny_spec())
         monitor = Monitor(machine)
-        machine.memory.counters[2].ops_completed = 7
+        bank = machine.memory.counters[2]
+        bank.ops_completed = 7
+        bank.dram_loads = 5
+        bank.l2_hits = 3
         loads = monitor.tick(1000)
-        assert loads[2].ops == 7
+        assert (loads[2].ops, loads[2].dram_loads, loads[2].l2_hits) == \
+            (7, 5, 3)
         # Next window starts fresh.
         loads = monitor.tick(2000)
-        assert loads[2].ops == 0
+        assert (loads[2].ops, loads[2].dram_loads, loads[2].l2_hits) == \
+            (0, 0, 0)
 
     def test_windows_closed_counter(self):
         monitor = make_monitor()

@@ -43,17 +43,27 @@ class TestSimThread:
 
     def test_operation_bracketing(self):
         thread = SimThread(dummy_program())
-        thread.begin_operation("obj", None, 5)
+        thread.begin_operation("obj", 0, None, 5)
         assert thread.in_operation
         assert thread.end_operation() == "obj"
         assert thread.ops_completed == 1
         assert not thread.in_operation
 
+    def test_ran_on_needs_entry_core_and_no_migration(self):
+        thread = SimThread(dummy_program())
+        assert not thread.ran_on(0)
+        thread.begin_operation("obj", 2, None, 0)
+        assert thread.ran_on(2)
+        assert not thread.ran_on(0)
+        # Away and back: the same core, but not the same run.
+        thread.migrations += 2
+        assert not thread.ran_on(2)
+
     def test_nested_operation_rejected(self):
         thread = SimThread(dummy_program())
-        thread.begin_operation("a", None, 0)
+        thread.begin_operation("a", 0, None, 0)
         with pytest.raises(SimulationError):
-            thread.begin_operation("b", None, 0)
+            thread.begin_operation("b", 0, None, 0)
 
     def test_end_without_start_rejected(self):
         thread = SimThread(dummy_program())

@@ -117,9 +117,7 @@ class TestRequestStream:
             threads = workload.spawn_all(sim)
             names = [thread.name for thread in threads]
             sim.run(until=250_000)
-            counters = [(machine.memory.counters[c].loads,
-                         machine.memory.counters[c].stores)
-                        for c in range(machine.n_cores)]
+            counters = [bank.snapshot() for bank in machine.memory.counters]
             return names, workload.requests_served, counters
 
         first = run(seed=21)
