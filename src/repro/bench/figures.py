@@ -192,24 +192,31 @@ def figure_2(n_dirs: int = 20, run_cycles: int = 3_000_000,
 
 def packing_complexity(ns: Sequence[int] = (1000, 2000, 4000, 8000, 16000),
                        repeats: int = 3) -> FigureResult:
-    """Wall-clock scaling of the greedy first-fit cache packing."""
-    rows = []
-    timings: List[float] = []
+    """Wall-clock scaling of the greedy first-fit cache packing.
+
+    Each n keeps its best of ``repeats`` rounds, and the rounds
+    interleave the sizes, so a slow spell of the host falls on all of
+    them rather than on one.
+    """
+    populations = []
     for n in ns:
         objects = []
         for index in range(n):
             obj = CtObject(f"o{index}", index * 4096, 2048 + (index % 7) * 512)
             obj.heat = float((index * 2654435761) % 1000)
             objects.append(obj)
-        best = float("inf")
-        for _ in range(repeats):
+        populations.append(objects)
+    timings = [float("inf")] * len(ns)
+    for _ in range(repeats):
+        for position, objects in enumerate(populations):
             budgets = make_budgets(1 << 20, 16)
             start = time.perf_counter()
             pack(objects, budgets)
-            best = min(best, time.perf_counter() - start)
-        timings.append(best)
-        rows.append(f"  n={n:>7}  {best * 1e3:8.2f} ms"
-                    f"  {best / n * 1e6:6.2f} us/object")
+            timings[position] = min(timings[position],
+                                    time.perf_counter() - start)
+    rows = [f"  n={n:>7}  {best * 1e3:8.2f} ms"
+            f"  {best / n * 1e6:6.2f} us/object"
+            for n, best in zip(ns, timings)]
     # Θ(n log n): time per object should grow no faster than log n.
     report = "\n".join(
         ["E4: greedy first-fit cache packing runtime (paper: Θ(n log n))"]

@@ -80,7 +80,8 @@ class FatDirectory:
         """Image offset of entry ``index`` (walking the chain).
 
         Walks the chain on every call, so a chain corrupted since the last
-        call is seen; :meth:`entry_offsets` serves bulk work.
+        call is seen; :meth:`read_entries` and :meth:`write_entries` serve
+        bulk work.
         """
         if not 0 <= index < self.capacity_entries:
             raise FilesystemError(
@@ -92,17 +93,26 @@ class FatDirectory:
             byte_index -= nbytes
         raise FilesystemError(f"{self.name}: chain shorter than capacity")
 
-    def entry_offsets(self) -> List[int]:
-        """Image offset of every entry slot, in index order, from one walk
-        of the chain (``[entry_offset(i) for i in range(capacity)]``)."""
-        offsets: List[int] = []
-        for offset, nbytes in self.extents():
-            offsets.extend(range(offset, offset + nbytes, DIR_ENTRY_SIZE))
-        if len(offsets) < self.capacity_entries:
+    def _runs(self, start: int, nbytes: int) -> List[tuple]:
+        """(image offset, nbytes) runs holding directory bytes
+        ``[start, start + nbytes)``, in order, from one walk of the chain.
+
+        Raises when the chain is shorter than the capacity, whatever the
+        range asked for.
+        """
+        runs = []
+        end = start + nbytes
+        position = 0                # directory byte at the extent's start
+        for offset, length in self.extents():
+            low = max(start, position)
+            high = min(end, position + length)
+            if low < high:
+                runs.append((offset + low - position, high - low))
+            position += length
+        if position < self.capacity_entries * DIR_ENTRY_SIZE:
             raise FilesystemError(
                 f"{self.name}: chain shorter than capacity")
-        del offsets[self.capacity_entries:]
-        return offsets
+        return runs
 
     # ------------------------------------------------------------------
     # entries
@@ -114,14 +124,39 @@ class FatDirectory:
         return self.n_entries - 1
 
     def extend(self, entries: Iterable[DirEntry]) -> None:
-        """Write ``entries`` into the next free slots, in order, walking
-        the chain once for all of them."""
-        offsets = self.entry_offsets()
-        for entry in entries:
-            if self.n_entries >= self.capacity_entries:
-                raise FilesystemError(f"directory {self.name} is full")
-            self.image.write(offsets[self.n_entries], entry.encode())
-            self.n_entries += 1
+        """Write ``entries`` into the next free slots, in order: all of
+        them, or none when one does not encode or they do not fit."""
+        self.write_entries(b"".join(entry.encode() for entry in entries))
+
+    def write_entries(self, raw: bytes) -> None:
+        """Append pre-encoded entries (a whole number of 32-byte entries)
+        after the used ones, one slice per extent.
+
+        All or nothing: the size, the capacity and the chain length are
+        checked before any byte is written.
+        """
+        count, partial = divmod(len(raw), DIR_ENTRY_SIZE)
+        if partial:
+            raise FilesystemError(
+                f"{self.name}: {len(raw)} bytes is not a whole number "
+                "of entries")
+        if self.n_entries + count > self.capacity_entries:
+            raise FilesystemError(f"directory {self.name} is full")
+        done = 0
+        for offset, nbytes in self._runs(self.bytes_used, len(raw)):
+            self.image.write(offset, raw[done:done + nbytes])
+            done += nbytes
+        self.n_entries += count
+
+    def read_entries(self) -> bytes:
+        """The used entries' bytes in index order, one slice per extent.
+
+        Raises, like :meth:`write_entries`, when the chain is shorter than
+        the capacity.
+        """
+        read = self.image.read
+        return b"".join(read(offset, nbytes)
+                        for offset, nbytes in self._runs(0, self.bytes_used))
 
     def entry_at(self, index: int) -> Optional[DirEntry]:
         raw = self.image.read(self.entry_offset(index), DIR_ENTRY_SIZE)

@@ -49,9 +49,10 @@ class SimDirectory:
         self.lock = lock
         #: (simulated address, nbytes) runs covering the directory data.
         self.extents = extents
-        #: name -> entry index, built once from the real image bytes (the
-        #: reference ``search`` stays byte-accurate; this is the index the
-        #: fast inner loop effectively embodies).
+        #: name -> entry index, decoded from the real image bytes once per
+        #: distinct directory content; each directory holds its own copy.
+        #: (The reference ``search`` stays byte-accurate; this is the
+        #: index the fast inner loop effectively embodies.)
         self.names = names
         self.lookups = 0
 
@@ -69,7 +70,11 @@ class SimDirectory:
 
 
 class EfslFat:
-    """The paper's modified-EFSL file system on a simulated machine."""
+    """The paper's modified-EFSL file system on a simulated machine.
+
+    Construction reads each directory's bytes once and decodes and checks
+    each distinct directory content once (:meth:`_index_names`).
+    """
 
     def __init__(self, machine: Machine, fs: FatFilesystem,
                  compare_cycles: int = DEFAULT_COMPARE_CYCLES,
@@ -89,10 +94,20 @@ class EfslFat:
 
         self.directories: List[SimDirectory] = []
         self.by_name: Dict[str, SimDirectory] = {}
+        # Name index per distinct directory content, for this image only:
+        # the benchmark image's directories all hold the same bytes.  The
+        # first directory with a content keeps the decoded dict, and the
+        # others get copies of it.
+        indexed: Dict[bytes, Dict[str, int]] = {}
         for fat_dir in fs.directory_list():
             extents = [(region.base + offset, nbytes)
                        for offset, nbytes in fat_dir.extents()]
-            names = self._index_names(fat_dir)
+            raw = fat_dir.read_entries()
+            names = indexed.get(raw)
+            if names is None:
+                names = indexed[raw] = self._index_names(fat_dir.name, raw)
+            else:
+                names = dict(names)
             obj = CtObject(f"dir:{fat_dir.name}", extents[0][0],
                            fat_dir.bytes_used, read_only=True)
             lock = SpinLock.allocate(machine.address_space,
@@ -102,17 +117,25 @@ class EfslFat:
             self.by_name[fat_dir.name] = sim_dir
 
     @staticmethod
-    def _index_names(fat_dir: FatDirectory) -> Dict[str, int]:
-        """Decode every entry once; doubles as an image validity check."""
+    def _index_names(dir_name: str, raw: bytes) -> Dict[str, int]:
+        """Decode a directory's used entries ``raw`` into name -> index.
+
+        Runs once per distinct directory content and doubles as an image
+        validity check: a free slot below the used count, or a name held
+        twice (which the byte-level search would resolve to its first
+        slot), is refused.
+        """
         names: Dict[str, int] = {}
-        read = fat_dir.image.read
-        offsets = fat_dir.entry_offsets()[:fat_dir.n_entries]
-        for index, offset in enumerate(offsets):
-            entry = DirEntry.decode(read(offset, DIR_ENTRY_SIZE))
+        for index, start in enumerate(range(0, len(raw), DIR_ENTRY_SIZE)):
+            entry = DirEntry.decode(raw[start:start + DIR_ENTRY_SIZE])
             if entry is None:
                 raise FilesystemError(
-                    f"{fat_dir.name}: unexpected free slot at {index}")
-            names[entry.name] = index
+                    f"{dir_name}: unexpected free slot at {index}")
+            first = names.setdefault(entry.name, index)
+            if first != index:
+                raise FilesystemError(
+                    f"{dir_name}: duplicate name {entry.name!r} at "
+                    f"{index} (first at {first})")
         return names
 
     # ------------------------------------------------------------------

@@ -86,6 +86,9 @@ class FatFilesystem:
         """The paper's benchmark tree: ``n_dirs`` directories of
         ``files_per_dir`` files each, names from
         :func:`repro.fs.names.dir_name` / :func:`~repro.fs.names.file_name`.
+
+        Every directory holds the same entries, so their block is encoded
+        once and written into each directory one slice per extent.
         """
         if n_dirs < 1 or files_per_dir < 1:
             raise FilesystemError("need at least one directory and file")
@@ -95,10 +98,10 @@ class FatFilesystem:
             root_entries=max(512, n_dirs),
             cluster_bytes=cluster_bytes)
         fs = cls(params)
+        block = b"".join(DirEntry(file_name(f), ATTR_ARCHIVE, 0, 0).encode()
+                         for f in range(files_per_dir))
         for d in range(n_dirs):
-            directory = fs.mkdir(dir_name(d), files_per_dir)
-            directory.extend(DirEntry(file_name(f), ATTR_ARCHIVE, 0, 0)
-                             for f in range(files_per_dir))
+            fs.mkdir(dir_name(d), files_per_dir).write_entries(block)
         return fs
 
     def directory_list(self) -> List[FatDirectory]:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cpu.machine import Machine
 from repro.errors import FilesystemError
+from repro.fs.check import fsck
+from repro.fs.directory import ATTR_ARCHIVE, DirEntry
 from repro.fs.efsl import EfslFat
 from repro.fs.fat import DIR_ENTRY_SIZE
 from repro.fs.image import FatFilesystem
@@ -44,6 +46,51 @@ class TestConstruction:
         directory = efsl.directories[0]
         assert len(directory.names) == 25
         assert directory.names[file_name(7)] == 7
+
+    def test_each_directory_holds_its_own_name_dict(self):
+        machine, efsl = build(n_dirs=3, files=20)
+        first, *others = [d.names for d in efsl.directories]
+        assert all(names == first and names is not first
+                   for names in others)
+        first["EXTRA.DAT"] = 20
+        assert all("EXTRA.DAT" not in names for names in others)
+
+    def test_directories_that_differ_are_indexed_on_their_own(self):
+        fs = FatFilesystem.build_benchmark_image(3, 20, cluster_bytes=512)
+        changed = fs.directories["DIR00001"]
+        fs.image.write(changed.entry_offset(4),
+                       DirEntry("NEW.DAT", ATTR_ARCHIVE, 0, 0).encode())
+        odd = fs.mkdir("ODD", 4)
+        odd.extend(DirEntry(f"O{i}.DAT", ATTR_ARCHIVE, 0, 0)
+                   for i in range(4))
+        efsl = EfslFat(Machine(tiny_spec()), fs)
+        by_name = {d.name: d.names for d in efsl.directories}
+        assert by_name["ODD"] == {f"O{i}.DAT": i for i in range(4)}
+        assert by_name["DIR00001"]["NEW.DAT"] == 4
+        assert file_name(4) not in by_name["DIR00001"]
+        for name in ("DIR00000", "DIR00002"):
+            assert by_name[name] == {file_name(i): i for i in range(20)}
+
+    def test_free_slot_in_one_directory_rejected(self):
+        fs = FatFilesystem.build_benchmark_image(4, 50, cluster_bytes=512)
+        broken = fs.directories["DIR00002"]
+        fs.image.write(broken.entry_offset(7), b"\x00" * DIR_ENTRY_SIZE)
+        with pytest.raises(FilesystemError,
+                           match="DIR00002: unexpected free slot at 7"):
+            EfslFat(Machine(tiny_spec()), fs)
+
+    def test_duplicate_name_rejected(self):
+        # The byte-level search resolves a duplicated name to its first
+        # slot and fsck reports it, so the name index must not pick one.
+        fs = FatFilesystem()
+        directory = fs.mkdir("D", 10)
+        directory.extend(DirEntry(name, ATTR_ARCHIVE, 0, 0)
+                         for name in ("A.DAT", "B.DAT", "A.DAT"))
+        assert fs.lookup("D", "A.DAT")[0] == 0
+        assert not fsck(fs).clean
+        with pytest.raises(FilesystemError,
+                           match="D: duplicate name 'A.DAT' at 2"):
+            EfslFat(Machine(tiny_spec()), fs)
 
     def test_extents_are_simulated_addresses(self):
         machine, efsl = build()
