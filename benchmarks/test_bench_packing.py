@@ -1,41 +1,36 @@
 """E4 — cache-packing algorithm cost (the paper's Θ(n log n) claim).
 
 This is the one genuinely wall-clock benchmark: pytest-benchmark times
-the packing algorithm itself.  The scaling test decides sub-quadratic
-against quadratic twice, each time on a comparison whose two outcomes
-lie far apart: the work ``pack`` does per object, counted, and the wall
-time over an eightfold span of n.
+CoreTime's own packing step, ``assign_expensive_objects``, the code every
+CoreTime simulation runs at each monitoring tick.  The scaling test
+decides sub-quadratic against quadratic twice, each time on a comparison
+whose two outcomes lie far apart: the work the step does per object,
+counted, and the wall time over an eightfold span of n.
 """
 
 import pytest
 
-from repro.bench.figures import packing_complexity
+from repro.bench.figures import packing_complexity, packing_runtime
 from repro.bench.report import save_report
-from repro.core import packing
-from repro.core.object_table import CtObject
-from repro.core.packing import CacheBudget, make_budgets, pack
+from repro.core import coretime
+from repro.core.packing import CacheBudget
+from repro.cpu.machine import Machine
+from repro.cpu.topology import MachineSpec
 
-#: 16 budgets of 1 MiB hold 4,680 of the objects below, so both sizes
-#: leave most objects unplaced: every later object probes every budget.
+#: The paper's machine has 16 budgets of 0.9 MiB, which hold about 4,200
+#: of the benchmark's objects, so both sizes leave most objects
+#: unplaced: every later object probes every budget.
 SMALL, LARGE = 8000, 64000
 N_BUDGETS = 16
 
 
-def _objects(n):
-    objs = []
-    for index in range(n):
-        obj = CtObject(f"o{index}", index * 4096,
-                       2048 + (index % 7) * 512)
-        obj.heat = float((index * 2654435761) % 1000)
-        objs.append(obj)
-    return objs
-
-
-def _counted_pack(n):
-    """Pack ``n`` objects, counting budget probes plus sort-key calls;
-    returns (calls, objects left unplaced)."""
+def _counted_assignment(n):
+    """Run the packing step on ``n`` expensive objects, counting budget
+    probes plus sort-key calls; returns (calls, objects left unplaced)."""
+    scheduler = packing_runtime(Machine(MachineSpec.amd16()), n)
+    assert len(scheduler.budgets) == N_BUDGETS
     calls = 0
-    fits, key = CacheBudget.fits, packing._key_heat_desc
+    fits, key = CacheBudget.fits, coretime.assignment_key
 
     def counted_fits(budget, size):
         nonlocal calls
@@ -49,32 +44,37 @@ def _counted_pack(n):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(CacheBudget, "fits", counted_fits)
-        patch.setattr(packing, "_key_heat_desc", counted_key)
-        result = pack(_objects(n), make_budgets(1 << 20, N_BUDGETS))
-    return calls, len(result.unplaced)
+        patch.setattr(coretime, "assignment_key", counted_key)
+        scheduler.assign_expensive_objects()
+    assert scheduler.assignments + scheduler.declined_assignments == n
+    return calls, scheduler.declined_assignments
 
 
-def test_pack_wall_clock(benchmark):
-    objs = _objects(4000)
+def test_assignment_wall_clock(benchmark):
+    machine = Machine(MachineSpec.amd16())
+    runtimes = []
 
-    def run():
-        return pack(objs, make_budgets(1 << 20, N_BUDGETS))
+    def fresh_runtime():
+        runtimes.append(packing_runtime(machine, 4000))
+        return (runtimes[-1],), {}
 
-    result = benchmark(run)
-    assert len(result.placed) + len(result.unplaced) == 4000
+    benchmark.pedantic(coretime.CoreTimeScheduler.assign_expensive_objects,
+                       setup=fresh_runtime, rounds=5)
+    for runtime in runtimes:
+        assert runtime.assignments + runtime.declined_assignments == 4000
 
 
 def test_packing_scaling(benchmark, once, capsys):
     # Counted work: one sort key plus at most one cluster-home probe and
     # N_BUDGETS first-fit probes per object, whatever n is (measured:
-    # 12.6 at 8k, 16.5 at 64k).  A step that re-sorts or rescans the
+    # 13.1 at 8k, 16.5 at 64k).  A step that re-sorts or rescans the
     # objects per placement costs thousands per object.
     for n in (SMALL, LARGE):
-        calls, unplaced = _counted_pack(n)
+        calls, unplaced = _counted_assignment(n)
         assert unplaced > 0, f"n={n} does not saturate the budgets"
         assert calls <= n * (N_BUDGETS + 2), (
-            f"pack does {calls / n:.1f} probes and key calls per object "
-            f"at n={n}")
+            f"packing does {calls / n:.1f} probes and key calls per "
+            f"object at n={n}")
 
     result = once(benchmark, packing_complexity, ns=(SMALL, LARGE),
                   repeats=3)
@@ -82,9 +82,8 @@ def test_packing_scaling(benchmark, once, capsys):
     with capsys.disabled():
         print()
         print(result.report)
-    # Wall time over 8x the objects: n log n predicts 9.9x (9.0-16.1x
-    # measured in 40 runs), a quadratic algorithm 64x; the bound is half
-    # of that.
+    # Wall time over 8x the objects: n log n predicts 9.9x, a quadratic
+    # algorithm 64x; the bound is half of that.
     small, large = result.details["seconds"]
     assert large < small * 32.0, (
         f"packing scaling looks super-linearithmic: {small:.4f} s at "

@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`CoreTimeScheduler` / :class:`CoreTimeConfig` — the runtime;
 * :func:`ct_object` / :func:`operation` — annotation API;
-* :mod:`repro.core.packing` — cache packing algorithms;
+* :mod:`repro.core.packing` — the cache packing rule;
 * :class:`Monitor`, :class:`Rebalancer` — counter-driven adaptation;
 * §6.2 extensions: :class:`ReplicationPolicy`, :class:`LfuReplacement`,
   :class:`AffinityTracker`.
@@ -15,9 +15,7 @@ from repro.core.clustering import AffinityTracker
 from repro.core.coretime import CoreTimeConfig, CoreTimeScheduler
 from repro.core.monitor import CoreLoad, Monitor
 from repro.core.object_table import CtObject, ObjectTable
-from repro.core.packing import (CacheBudget, PackResult, get_policy,
-                                make_budgets, pack, pack_balanced,
-                                pack_hash, pack_random)
+from repro.core.packing import CacheBudget, make_budgets
 from repro.core.policies import LfuReplacement, ReplicationPolicy
 from repro.core.rebalancer import RebalanceEvent, Rebalancer
 
@@ -31,17 +29,11 @@ __all__ = [
     "LfuReplacement",
     "Monitor",
     "ObjectTable",
-    "PackResult",
     "RebalanceEvent",
     "Rebalancer",
     "ReplicationPolicy",
     "ct_object",
-    "get_policy",
     "make_budgets",
     "method_operation",
     "operation",
-    "pack",
-    "pack_balanced",
-    "pack_hash",
-    "pack_random",
 ]

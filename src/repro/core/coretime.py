@@ -2,9 +2,10 @@
 
 ``ct_start(o)`` performs a table lookup; if the object is assigned to a
 core, the thread migrates there, otherwise the operation runs locally
-while the runtime measures its cache misses.  Objects whose operations
-miss a lot are assigned to a cache by the greedy first-fit packing
-algorithm; per-core counters drive periodic rebalancing.
+while the runtime measures its cache misses.  At each monitoring tick,
+objects whose operations miss a lot are packed into the per-core cache
+budgets, most popular first, by :func:`repro.core.packing.place` (greedy
+first fit by default); per-core counters drive periodic rebalancing.
 
 :class:`CoreTimeScheduler` plugs into the engine through the common
 :class:`~repro.sched.base.SchedulerRuntime` interface, so any benchmark
@@ -14,13 +15,15 @@ runs "with CoreTime" by swapping the scheduler argument.
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.clustering import AffinityTracker
 from repro.core.monitor import Monitor
 from repro.core.object_table import CtObject, ObjectTable
-from repro.core.packing import get_policy, make_budgets
+from repro.core.packing import (assignment_key, check_policy, make_budgets,
+                                place)
 from repro.core.policies import LfuReplacement, ReplicationPolicy
 from repro.core.rebalancer import Rebalancer
 from repro.errors import SchedulerError
@@ -57,7 +60,8 @@ class CoreTimeConfig:
     heat_decay: float = 0.5
     #: Fraction of the per-core cache budget packing may fill.
     headroom: float = 0.9
-    #: Packing policy: first_fit (paper), balanced, hash, random.
+    #: Packing policy (:data:`repro.core.packing.POLICIES`): first_fit
+    #: (the paper's), balanced or hash.
     packing: str = "first_fit"
     #: Send a migrated thread back to its home core at ct_end — the
     #: paper's protocol ("sets a flag that indicates to the original core
@@ -96,6 +100,7 @@ class CoreTimeScheduler(SchedulerRuntime):
     def __init__(self, config: Optional[CoreTimeConfig] = None) -> None:
         super().__init__()
         self.config = config or CoreTimeConfig()
+        check_policy(self.config.packing)
         self.table = ObjectTable()
         self.monitor: Optional[Monitor] = None
         self.rebalancer = Rebalancer(
@@ -115,7 +120,6 @@ class CoreTimeScheduler(SchedulerRuntime):
         self.affinity = (AffinityTracker(self.config.auto_cluster_threshold)
                          if self.config.auto_cluster else None)
         self.budgets: list = []
-        self._pack_policy = get_policy(self.config.packing)
         self._next_core = 0
         self._last_monitor = 0
         #: cluster key -> core its members are packed onto.
@@ -210,13 +214,15 @@ class CoreTimeScheduler(SchedulerRuntime):
     # assignment machinery
     # ------------------------------------------------------------------
 
-    def _assign_expensive_objects(self, now: int = 0) -> None:
-        """Assign every object whose *windowed* miss rate qualifies.
+    def assign_expensive_objects(self, now: int = 0) -> None:
+        """Pack every unassigned object whose *windowed* miss rate
+        qualifies: the paper's greedy cache packing (§4).
 
         Runs at each monitoring tick, before the window is reset.  Sorting
-        candidates by popularity first reproduces the paper's batch
-        first-fit behaviour: when budget runs out, the hottest objects are
-        the ones on-chip.
+        candidates by popularity first means that when budget runs out,
+        the hottest objects are the ones on-chip.  One sort plus at most
+        one probe per budget for each object: Θ(n log n), which
+        benchmark E4 times on this method.
         """
         config = self.config
         monitor = self.monitor
@@ -228,7 +234,7 @@ class CoreTimeScheduler(SchedulerRuntime):
         ]
         if not candidates:
             return
-        candidates.sort(key=lambda o: (-o.window_ops, o.oid))
+        candidates.sort(key=assignment_key)
         mean_heat = monitor.mean_heat()
         spec = self.machine.spec
         for obj in candidates:
@@ -236,7 +242,17 @@ class CoreTimeScheduler(SchedulerRuntime):
             if not self._owner_allows(obj, size):
                 self.fairness_declines += 1
                 continue
-            core_id = self._find_room(obj)
+            # The hash key is the object's name, not its process-wide id,
+            # so hash placement does not depend on what the process ran
+            # before.
+            core_id = place(self.budgets, size, config.packing,
+                            zlib.crc32(obj.name.encode()),
+                            self._cluster_homes.get(obj.cluster_key))
+            if core_id is None:
+                # Nothing has room: LFU replacement may evict colder
+                # objects to make some.
+                core_id = self.replacement.try_make_room(
+                    obj, self.table, self.budgets, spec.line_size)
             if core_id is None:
                 self.declined_assignments += 1
                 continue
@@ -263,55 +279,6 @@ class CoreTimeScheduler(SchedulerRuntime):
         total = sum(budget.capacity_bytes for budget in self.budgets)
         used = self._owner_bytes.get(obj.owner, 0)
         return used + size <= total * frac
-
-    def _find_room(self, obj: CtObject) -> Optional[int]:
-        """Incremental first-fit (or configured policy) for one object."""
-        spec = self.machine.spec
-        size = obj.footprint_bytes(spec.line_size)
-        if obj.cluster_key is not None:
-            # §6.2 object clustering: co-locate with cluster mates when
-            # the budget allows, whatever the base policy says.
-            home = self._cluster_homes.get(obj.cluster_key)
-            if home is not None and self.budgets[home].fits(size):
-                return home
-        if self.config.packing == "balanced":
-            candidates = [b for b in self.budgets if b.fits(size)]
-            if candidates:
-                return max(candidates, key=lambda b: b.free_bytes).core_id
-        elif self.config.packing == "hash":
-            budget = self.budgets[obj.oid % len(self.budgets)]
-            if budget.fits(size):
-                return budget.core_id
-        else:  # first_fit and random degrade to first-fit incrementally
-            for budget in self.budgets:
-                if budget.fits(size):
-                    return budget.core_id
-        return self.replacement.try_make_room(
-            obj, self.table, self.budgets, spec.line_size)
-
-    def repack(self) -> None:
-        """Full batch re-pack of every tracked expensive object.
-
-        Used by tests and by callers that change policy mid-run; the
-        normal runtime packs incrementally as objects are discovered.
-        """
-        config = self.config
-        spec = self.machine.spec
-        self.table.clear()
-        self.budgets = make_budgets(spec.per_core_budget_bytes,
-                                    spec.n_cores, config.headroom)
-        # Batch repacking judges on lifetime miss rates (windows may have
-        # just been reset by a tick).
-        expensive = [
-            obj for obj in self.monitor.tracked.values()
-            if obj.ops >= config.min_samples
-            and obj.misses_per_op() >= config.miss_threshold
-        ]
-        result = self._pack_policy(expensive, self.budgets,
-                                   line_size=spec.line_size)
-        for obj, core_id in result.placed.items():
-            self.table.assign(obj, core_id)
-        self.assignments += len(result.placed)
 
     def _consolidate_clusters(self) -> None:
         """Move learned-cluster members onto one core.
@@ -351,7 +318,7 @@ class CoreTimeScheduler(SchedulerRuntime):
         if now - self._last_monitor < self.config.monitor_interval:
             return
         self._last_monitor = now
-        self._assign_expensive_objects(now)
+        self.assign_expensive_objects(now)
         loads = self.monitor.tick(now)
         if self.config.rebalance:
             moved = self.rebalancer.rebalance(

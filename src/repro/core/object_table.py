@@ -81,9 +81,6 @@ class CtObject:
     def home(self) -> Optional[int]:
         return self.assigned_cores[0] if self.assigned_cores else None
 
-    def misses_per_op(self) -> float:
-        return self.expensive_misses / self.ops if self.ops else 0.0
-
     def window_misses_per_op(self) -> float:
         if not self.window_ops:
             return 0.0
@@ -181,9 +178,3 @@ class ObjectTable:
         """
         return ((self._objects[oid], cores)
                 for oid, cores in self._assignment.items())
-
-    def clear(self) -> None:
-        for obj in list(self._objects.values()):
-            obj.assigned_cores = []
-        self._assignment.clear()
-        self._objects.clear()

@@ -1,33 +1,35 @@
-"""Cache packing: assigning objects to core caches.
+"""Cache packing: the rule that puts one object into a core's cache.
 
 §4 of the paper: *"CoreTime uses a greedy first fit 'cache packing'
 algorithm to decide what core to assign an object to … assigning each
 object that is expensive to fetch to a cache with free space.  The
 algorithm executes in Θ(n log n) time."*
 
-:func:`pack` implements exactly that — sort the expensive objects (most
-popular first, so the hottest objects get on-chip space when it runs out)
-and first-fit each into the per-core cache budgets.  Alternative placement
-policies used by the ablation benchmarks live alongside it:
+The CoreTime runtime packs at every monitoring tick
+(:meth:`~repro.core.coretime.CoreTimeScheduler.assign_expensive_objects`):
+it sorts the objects that qualify as expensive with
+:func:`assignment_key`, most popular first so that the hottest objects
+get on-chip space when it runs out, and hands each to :func:`place`.
+That is one sort plus at most one probe per budget for each object.
+:func:`place` knows three policies (:data:`POLICIES`):
 
-* ``balanced``  — place each object on the core with the most free budget
-  (greedy best-fit-decreasing; smooths load without the rebalancer);
-* ``hash``     — object id modulo core count, budget permitting (the
-  "no-measurement" strawman);
-* ``random``   — uniform random core with free budget.
-
-All policies run in O(n log n) or better and share one output type so the
-CoreTime runtime can swap them freely.
+* ``first_fit`` — the first budget with room (the paper's choice);
+* ``balanced``  — the budget with the most free bytes (smooths load
+  without the rebalancer);
+* ``hash``      — the budget a fixed per-object key selects, room
+  permitting (the "no-measurement" strawman).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.core.object_table import CtObject
 from repro.errors import PackingError
-from repro.sim.rng import make_rng
+
+#: The placement policies :func:`place` implements.
+POLICIES = ("first_fit", "balanced", "hash")
 
 
 @dataclass
@@ -52,20 +54,6 @@ class CacheBudget:
         self.used_bytes = max(0, self.used_bytes - size)
 
 
-@dataclass
-class PackResult:
-    """Outcome of a packing run."""
-
-    #: object -> core id (first replica only; policies assign one core).
-    placed: Dict[CtObject, int] = field(default_factory=dict)
-    #: Objects that fit nowhere (left to the hardware / replacement policy).
-    unplaced: List[CtObject] = field(default_factory=list)
-
-    @property
-    def placed_bytes(self) -> int:
-        return sum(obj.size for obj in self.placed)
-
-
 def make_budgets(per_core_bytes: int, n_cores: int,
                  headroom: float = 1.0) -> List[CacheBudget]:
     """Budgets for every core, scaled by ``headroom`` (≤ 1.0)."""
@@ -75,122 +63,41 @@ def make_budgets(per_core_bytes: int, n_cores: int,
     return [CacheBudget(core, capacity) for core in range(n_cores)]
 
 
-def _key_heat_desc(obj: CtObject) -> tuple:
-    # Hotter first; ties broken by object id for determinism.
-    return (-obj.heat, -obj.ops, obj.oid)
-
-
-def pack(objects: Iterable[CtObject], budgets: Sequence[CacheBudget],
-         line_size: int = 64) -> PackResult:
-    """The paper's greedy first-fit cache packing (Θ(n log n)).
-
-    Objects are sorted by measured popularity (decayed heat, then raw op
-    count) and each is placed in the *first* budget that fits it.  Cluster
-    keys are honoured: an object whose cluster already has a member placed
-    is placed with its cluster when the budget allows (§6.2, object
-    clustering).
-    """
-    result = PackResult()
-    cluster_home: Dict[str, int] = {}
-    by_core = {budget.core_id: budget for budget in budgets}
-    ordered = sorted(objects, key=_key_heat_desc)   # the Θ(n log n) sort
-    for obj in ordered:
-        size = obj.footprint_bytes(line_size)
-        target: Optional[int] = None
-        if obj.cluster_key is not None:
-            home = cluster_home.get(obj.cluster_key)
-            if home is not None and by_core[home].fits(size):
-                target = home
-        if target is None:
-            for budget in budgets:               # first fit
-                if budget.fits(size):
-                    target = budget.core_id
-                    break
-        if target is None:
-            result.unplaced.append(obj)
-            continue
-        by_core[target].charge(size)
-        result.placed[obj] = target
-        if obj.cluster_key is not None:
-            cluster_home.setdefault(obj.cluster_key, target)
-    return result
-
-
-def pack_balanced(objects: Iterable[CtObject],
-                  budgets: Sequence[CacheBudget],
-                  line_size: int = 64) -> PackResult:
-    """Best-fit-decreasing variant: always use the emptiest budget."""
-    result = PackResult()
-    cluster_home: Dict[str, int] = {}
-    by_core = {budget.core_id: budget for budget in budgets}
-    for obj in sorted(objects, key=_key_heat_desc):
-        size = obj.footprint_bytes(line_size)
-        target: Optional[int] = None
-        if obj.cluster_key is not None:
-            home = cluster_home.get(obj.cluster_key)
-            if home is not None and by_core[home].fits(size):
-                target = home
-        if target is None:
-            candidates = [b for b in budgets if b.fits(size)]
-            if candidates:
-                target = max(candidates, key=lambda b: b.free_bytes).core_id
-        if target is None:
-            result.unplaced.append(obj)
-            continue
-        by_core[target].charge(size)
-        result.placed[obj] = target
-        if obj.cluster_key is not None:
-            cluster_home.setdefault(obj.cluster_key, target)
-    return result
-
-
-def pack_hash(objects: Iterable[CtObject], budgets: Sequence[CacheBudget],
-              line_size: int = 64) -> PackResult:
-    """Placement by object id modulo core count (ignores popularity)."""
-    result = PackResult()
-    budget_list = list(budgets)
-    for obj in sorted(objects, key=lambda o: o.oid):
-        size = obj.footprint_bytes(line_size)
-        budget = budget_list[obj.oid % len(budget_list)]
-        if budget.fits(size):
-            budget.charge(size)
-            result.placed[obj] = budget.core_id
-        else:
-            result.unplaced.append(obj)
-    return result
-
-
-def pack_random(objects: Iterable[CtObject], budgets: Sequence[CacheBudget],
-                line_size: int = 64, seed: int = 0) -> PackResult:
-    """Uniform-random placement among budgets with room."""
-    rng = make_rng(seed, "pack_random")
-    result = PackResult()
-    for obj in sorted(objects, key=lambda o: o.oid):
-        size = obj.footprint_bytes(line_size)
-        candidates = [b for b in budgets if b.fits(size)]
-        if not candidates:
-            result.unplaced.append(obj)
-            continue
-        budget = rng.choice(candidates)
-        budget.charge(size)
-        result.placed[obj] = budget.core_id
-    return result
-
-
-PackingPolicy = Callable[..., PackResult]
-
-POLICIES: Dict[str, PackingPolicy] = {
-    "first_fit": pack,
-    "balanced": pack_balanced,
-    "hash": pack_hash,
-    "random": pack_random,
-}
-
-
-def get_policy(name: str) -> PackingPolicy:
-    try:
-        return POLICIES[name]
-    except KeyError:
+def check_policy(name: str) -> None:
+    """Raise :class:`PackingError` unless ``name`` is in :data:`POLICIES`."""
+    if name not in POLICIES:
         raise PackingError(
-            f"unknown packing policy {name!r}; "
-            f"choose from {sorted(POLICIES)}") from None
+            f"unknown packing policy {name!r}; choose from {list(POLICIES)}")
+
+
+def assignment_key(obj: CtObject) -> tuple:
+    """Packing order: most operations in the current window first, ties
+    broken by object id for determinism."""
+    return (-obj.window_ops, obj.oid)
+
+
+def place(budgets: Sequence[CacheBudget], size: int, policy: str,
+          key: int, home: Optional[int] = None) -> Optional[int]:
+    """Core whose budget has room for ``size`` more bytes, or None.
+
+    ``budgets[i]`` is core ``i``'s budget.  ``home``, the core an
+    object's cluster is packed onto (§6.2 object clustering), wins when
+    it has room, whatever the policy.  Otherwise ``policy`` chooses: the
+    first budget with room, the one with the most free bytes, or
+    ``budgets[key % len(budgets)]``.
+    """
+    if home is not None and budgets[home].fits(size):
+        return home
+    if policy == "first_fit":
+        for budget in budgets:
+            if budget.fits(size):
+                return budget.core_id
+    elif policy == "balanced":
+        candidates = [b for b in budgets if b.fits(size)]
+        if candidates:
+            return max(candidates, key=lambda b: b.free_bytes).core_id
+    else:
+        budget = budgets[key % len(budgets)]
+        if budget.fits(size):
+            return budget.core_id
+    return None

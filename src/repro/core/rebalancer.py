@@ -133,15 +133,14 @@ class Rebalancer:
                      budgets: Dict[int, CacheBudget],
                      obj: CtObject, line_size: int):
         size = obj.footprint_bytes(line_size)
-        for load in receivers:
-            if headroom[load.core_id] <= 0:
-                continue
-            if budgets[load.core_id].fits(size):
-                return load.core_id
+        # A core already holding a replica of ``obj`` cannot take it.
+        open_receivers = [load.core_id for load in receivers
+                          if headroom[load.core_id] > 0
+                          and load.core_id not in obj.assigned_cores]
+        for core_id in open_receivers:
+            if budgets[core_id].fits(size):
+                return core_id
         # No receiver has budget: accept the best-effort idlest receiver
         # with remaining headroom (its cache will overflow to DRAM, but
         # cores stop stalling — matching the paper's priority of balance).
-        for load in receivers:
-            if headroom[load.core_id] > 0:
-                return load.core_id
-        return None
+        return open_receivers[0] if open_receivers else None

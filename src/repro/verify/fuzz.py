@@ -431,8 +431,13 @@ def run_mutation(kind: str, seed: int = 11) -> InvariantViolation:
         n_objects=4, object_bytes=512, think_cycles=0, seed=seed))
     # Pre-assign objects round-robin so ct_start redirects cross-core
     # and migrations are continuously in flight (drop/delay targets).
+    # Each assignment is charged to its core's budget, as the runtime's
+    # own packing does, so the object_table rule stays quiet.
     for index, obj in enumerate(workload.objects):
-        scheduler.table.assign(obj, index % machine.n_cores)
+        core_id = index % machine.n_cores
+        scheduler.table.assign(obj, core_id)
+        scheduler.budgets[core_id].charge(
+            obj.footprint_bytes(machine.spec.line_size))
     workload.spawn_all(sim)
     try:
         sim.run(until=400_000)

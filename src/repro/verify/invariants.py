@@ -23,7 +23,9 @@ Rules (each individually selectable via the ``rules`` argument):
                      contents;
 ``object_table``     object-table entries point at live cores, carry no
                      duplicate replicas, and match each object's own
-                     ``assigned_cores`` view;
+                     ``assigned_cores`` view; each core's packing budget
+                     is charged exactly the footprints of the objects
+                     assigned to it;
 ``threads``          thread state machine legality — READY threads sit
                      in exactly one runqueue, RUNNING threads are some
                      core's ``current``, MIGRATING/DONE threads are in
@@ -268,11 +270,14 @@ class InvariantChecker:
                            f"stack counts {stored}", now)
 
     def _check_object_table(self, now: int) -> None:
-        table = getattr(self.sim.scheduler, "table", None)
+        scheduler = self.sim.scheduler
+        table = getattr(scheduler, "table", None)
         entries = getattr(table, "entries", None)
         if entries is None:
             return
         n_cores = self.machine.n_cores
+        line_size = self.machine.spec.line_size
+        charged = [0] * n_cores
         for obj, cores in entries():
             if len(set(cores)) != len(cores):
                 self._fail("object_table",
@@ -283,10 +288,18 @@ class InvariantChecker:
                     self._fail("object_table",
                                f"{obj.name} assigned to nonexistent core "
                                f"{core_id} (machine has {n_cores})", now)
+                charged[core_id] += obj.footprint_bytes(line_size)
             if list(obj.assigned_cores) != list(cores):
                 self._fail("object_table",
                            f"{obj.name}: table says cores {cores}, object "
                            f"says {obj.assigned_cores}", now)
+        for budget in getattr(scheduler, "budgets", ()):
+            if budget.used_bytes != charged[budget.core_id]:
+                self._fail("object_table",
+                           f"core {budget.core_id}'s cache budget is "
+                           f"charged {budget.used_bytes} bytes, its "
+                           f"assigned objects' footprints sum to "
+                           f"{charged[budget.core_id]}", now)
 
     def _check_threads(self, now: int) -> None:
         cores = self.machine.cores

@@ -9,6 +9,7 @@ from repro.errors import SchedulerError
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 from repro.threads.program import Compute, CtEnd, CtStart, Scan
+from repro.workloads.synthetic import ObjectOpsSpec, ObjectOpsWorkload
 
 from tests.helpers import tiny_spec
 
@@ -100,6 +101,25 @@ class TestAssignment:
             assert budget.used_bytes <= budget.capacity_bytes
         assert scheduler.declined_assignments > 0
 
+    def test_hash_placement_ignores_earlier_objects(self):
+        """Hash placement keys on the object itself, not on how many
+        objects the process created before it."""
+        def run():
+            machine = Machine(tiny_spec())
+            sim = Simulator(machine, CoreTimeScheduler(CoreTimeConfig(
+                monitor_interval=20_000, packing="hash")))
+            workload = ObjectOpsWorkload(machine, ObjectOpsSpec(
+                n_objects=6, object_bytes=2048, think_cycles=0, seed=3))
+            workload.spawn_all(sim)
+            sim.run(until=300_000)
+            return ({o.name: list(o.assigned_cores)
+                     for o in workload.objects}, sim.total_ops)
+
+        placements, ops = run()
+        assert any(placements.values())
+        CtObject("unrelated", 0, 64)
+        assert run() == (placements, ops)
+
     def test_rejects_non_ct_objects(self):
         machine, scheduler, sim = build()
         def program():
@@ -169,20 +189,6 @@ class TestMonitoringWindow:
         for key in ("objects_tracked", "objects_assigned", "assignments",
                     "rebalance_moves", "table_lookups"):
             assert key in stats
-
-
-class TestRepack:
-    def test_repack_reassigns_expensive_objects(self):
-        machine, scheduler, sim = build()
-        objects = alloc_objects(machine, 16)
-        sim.spawn_per_core(scan_workload(machine, objects))
-        sim.run(until=2_000_000)
-        assigned_before = len(scheduler.table)
-        assert assigned_before > 0
-        scheduler.repack()
-        assert len(scheduler.table) > 0
-        for budget in scheduler.budgets:
-            assert budget.used_bytes <= budget.capacity_bytes
 
 
 class TestConfig:

@@ -16,13 +16,6 @@ class TestCtObject:
         assert not o.assigned
         assert o.home is None
 
-    def test_misses_per_op(self):
-        o = obj()
-        assert o.misses_per_op() == 0.0
-        o.ops = 4
-        o.expensive_misses = 12
-        assert o.misses_per_op() == 3.0
-
     def test_window_misses_per_op(self):
         o = obj()
         assert o.window_misses_per_op() == 0.0
@@ -121,14 +114,6 @@ class TestObjectTable:
         names = {o.name for o in table.objects_on(0)}
         assert names == {"a", "b"}
         assert table.objects_on(1) == []
-
-    def test_clear(self):
-        table = ObjectTable()
-        o = obj()
-        table.assign(o, 0)
-        table.clear()
-        assert len(table) == 0
-        assert not o.assigned
 
     def test_contains(self):
         table = ObjectTable()

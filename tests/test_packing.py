@@ -1,24 +1,42 @@
-"""Tests for repro.core.packing (cache packing algorithms)."""
+"""Tests for repro.core.packing: the placement rule, and CoreTime's
+packing step that applies it (``assign_expensive_objects``)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.coretime import CoreTimeConfig, CoreTimeScheduler
 from repro.core.object_table import CtObject
-from repro.core.packing import (CacheBudget, get_policy, make_budgets,
-                                pack, pack_balanced, pack_hash,
-                                pack_random)
+from repro.core.packing import (POLICIES, CacheBudget, check_policy,
+                                make_budgets, place)
+from repro.cpu.machine import Machine
 from repro.errors import PackingError
 
+from tests.helpers import tiny_spec
 
-def objects_of_sizes(sizes, heats=None):
+
+def objects_of_sizes(sizes, ops=None):
+    """Objects that all qualify as expensive; ``ops`` gives each one's
+    operations in the current window (its popularity)."""
     objs = []
     for index, size in enumerate(sizes):
         o = CtObject(f"o{index}", index * 65536, size)
-        if heats:
-            o.heat = heats[index]
+        o.window_ops = ops[index] if ops else 2
+        o.window_expensive_misses = 100 * o.window_ops
         objs.append(o)
     return objs
+
+
+def run_packing(objs, budgets, policy="first_fit"):
+    """Run CoreTime's packing step on ``objs`` over ``budgets``; returns
+    the runtime and {object name: core} for the objects it placed."""
+    scheduler = CoreTimeScheduler(CoreTimeConfig(packing=policy))
+    scheduler.bind(Machine(tiny_spec()))
+    scheduler.budgets = budgets
+    for obj in objs:
+        scheduler.monitor.tracked[obj.oid] = obj
+    scheduler.assign_expensive_objects()
+    return scheduler, {o.name: o.home for o in objs if o.assigned}
 
 
 class TestCacheBudget:
@@ -53,90 +71,105 @@ class TestMakeBudgets:
             make_budgets(1000, 2, headroom=1.5)
 
 
+class TestPlace:
+    def test_cluster_home_wins_while_it_has_room(self):
+        budgets = make_budgets(150, 3)
+        for policy in POLICIES:
+            assert place(budgets, 100, policy, key=0, home=2) == 2
+        budgets[2].charge(100)
+        assert place(budgets, 100, "first_fit", key=0, home=2) == 0
+
+    def test_balanced_takes_the_emptiest_budget(self):
+        budgets = make_budgets(1000, 3)
+        budgets[0].charge(300)
+        budgets[2].charge(100)
+        assert place(budgets, 100, "balanced", key=0) == 1
+
+    def test_hash_takes_only_the_keyed_budget(self):
+        budgets = make_budgets(1000, 4)
+        assert place(budgets, 100, "hash", key=4 * 7 + 3) == 3
+        budgets[3].charge(950)
+        assert place(budgets, 100, "hash", key=3) is None
+
+
 class TestFirstFit:
     def test_everything_fits_when_room(self):
         objs = objects_of_sizes([100] * 6)
-        result = pack(objs, make_budgets(1000, 2))
-        assert len(result.placed) == 6
-        assert not result.unplaced
+        _, placed = run_packing(objs, make_budgets(1000, 2))
+        assert len(placed) == 6
 
     def test_first_fit_fills_early_budgets_first(self):
         objs = objects_of_sizes([100] * 4)
-        budgets = make_budgets(1000, 2)
-        result = pack(objs, budgets)
-        assert all(core == 0 for core in result.placed.values())
+        _, placed = run_packing(objs, make_budgets(1000, 2))
+        assert set(placed.values()) == {0}
 
     def test_hottest_objects_win_when_capacity_short(self):
-        objs = objects_of_sizes([100] * 4, heats=[1, 9, 5, 7])
-        budgets = make_budgets(100, 2)   # room for two objects total
-        result = pack(objs, budgets)
-        placed_names = {o.name for o in result.placed}
-        assert placed_names == {"o1", "o3"}
-        assert {o.name for o in result.unplaced} == {"o0", "o2"}
+        objs = objects_of_sizes([100] * 4, ops=[2, 9, 5, 7])
+        # Room for two objects in total.
+        scheduler, placed = run_packing(objs, make_budgets(100, 2))
+        assert set(placed) == {"o1", "o3"}
+        assert scheduler.declined_assignments == 2
 
     def test_oversized_object_unplaced(self):
-        objs = objects_of_sizes([5000])
-        result = pack(objs, make_budgets(1000, 4))
-        assert result.unplaced == objs
+        assert place(make_budgets(1000, 4), 5000, "first_fit", 0) is None
+        for policy in POLICIES:
+            objs = objects_of_sizes([5000])
+            _, placed = run_packing(objs, make_budgets(1000, 4), policy)
+            assert placed == {}
 
     def test_cluster_members_colocated(self):
         # o0 then its mate o3 are the two hottest, so the cluster home
         # still has room when the mate is placed.
-        objs = objects_of_sizes([100] * 4, heats=[4, 1, 2, 3])
+        objs = objects_of_sizes([100] * 4, ops=[5, 2, 3, 4])
         objs[0].cluster_key = "pair"
         objs[3].cluster_key = "pair"
-        budgets = make_budgets(250, 4)
-        result = pack(objs, budgets)
-        assert result.placed[objs[0]] == result.placed[objs[3]]
+        _, placed = run_packing(objs, make_budgets(250, 4))
+        assert placed["o0"] == placed["o3"]
         # The remaining objects could not all share that core.
-        assert len(set(result.placed.values())) == 2
+        assert len(set(placed.values())) == 2
 
     def test_cluster_respects_capacity(self):
-        objs = objects_of_sizes([100, 100], heats=[2, 1])
+        objs = objects_of_sizes([100, 100], ops=[3, 2])
         objs[0].cluster_key = "k"
         objs[1].cluster_key = "k"
-        budgets = make_budgets(100, 2)   # cluster cannot fit together
-        result = pack(objs, budgets)
-        assert len(result.placed) == 2
-        cores = set(result.placed.values())
-        assert len(cores) == 2
+        # The cluster cannot fit on one core.
+        _, placed = run_packing(objs, make_budgets(100, 2))
+        assert sorted(placed.values()) == [0, 1]
 
     def test_deterministic(self):
-        objs = objects_of_sizes([100] * 8, heats=[3, 1, 4, 1, 5, 9, 2, 6])
-        a = pack(objs, make_budgets(300, 3))
-        b = pack(objs, make_budgets(300, 3))
-        assert {o.name: c for o, c in a.placed.items()} == \
-            {o.name: c for o, c in b.placed.items()}
-
-    def test_placed_bytes(self):
-        objs = objects_of_sizes([100, 200])
-        result = pack(objs, make_budgets(1000, 1))
-        assert result.placed_bytes == 300
+        ops = [3, 2, 4, 2, 5, 9, 2, 6]
+        _, a = run_packing(objects_of_sizes([100] * 8, ops),
+                           make_budgets(300, 3))
+        _, b = run_packing(objects_of_sizes([100] * 8, ops),
+                           make_budgets(300, 3))
+        assert a == b
 
 
 class TestOtherPolicies:
     def test_balanced_spreads_load(self):
         objs = objects_of_sizes([100] * 4)
-        result = pack_balanced(objs, make_budgets(1000, 4))
-        assert len(set(result.placed.values())) == 4
+        _, placed = run_packing(objs, make_budgets(1000, 4), "balanced")
+        assert sorted(placed.values()) == [0, 1, 2, 3]
 
     def test_hash_is_popularity_blind(self):
-        objs = objects_of_sizes([100] * 8)
-        result = pack_hash(objs, make_budgets(1000, 4))
-        for o, core in result.placed.items():
-            assert core == o.oid % 4
+        ops = list(range(2, 10))
+        _, hot_first = run_packing(objects_of_sizes([100] * 8, ops),
+                                   make_budgets(1000, 4), "hash")
+        _, hot_last = run_packing(objects_of_sizes([100] * 8, ops[::-1]),
+                                  make_budgets(1000, 4), "hash")
+        assert len(hot_first) == 8
+        assert hot_first == hot_last
+        assert len(set(hot_first.values())) > 1
 
-    def test_random_is_seed_deterministic(self):
-        objs = objects_of_sizes([100] * 8)
-        a = pack_random(objs, make_budgets(1000, 4), seed=5)
-        b = pack_random(objs, make_budgets(1000, 4), seed=5)
-        assert {o.name: c for o, c in a.placed.items()} == \
-            {o.name: c for o, c in b.placed.items()}
-
-    def test_get_policy(self):
-        assert get_policy("first_fit") is pack
+    def test_check_policy(self):
+        for policy in POLICIES:
+            check_policy(policy)
         with pytest.raises(PackingError):
-            get_policy("nope")
+            check_policy("nope")
+
+    def test_random_policy_rejected(self):
+        with pytest.raises(PackingError):
+            CoreTimeScheduler(CoreTimeConfig(packing="random"))
 
 
 @settings(max_examples=50)
@@ -144,19 +177,21 @@ class TestOtherPolicies:
                       max_size=40),
        capacity=st.integers(min_value=1, max_value=4000),
        n_cores=st.integers(min_value=1, max_value=8),
-       policy=st.sampled_from(["first_fit", "balanced", "hash", "random"]))
+       policy=st.sampled_from(POLICIES))
 def test_packing_invariants(sizes, capacity, n_cores, policy):
-    """Every policy: budgets never overflow, every object is placed or
-    unplaced exactly once, placements only go to existing cores."""
+    """Every policy: budgets never overflow and are charged exactly what
+    is placed on them, every object is placed or declined exactly once,
+    placements only go to existing cores."""
     objs = objects_of_sizes(sizes)
     budgets = make_budgets(capacity, n_cores)
-    result = get_policy(policy)(objs, budgets)
+    scheduler, placed = run_packing(objs, budgets, policy)
     used = {b.core_id: 0 for b in budgets}
-    for o, core in result.placed.items():
-        assert 0 <= core < n_cores
-        used[core] += o.size
+    for o in objs:
+        assert len(o.assigned_cores) <= 1
+        if o.assigned:
+            assert 0 <= o.home < n_cores
+            used[o.home] += o.size
     for budget in budgets:
         assert used[budget.core_id] <= budget.capacity_bytes
         assert budget.used_bytes == used[budget.core_id]
-    assert len(result.placed) + len(result.unplaced) == len(objs)
-    assert set(result.placed) | set(result.unplaced) == set(objs)
+    assert len(placed) + scheduler.declined_assignments == len(objs)

@@ -108,3 +108,22 @@ class TestRebalance:
         assert rebalancer.moves == len(events)
         assert rebalancer.invocations == 1
         assert rebalancer.history == events
+
+    def test_never_moves_an_object_onto_its_own_replica(self):
+        """A receiver already holding a replica of an object cannot take
+        it: the table would list that core twice and charge its budget
+        twice."""
+        table = table_with({0: [("hot", 45, 100), ("other", 20, 100)]})
+        hot = next(o for o in table.objects() if o.name == "hot")
+        table.assign(hot, 1)
+        budgets = make_budgets(10_000, 2)
+        budgets[0].charge(200)
+        budgets[1].charge(100)
+        rebalancer = Rebalancer()
+        # Core 0 is overloaded and core 1, hot's other replica, is the
+        # only receiver.
+        loads = [load(0, 0.0, 90), load(1, 0.9, 10)]
+        rebalancer.rebalance(loads, table, budgets, 64)
+        assert hot.assigned_cores == [0, 1]
+        assert [o.name for o in table.objects_on(0)] == ["hot"]
+        assert [b.used_bytes for b in budgets] == [100, 200]

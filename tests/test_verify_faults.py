@@ -9,14 +9,18 @@ fault that passes silently is a checker blind spot and fails here.
 
 import pytest
 
+from repro.core.packing import CacheBudget
 from repro.cpu.machine import Machine
+from repro.cpu.topology import MachineSpec
 from repro.errors import ConfigError, SimulationError
 from repro.obs import FlightRecorder, Observability, ThreadSpawned
+from repro.sched.registry import coretime_factory
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator, set_default_checker
 from repro.verify import (EXPECTED_RULE, FAULT_KINDS, FaultPlan,
                           InvariantChecker, InvariantViolation,
                           run_mutation)
+from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 from repro.workloads.synthetic import ObjectOpsSpec, ObjectOpsWorkload
 
 from tests.helpers import tiny_spec
@@ -111,6 +115,84 @@ class TestStackInvariants:
         stack.edge = stack.low
         assert len(stack.l1) <= stack.l1.capacity
         assert self.violated_rule(checker) == "cache_capacity"
+
+
+def _unclustered_pairs(machine):
+    workload = ObjectOpsWorkload(machine, ObjectOpsSpec(
+        n_objects=64, object_bytes=4096, pair_probability=0.8,
+        think_cycles=12))
+    for obj in workload.objects:
+        obj.cluster_key = None             # learning must do the work
+    return workload
+
+
+#: The §6.2 configurations of experiments E8-E11
+#: (``repro.bench.figures``): runtime factory, workload factory, and a
+#: horizon long enough for the policy to act (LFU evicts from about
+#: 2.2M cycles on), which the last entry confirms on the runtime.
+SECTION_6_2 = {
+    "e8-replication": (
+        coretime_factory(replicate_read_only=True,
+                         replication_heat_factor=2.0),
+        lambda machine: ObjectOpsWorkload(machine, ObjectOpsSpec(
+            n_objects=96, object_bytes=4096, popularity="zipf",
+            zipf_s=1.1, think_cycles=12, with_locks=False)),
+        400_000,
+        lambda runtime: runtime.replication.replicas_created > 0),
+    "e9-lfu": (
+        coretime_factory(lfu_replacement=True, lfu_margin=1.5),
+        lambda machine: DirectoryLookupWorkload(
+            machine, DirWorkloadSpec.scaled(
+                8, n_dirs=1024, popularity="oscillating",
+                oscillation_period=800_000, oscillation_rotate=True)),
+        2_400_000,
+        lambda runtime: runtime.replacement.evictions > 0),
+    "e10-autocluster": (
+        coretime_factory(packing="balanced", return_home=False,
+                         auto_cluster=True, auto_cluster_threshold=16),
+        _unclustered_pairs,
+        500_000,
+        lambda runtime: any(obj.cluster_key
+                            for obj in runtime.table.objects())),
+    "e11-hash": (
+        coretime_factory(packing="hash"),
+        lambda machine: DirectoryLookupWorkload(
+            machine, DirWorkloadSpec.scaled(8, n_dirs=320)),
+        400_000,
+        lambda runtime: len(runtime.table) > 0),
+}
+
+
+def run_section_6_2(name):
+    """Run one configuration under the ``object_table`` rule; returns
+    the runtime."""
+    scheduler_factory, workload_factory, horizon, _ = SECTION_6_2[name]
+    machine = Machine(MachineSpec.scaled(8))
+    scheduler = scheduler_factory()
+    sim = Simulator(machine, scheduler,
+                    checker=InvariantChecker(rules=("object_table",)))
+    workload_factory(machine).spawn_all(sim)
+    sim.run(until=horizon)
+    return scheduler
+
+
+class TestPackingBudgets:
+    """``object_table`` also checks that each core's packing budget is
+    charged exactly the footprints of the objects assigned to it."""
+
+    @pytest.mark.parametrize("name", sorted(SECTION_6_2))
+    def test_section_6_2_policies_keep_the_table_consistent(self, name):
+        runtime = run_section_6_2(name)
+        policy_acted = SECTION_6_2[name][3]
+        assert policy_acted(runtime)
+
+    def test_a_dropped_refund_trips_object_table(self, monkeypatch):
+        monkeypatch.setattr(CacheBudget, "refund",
+                            lambda budget, size: None)
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_section_6_2("e11-hash")
+        assert excinfo.value.rule == "object_table"
+        assert "cache budget" in excinfo.value.detail
 
 
 class TestConfigValidation:
