@@ -86,20 +86,31 @@ def _observability(args):
 
 def _write_outputs(args, obs, name: str, many: bool, tag: str) -> None:
     """Write one experiment's ``--*-out`` files; ``tag`` prefixes the
-    progress lines."""
+    progress lines.
+
+    The event log keeps only its first ``max_events`` events; when it
+    dropped any, each output built from the events says so on stderr.
+    """
+    def written(what: str, out: str) -> None:
+        print(f"[{tag}] {what} -> {out}")
+        if obs.log.dropped:
+            print(f"[{tag}] warning: {what} {out} holds only the first "
+                  f"{len(obs.log):,} events; {obs.log.dropped:,} more "
+                  "were dropped at the event log's cap", file=sys.stderr)
+
     if args.trace_out is not None:
         out = _derived_path(args.trace_out, name, many)
         obs.write_chrome_trace(out)
-        print(f"[{tag}] trace -> {out}")
+        written("trace", out)
     if args.events_out is not None:
         out = _derived_path(args.events_out, name, many)
         obs.write_jsonl(out)
-        print(f"[{tag}] events -> {out}")
+        written("events", out)
     if args.profile_out is not None:
         profile_name = (f"{args.profile_out}.{name}" if many
                         else args.profile_out)
         out = save_report(profile_name, obs.profile_report())
-        print(f"[{tag}] profile -> {out}")
+        written("profile", out)
     if args.metrics_out is not None:
         out = _derived_path(args.metrics_out, name, many)
         with open(out, "w", encoding="utf-8") as stream:

@@ -66,8 +66,11 @@ class Observability:
                         (0 disables it);
     ``capture_memory``  also record per-eviction / per-invalidation
                         events (hot; off by default);
-    ``max_events``      event-log bound — exporters report what was
-                        dropped rather than growing without limit;
+    ``max_events``      event-log bound: the log keeps the first
+                        ``max_events`` events and counts the rest in
+                        ``log.dropped`` rather than growing without
+                        limit; ``python -m repro.bench`` reports the
+                        drop next to each output built from the events;
     ``flight_path``     where :meth:`on_crash` writes the post-mortem
                         dump (default: stderr).
     """

@@ -119,10 +119,13 @@ class EventBus:
 class EventLog:
     """A bounded in-memory sink for exporters.
 
-    Keeps the first ``max_events`` events and counts the rest, so a long
-    sweep cannot consume unbounded memory while short runs (the normal
-    tracing case) are captured completely.  The cap is reported by
-    exporters rather than silently truncating.
+    Keeps the first ``max_events`` events and counts the rest in
+    ``dropped``, so a long sweep cannot consume unbounded memory while
+    short runs (the normal tracing case) are captured completely.  The
+    exporters write what was kept; ``python -m repro.bench`` prints the
+    kept and dropped counts on stderr next to each ``--trace-out``,
+    ``--events-out`` and ``--profile-out`` file, and simbench counts
+    the drop as ``obs.events_dropped``.
     """
 
     __slots__ = ("events", "max_events", "dropped")

@@ -246,6 +246,12 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    # Checked before the output file is opened, so a bad count leaves
+    # no file behind.
+    for flag in ("events", "cores", "objects", "threads"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise ProfileError(f"--{flag} must be at least 1, got {value}")
     write_jsonl(args.out,
                 synthesize(args.events, seed=args.seed, label=args.label,
                            n_cores=args.cores, n_objects=args.objects,

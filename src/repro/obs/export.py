@@ -23,10 +23,13 @@ import gzip
 import io
 import json
 from itertools import islice
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, TextIO,
+                    Tuple, Type)
 
-from repro.obs.events import (CacheEvicted, CacheInvalidated, Event,
-                              LockContended, MigrationStarted,
+from repro.obs.events import (EVENT_KINDS, CacheEvicted, CacheInvalidated,
+                              Event, LockContended, MigrationStarted,
                               ObjectAssigned, ObjectMoved,
                               OperationFinished, RebalanceRound, RunMarker,
                               ThreadArrived, ThreadFinished, ThreadSpawned)
@@ -198,12 +201,39 @@ def write_chrome_trace(path: str, events: Sequence[Event],
 # ---------------------------------------------------------------------------
 
 #: The one JSONL line encoder: compact separators and sorted keys, so
-#: equal events encode to equal bytes.
+#: equal events encode to equal bytes.  It writes the meta line and any
+#: event no line template takes, and it is the reference the templates
+#: reproduce byte for byte.
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 #: Lines joined into one write: large enough that per-write costs
 #: vanish, small enough that memory stays flat on any stream length.
 _CHUNK_LINES = 256
+
+
+def _line_template(cls: Type[Event]) -> Tuple[str, Any]:
+    """``cls``'s line as a ``%`` template, and the getter of its fields.
+
+    The keys come in the order ``sort_keys`` puts them, ``"kind"`` with
+    its value written in; every other key has one ``%s`` slot, filled
+    from the getter's tuple in the same order.
+    """
+    def literal(text: str) -> str:
+        return encode_basestring_ascii(text).replace("%", "%%")
+
+    keys = sorted(("kind",) + cls.fields)
+    slots = [literal(key) + ":"
+             + (literal(cls.kind) if key == "kind" else "%s")
+             for key in keys]
+    getter = attrgetter(*[key for key in keys if key != "kind"])
+    return "{" + ",".join(slots) + "}", getter
+
+
+#: One line template per event class, built once from ``EVENT_KINDS``.
+#: A class with no field beside ``ts`` would get a scalar, not a tuple,
+#: from its getter; it takes the encoder.
+_TEMPLATES = {cls: _line_template(cls) for cls in EVENT_KINDS.values()
+              if len(cls.fields) > 1}
 
 
 def jsonl_meta_line() -> str:
@@ -222,13 +252,40 @@ def write_events(handle: TextIO, events: Iterable[Event]) -> None:
 
     Each line is the event's :meth:`~Event.as_dict` form, newline
     terminated; lines reach ``handle`` ``_CHUNK_LINES`` at a time,
-    so ``events`` may be a generator of any length.
+    so ``events`` may be a generator of any length.  It writes what it
+    is given: when the event log hit its cap, ``python -m repro.bench``
+    reports the dropped events next to each output built from the log.
+
+    An event of a class in ``_TEMPLATES`` whose values are all exact
+    ``int``, ``str`` or None fills its class's template with what
+    ``_LINE_ENCODER`` would write for them; any other event (one holding
+    a bool, a float, a subclass instance or a container, or one of a
+    class outside ``EVENT_KINDS``) is encoded by ``_LINE_ENCODER``
+    itself.
     """
-    encode = _LINE_ENCODER.encode
+    templates, encode = _TEMPLATES, _LINE_ENCODER.encode
     pending = iter(events)
     while True:
-        lines = [encode(event.as_dict())
-                 for event in islice(pending, _CHUNK_LINES)]
+        lines: List[str] = []
+        for event in islice(pending, _CHUNK_LINES):
+            entry = templates.get(event.__class__)
+            if entry is not None:
+                template, getter = entry
+                texts: List[Any] = []
+                for value in getter(event):
+                    cls = value.__class__
+                    if cls is int:      # %s writes it as int.__repr__
+                        texts.append(value)
+                    elif cls is str:
+                        texts.append(encode_basestring_ascii(value))
+                    elif value is None:
+                        texts.append("null")
+                    else:
+                        break
+                else:               # every value has its template text
+                    lines.append(template % tuple(texts))
+                    continue
+            lines.append(encode(event.as_dict()))
         if not lines:
             return
         lines.append("")

@@ -36,7 +36,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple, Type)
 
 from repro.analysis import RunningStats
-from repro.errors import ProfileError
+from repro.errors import ConfigError, ProfileError
 from repro.obs.events import (CacheEvicted, CacheInvalidated, Event,
                               LeaseExpired, LockContended,
                               MigrationStarted, ObjectAssigned,
@@ -1148,13 +1148,28 @@ def synthesize(n_events: int, seed: int = 0, label: str = "synthetic",
                n_threads: int = 32) -> Iterator[Event]:
     """Deterministic pseudo-workload stream of ``n_events`` events.
 
-    A generator (never materialized) mixing every attribution-relevant
-    event kind with plausible correlations: threads start/finish
-    operations, migrate mid-op, contend on locks, and the scheduler
-    occasionally reassigns objects.  Feeding it straight to
+    Returns a generator (never materialized) mixing every
+    attribution-relevant event kind with plausible correlations: threads
+    start/finish operations, migrate mid-op, contend on locks, and the
+    scheduler occasionally reassigns objects.  Feeding it straight to
     ``write_jsonl`` produces multi-million-event recordings in seconds —
     the CI ``stream-analysis`` job's out-of-core fixture.
+
+    Raises :class:`~repro.errors.ConfigError` at the call, before any
+    event is made, when a count is below 1.
     """
+    for name, value in (("n_events", n_events), ("n_cores", n_cores),
+                        ("n_objects", n_objects),
+                        ("n_threads", n_threads)):
+        if value < 1:
+            raise ConfigError(f"synthesize: {name} must be at least 1, "
+                              f"got {value}")
+    return _synthesized(n_events, seed, label, n_cores, n_objects,
+                        n_threads)
+
+
+def _synthesized(n_events: int, seed: int, label: str, n_cores: int,
+                 n_objects: int, n_threads: int) -> Iterator[Event]:
     rng = random.Random(seed)
     yield RunMarker(0, label)
     emitted = 1

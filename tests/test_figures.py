@@ -88,6 +88,32 @@ class TestRegistry:
         assert _derived_path("run.events.jsonl.gz", "fig2", many=False) \
             == "run.events.jsonl.gz"
 
+    def test_outputs_report_events_dropped_at_the_log_cap(
+            self, tmp_path, monkeypatch, capsys):
+        import argparse
+
+        import repro.bench.report as report_module
+        from repro.bench.__main__ import _write_outputs
+        from repro.obs import Observability
+
+        monkeypatch.setattr(report_module, "RESULTS_DIR", str(tmp_path))
+        obs = Observability(max_events=40)
+        figure_2(n_dirs=4, run_cycles=60_000, seed=3, obs=obs)
+        kept, dropped = len(obs.log), obs.log.dropped
+        assert kept == 40 and dropped > 0
+        args = argparse.Namespace(
+            trace_out=str(tmp_path / "t.trace.json"),
+            events_out=str(tmp_path / "e.events.jsonl"),
+            profile_out="p", metrics_out=str(tmp_path / "m.json"))
+        _write_outputs(args, obs, "fig2", many=False, tag="fig2")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        for line, what in zip(err, ("trace", "events", "profile")):
+            assert line.startswith(f"[fig2] warning: {what} ")
+            assert f"first {kept:,} events; {dropped:,} more" in line
+        assert len((tmp_path / "e.events.jsonl").read_text()
+                   .splitlines()) == 1 + kept
+
     def test_perf_is_not_an_experiment(self, capsys):
         from repro.bench.__main__ import main
 

@@ -1,5 +1,6 @@
 """Tests for repro.obs.profile and the repro-analyze CLI."""
 
+import enum
 import gzip
 import json
 import math
@@ -11,11 +12,12 @@ from repro.cpu.machine import Machine
 from repro.errors import ProfileError
 from repro.obs import Observability
 from repro.obs.cli import main as analyze_main
-from repro.obs.events import (ALL_EVENTS, CacheEvicted, CacheInvalidated,
-                              FaultInjected, InvariantViolated,
-                              LockContended, MigrationStarted,
-                              ObjectAssigned, ObjectMoved, OperationFinished,
-                              OperationStarted, RebalanceRound, RunMarker,
+from repro.obs.events import (ALL_EVENTS, EVENT_KINDS, CacheEvicted,
+                              CacheInvalidated, Event, FaultInjected,
+                              InvariantViolated, LockContended,
+                              MigrationStarted, ObjectAssigned, ObjectMoved,
+                              OperationFinished, OperationStarted,
+                              RebalanceRound, RunMarker,
                               LeaseExpired, SchedDecision, SweepCaseFailed,
                               SweepCaseFinished, SweepCaseStarted,
                               ThreadArrived, ThreadFinished, ThreadSpawned,
@@ -175,12 +177,32 @@ class TestSchemaRoundTrip:
 # the JSONL codec: byte parity with json.dumps, unchanged diagnostics
 # ---------------------------------------------------------------------------
 
-#: Field values that stress JSON escaping and number formatting.
+class Level(enum.IntEnum):
+    L3 = 3
+
+
+class Name(str):
+    """A ``str`` subclass: JSON writes its characters."""
+
+
+class Count(int):
+    """An ``int`` subclass whose ``str`` is not what JSON writes."""
+
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+    __str__ = __repr__
+
+
+#: Field values that stress JSON escaping and number formatting, and
+#: values a ``%`` line template could get wrong.
 ADVERSARIAL = [
+    "%", "%s", "%%", "%(kind)s",
     None, True, False, 0, -1, 2 ** 64 + 1, -(2 ** 70), 0.1, -0.0, 1e300,
     "", 'say "hi"', "back\\slash\\", "ctl \x00\x01\x1f\x7f \n\r\t end",
     "non-ascii \u00e9 \u2603 \U0001d11e \u2028", '{"kind":"done"}',
     float("nan"), float("inf"), float("-inf"),
+    Level.L3, Name('a "name" %s'), Count(7),
 ]
 
 
@@ -203,6 +225,11 @@ def adversarial_events():
                         ADVERSARIAL[(index + shift) % len(ADVERSARIAL)])
             events.append(event)
     return events
+
+
+def plain(value):
+    """``value`` as a reader gives it back: its JSON text, decoded."""
+    return json.loads(json.dumps(value))
 
 
 def same_value(left, right):
@@ -236,7 +263,43 @@ class TestCodec:
             assert type(back) is type(original)
             for name in slot_names(type(original)):
                 assert same_value(getattr(back, name),
-                                  getattr(original, name)), (original, name)
+                                  plain(getattr(original, name))), \
+                    (original, name)
+
+    def test_recorded_streams_equal_the_json_dumps_reference(self):
+        events = (SAMPLE_EVENTS + run_events()
+                  + list(synthesize(3_000, seed=8)))
+        lines = events_to_jsonl(events).split("\n")[1:]
+        assert lines == [json.dumps(event.as_dict(), separators=(",", ":"),
+                                    sort_keys=True)
+                         for event in events]
+
+    def test_classes_outside_the_kinds_match_the_json_dumps_reference(self):
+        class Probe(Event):
+            __slots__ = ("note", "level")
+            kind = "probe %s"
+
+            def __init__(self, ts, note, level):
+                self.ts = ts
+                self.note = note
+                self.level = level
+
+        class LateSpawn(ThreadSpawned):
+            """Shares ``spawn`` with its base but not its fields."""
+
+            __slots__ = ("extra",)
+
+            def __init__(self, ts, core, thread, extra):
+                super().__init__(ts, core, thread)
+                self.extra = extra
+
+        events = [Probe(1, "50%", 2), Probe(2, None, Level.L3),
+                  LateSpawn(3, 0, "t0", "x"), LateSpawn(4, 1, "t1", 5)]
+        assert not {Probe, LateSpawn} & set(EVENT_KINDS.values())
+        lines = events_to_jsonl(events).split("\n")[1:]
+        assert lines == [json.dumps(event.as_dict(), separators=(",", ":"),
+                                    sort_keys=True)
+                         for event in events]
 
     @pytest.mark.parametrize("bad, detail", [
         ('{"kind":"spawn","ts":1,"core":0,"thread":"t0","color":"red"}',

@@ -391,6 +391,32 @@ class TestCli:
         capsys.readouterr()
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--events", "0"), ("--events", "-5"), ("--cores", "0"),
+        ("--threads", "0"), ("--objects", "0")])
+    def test_synth_rejects_counts_below_one(self, tmp_path, capsys, flag,
+                                            value):
+        path = tmp_path / "bad.events.jsonl"
+        argv = ["synth", "-o", str(path), "--events", "100", flag, value]
+        assert analyze_main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be at least 1, got {value}" in err
+        assert not path.exists()
+
+    def test_synth_writes_exactly_the_events_asked_for(self, tmp_path,
+                                                       capsys):
+        path = str(tmp_path / "one.events.jsonl")
+        assert analyze_main(["synth", "-o", path, "--events", "1"]) == 0
+        assert "(1 events)" in capsys.readouterr().out
+        assert [event.kind for event in iter_jsonl(path)] == ["run"]
+
+    @pytest.mark.parametrize("name", [
+        "n_events", "n_cores", "n_objects", "n_threads"])
+    def test_synthesize_rejects_counts_below_one(self, name):
+        counts = {"n_events": 10, name: 0}
+        with pytest.raises(ConfigError, match=f"{name} must be at least 1"):
+            synthesize(**counts)
+
     def test_empty_stream_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text('{"kind":"meta","schema_version":5}\n')
