@@ -1,17 +1,19 @@
 """Multi-seed statistics for simulation experiments.
 
-Single runs of a stochastic workload are point estimates; this module
-runs an experiment across seeds and reports mean, spread, and whether a
-speedup is robust.  :func:`format_table` lays out the text tables every
-report prints.  Pure Python (no numpy dependency on the hot path) so
-the core library stays importable anywhere.
+Single runs of a stochastic workload are point estimates; these types
+summarise a measurement across seeds (mean, spread) and say whether a
+seed-paired speedup is robust — :func:`repro.sweep.aggregate.
+compare_schedulers` builds them from sweep records.
+:func:`format_table` lays out the text tables every report prints.
+Pure Python (no numpy dependency on the hot path) so the core library
+stays importable anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,6 @@ def summarise(values: Sequence[float]) -> SampleStats:
                        minimum=min(values), maximum=max(values))
 
 
-def run_seeds(experiment: Callable[[int], float],
-              seeds: Sequence[int]) -> SampleStats:
-    """Run ``experiment(seed)`` for every seed and summarise."""
-    return summarise([experiment(seed) for seed in seeds])
-
-
 @dataclass(frozen=True)
 class SpeedupResult:
     """Comparison of two measured configurations across shared seeds."""
@@ -153,14 +149,3 @@ def format_table(headers: Sequence[str],
     lines.extend(fmt(row) for row in rows)
     return "\n".join(lines)
 
-
-def compare(baseline: Callable[[int], float],
-            candidate: Callable[[int], float],
-            seeds: Sequence[int]) -> SpeedupResult:
-    """Paired comparison: each seed measured under both configurations."""
-    base_values = [baseline(seed) for seed in seeds]
-    cand_values = [candidate(seed) for seed in seeds]
-    ratios = [c / b if b else float("inf")
-              for b, c in zip(base_values, cand_values)]
-    return SpeedupResult(summarise(base_values), summarise(cand_values),
-                         ratios)

@@ -8,7 +8,7 @@ from repro.bench.figures import (EXPERIMENTS, BENCH_SCALE, FigureResult,
                                  object_clustering_ablation,
                                  packing_complexity, replacement_ablation,
                                  replication_ablation)
-from repro.bench.harness import BenchPoint, Series, run_point, sweep
+from repro.bench.harness import BenchPoint, Series, run_point, run_series
 from repro.bench.report import figure_report, save_report, table
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "replacement_ablation",
     "replication_ablation",
     "run_point",
+    "run_series",
     "save_report",
-    "sweep",
     "table",
 ]

@@ -12,7 +12,10 @@ analyzer reads either transparently, in constant memory),
 ``--metrics-out metrics.json`` dumps the metrics-registry snapshot,
 ``--profile-out NAME`` writes the offline attribution report (one section
 per simulator run) next to the figure reports, and ``--seed N`` overrides
-the workload RNG seed where the experiment supports it.
+the workload RNG seed where the experiment supports it.  ``--workers N``
+runs every throughput experiment's points over ``N`` processes, with
+identical reports; the outputs above record in-process and need
+``--workers 0``.
 """
 
 from __future__ import annotations
@@ -137,7 +140,8 @@ def _run_scenarios(args) -> int:
         obs = _observability(args)
         started = time.perf_counter()
         try:
-            result = run_scenario(name, seed=args.seed, obs=obs)
+            result = run_scenario(name, seed=args.seed, obs=obs,
+                                  workers=args.workers, verify=args.verify)
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -175,9 +179,11 @@ def main(argv=None) -> int:
                         help="workload RNG seed override (experiments "
                              "that take one)")
     parser.add_argument("--workers", type=int, default=0,
-                        help="shard sweep points over N worker processes "
-                             "(experiments that support it: fig4a/fig4b; "
-                             "default 0 = serial)")
+                        help="run each throughput experiment's points "
+                             "over N worker processes (every experiment "
+                             "but fig2 and packing; reports are "
+                             "identical at any N; default 0 = serial, "
+                             "which the --*-out flags need)")
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write a Chrome/Perfetto trace of every "
                              "simulator run to PATH")
@@ -206,13 +212,19 @@ def main(argv=None) -> int:
         return 0
     if args.experiment is None:
         parser.error("experiment is required (or use --list)")
+    if args.workers and _observability(args) is not None:
+        parser.error("--trace-out/--events-out/--metrics-out/--profile-out "
+                     "record in-process and need --workers 0")
     if args.verify:
-        # Every Simulator built from here on gets an invariant checker
-        # (experiments construct their own sims, so a construction-time
-        # default is the only seam that reaches all of them).
+        # Every Simulator built from here on gets an invariant checker:
+        # fig2 builds its own; the throughput experiments also pass
+        # verify to the sweep runner, which checks at the same interval
+        # inside worker processes.
         from repro.sim.engine import set_default_checker
+        from repro.sweep.runner import CHECK_INTERVAL
         from repro.verify import InvariantChecker
-        set_default_checker(lambda: InvariantChecker(interval=1024))
+        set_default_checker(
+            lambda: InvariantChecker(interval=CHECK_INTERVAL))
         print("verify: invariant checker attached to every simulator")
     if args.experiment == "scenario":
         return _run_scenarios(args)
@@ -232,13 +244,8 @@ def main(argv=None) -> int:
             else:
                 print(f"[{name}] note: --seed not supported, ignored")
         obs = _observability(args)
-        if args.workers:
-            if "workers" in supported and obs is None:
-                kwargs["workers"] = args.workers
-            else:
-                print(f"[{name}] note: --workers not supported here "
-                      "(needs a parallelisable sweep and no obs "
-                      "capture), ignored")
+        if "workers" in supported:
+            kwargs.update(workers=args.workers, verify=args.verify)
         if obs is not None and "obs" in supported:
             kwargs["obs"] = obs
         elif obs is not None:

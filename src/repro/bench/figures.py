@@ -6,6 +6,10 @@ Benchmarks and the CLI call these with different effort profiles:
 ``profile="quick"`` keeps pytest-benchmark runs short; ``profile="full"``
 uses more points and longer windows for the committed EXPERIMENTS.md
 numbers.
+
+Every throughput experiment measures its points as sweep cases through
+:func:`~repro.bench.harness.run_series`, which takes its ``obs``,
+``workers`` and ``verify`` arguments.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.bench.harness import Series, run_point, sweep
+from repro.bench.harness import Series, grid, make_case, run_series
 from repro.bench.report import figure_report
 from repro.core.coretime import CoreTimeScheduler
 from repro.core.object_table import CtObject
@@ -26,7 +30,7 @@ from repro.sched import registry
 from repro.sched.registry import coretime_factory
 from repro.sim.engine import Simulator
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
-from repro.workloads.synthetic import ObjectOpsSpec, ObjectOpsWorkload
+from repro.workloads.synthetic import ObjectOpsSpec
 
 #: Scale factor all benchmark machines use (capacities and the workload
 #: shrink together; see DESIGN.md §2).
@@ -83,18 +87,18 @@ def _profile(profile) -> Profile:
 # ---------------------------------------------------------------------------
 
 def figure_4a(profile="quick", scale: int = BENCH_SCALE,
-              seed: Optional[int] = None, obs=None,
-              workers: int = 0) -> FigureResult:
+              seed: Optional[int] = None, obs=None, workers: int = 0,
+              verify: bool = False) -> FigureResult:
     """Resolutions/s vs total data size, uniform popularity (Figure 4a)."""
     prof = _profile(profile)
     machine_spec = MachineSpec.scaled(scale)
     workload_specs = [DirWorkloadSpec.scaled(scale, n_dirs=n)
                       for n in prof.n_dirs_list]
-    xs = [spec.total_data_bytes / 1024 for spec in workload_specs]
-    series = sweep(machine_spec, ("thread", "coretime"), workload_specs,
-                   warmup_cycles=prof.warmup_cycles,
-                   measure_cycles=prof.measure_cycles, xs=xs,
-                   seed=seed, obs=obs, workers=workers)
+    series = run_series(
+        grid(dict.fromkeys(("thread", "coretime")), machine_spec,
+             workload_specs, prof.warmup_cycles, prof.measure_cycles,
+             seed=seed),
+        obs=obs, workers=workers, verify=verify)
     report = figure_report(
         "Figure 4(a): file system benchmark, uniform directory popularity",
         series, x_label="total data size (KB, scaled machine)",
@@ -111,7 +115,8 @@ def figure_4a(profile="quick", scale: int = BENCH_SCALE,
 
 def figure_4b(profile="quick", scale: int = BENCH_SCALE,
               rotate: bool = True, seed: Optional[int] = None,
-              obs=None, workers: int = 0) -> FigureResult:
+              obs=None, workers: int = 0,
+              verify: bool = False) -> FigureResult:
     """Resolutions/s vs data size, oscillating active set (Figure 4b)."""
     prof = _profile(profile)
     machine_spec = MachineSpec.scaled(scale)
@@ -121,11 +126,11 @@ def figure_4b(profile="quick", scale: int = BENCH_SCALE,
             oscillation_period=1_000_000, oscillation_rotate=rotate)
         for n in prof.n_dirs_list
     ]
-    xs = [spec.total_data_bytes / 1024 for spec in workload_specs]
-    series = sweep(machine_spec, ("thread", "coretime"), workload_specs,
-                   warmup_cycles=prof.warmup_cycles,
-                   measure_cycles=prof.measure_cycles, xs=xs,
-                   seed=seed, obs=obs, workers=workers)
+    series = run_series(
+        grid(dict.fromkeys(("thread", "coretime")), machine_spec,
+             workload_specs, prof.warmup_cycles, prof.measure_cycles,
+             seed=seed),
+        obs=obs, workers=workers, verify=verify)
     report = figure_report(
         "Figure 4(b): file system benchmark, oscillated directory "
         "popularity",
@@ -247,25 +252,25 @@ def migration_cost_sweep(costs: Sequence[int] = (0, 125, 250, 500, 1000,
                          scale: int = BENCH_SCALE,
                          warmup_cycles: int = 1_500_000,
                          measure_cycles: int = 1_500_000,
-                         seed: Optional[int] = None, obs=None) \
+                         seed: Optional[int] = None, obs=None,
+                         workers: int = 0, verify: bool = False) \
         -> FigureResult:
     """CoreTime throughput as the migration cost varies (§5 measured 2000
-    cycles on real hardware; §6.1 expects active messages to cut it)."""
+    cycles on real hardware; §6.1 expects active messages to cut it).
+
+    ``seed`` is every point's raw workload seed."""
     workload_spec = DirWorkloadSpec.scaled(scale, n_dirs=n_dirs)
-    points = []
-    for cost in costs:
-        machine_spec = MachineSpec.scaled(scale, migration_cost=cost)
-        points.append(run_point(
-            machine_spec, registry.resolve("coretime"), workload_spec,
-            warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
-            x=cost, seed=seed, obs=obs))
-    baseline = run_point(MachineSpec.scaled(scale),
-                         registry.resolve("thread"), workload_spec,
-                         warmup_cycles=warmup_cycles,
-                         measure_cycles=measure_cycles, x=0,
-                         seed=seed, obs=obs)
-    series = [Series("coretime", points),
-              Series("thread (any cost)", [baseline] * len(points))]
+    coretime = [make_case(MachineSpec.scaled(scale, migration_cost=cost),
+                          "coretime", workload_spec, warmup_cycles,
+                          measure_cycles, index=index, x=cost, seed=seed)
+                for index, cost in enumerate(costs)]
+    baseline = make_case(MachineSpec.scaled(scale), "thread",
+                         workload_spec, warmup_cycles, measure_cycles,
+                         x=0, seed=seed)
+    series = run_series([("coretime", coretime),
+                         ("thread (any cost)", [baseline])],
+                        obs=obs, workers=workers, verify=verify)
+    series[1].points *= len(costs)
     report = figure_report(
         "E5: CoreTime throughput vs migration cost "
         f"({n_dirs} dirs, {workload_spec.total_data_bytes // 1024} KB)",
@@ -285,7 +290,8 @@ def clustering_comparison(n_dirs_list: Sequence[int] = (64, 160, 320),
                           scale: int = BENCH_SCALE,
                           warmup_cycles: int = 1_500_000,
                           measure_cycles: int = 1_500_000,
-                          seed: Optional[int] = None, obs=None) \
+                          seed: Optional[int] = None, obs=None,
+                          workers: int = 0, verify: bool = False) \
         -> FigureResult:
     """Thread clustering vs plain threads vs CoreTime (§2: "Thread
     clustering will not improve performance since all threads look up
@@ -293,12 +299,11 @@ def clustering_comparison(n_dirs_list: Sequence[int] = (64, 160, 320),
     machine_spec = MachineSpec.scaled(scale)
     workload_specs = [DirWorkloadSpec.scaled(scale, n_dirs=n)
                       for n in n_dirs_list]
-    xs = [spec.total_data_bytes / 1024 for spec in workload_specs]
-    series = sweep(machine_spec,
-                   ("thread", "thread-clustering", "coretime"),
-                   workload_specs, warmup_cycles=warmup_cycles,
-                   measure_cycles=measure_cycles, xs=xs,
-                   seed=seed, obs=obs)
+    series = run_series(
+        grid(dict.fromkeys(("thread", "thread-clustering", "coretime")),
+             machine_spec, workload_specs, warmup_cycles, measure_cycles,
+             seed=seed),
+        obs=obs, workers=workers, verify=verify)
     report = figure_report(
         "E6: thread clustering vs O2 scheduling",
         series, x_label="total data size (KB)",
@@ -316,24 +321,32 @@ def clustering_comparison(n_dirs_list: Sequence[int] = (64, 160, 320),
 def future_multicore(n_dirs_list: Sequence[int] = (64, 160, 320, 512),
                      warmup_cycles: int = 1_500_000,
                      measure_cycles: int = 1_500_000,
-                     seed: Optional[int] = None, obs=None) -> FigureResult:
+                     seed: Optional[int] = None, obs=None,
+                     workers: int = 0, verify: bool = False) \
+        -> FigureResult:
     """CoreTime's advantage on today's machine vs a §6.1 future machine
     (scarcer off-chip bandwidth, bigger caches, cheap active-message
     migration)."""
-    today = MachineSpec.scaled(BENCH_SCALE)
-    future = MachineSpec.future(n_chips=4, cores_per_chip=4,
-                                l2_bytes=128 * 1024, l3_bytes=1024 * 1024,
-                                migration_cost=60)
+    machines = {
+        "today": MachineSpec.scaled(BENCH_SCALE),
+        "future": MachineSpec.future(n_chips=4, cores_per_chip=4,
+                                     l2_bytes=128 * 1024,
+                                     l3_bytes=1024 * 1024,
+                                     migration_cost=60),
+    }
+    specs = [DirWorkloadSpec.scaled(BENCH_SCALE, n_dirs=n)
+             for n in n_dirs_list]
+    xs = [spec.total_data_bytes / 1024 for spec in specs]
+    all_series = run_series(
+        [line for machine_spec in machines.values()
+         for line in grid(dict.fromkeys(("thread", "coretime")),
+                          machine_spec, specs, warmup_cycles,
+                          measure_cycles, seed=seed)],
+        obs=obs, workers=workers, verify=verify)
     rows = []
     details = {}
-    for label, machine_spec in (("today", today), ("future", future)):
-        specs = [DirWorkloadSpec.scaled(BENCH_SCALE, n_dirs=n)
-                 for n in n_dirs_list]
-        xs = [spec.total_data_bytes / 1024 for spec in specs]
-        pair = sweep(machine_spec, ("thread", "coretime"), specs,
-                     warmup_cycles=warmup_cycles,
-                     measure_cycles=measure_cycles, xs=xs,
-                     seed=seed, obs=obs)
+    for position, label in enumerate(machines):
+        pair = all_series[2 * position:2 * position + 2]
         ratios = [c.kops_per_sec / max(1.0, t.kops_per_sec)
                   for t, c in zip(pair[0].points, pair[1].points)]
         details[label] = {"series": pair, "ratios": ratios}
@@ -345,7 +358,6 @@ def future_multicore(n_dirs_list: Sequence[int] = (64, 160, 320, 512),
          "cheap migration)"] + rows +
         ["", "Paper §6.1: these trends should make O2 scheduling "
              "attractive for more workloads."])
-    all_series = details["today"]["series"] + details["future"]["series"]
     return FigureResult("future", all_series, report, details=details)
 
 
@@ -357,7 +369,8 @@ def replication_ablation(n_objects_list: Sequence[int] = (96, 448),
                          scale: int = BENCH_SCALE,
                          warmup_cycles: int = 1_500_000,
                          measure_cycles: int = 1_500_000,
-                         seed: Optional[int] = None, obs=None) \
+                         seed: Optional[int] = None, obs=None,
+                         workers: int = 0, verify: bool = False) \
         -> FigureResult:
     """Zipf-skewed read-only objects: replicate the hot ones or not.
 
@@ -374,21 +387,15 @@ def replication_ablation(n_objects_list: Sequence[int] = (96, 448),
         for n in n_objects_list
     ]
     schedulers = {
-        "coretime": coretime_factory(),
-        "coretime+replication": coretime_factory(
-            replicate_read_only=True, replication_heat_factor=2.0),
+        "coretime": {},
+        "coretime+replication": {"replicate_read_only": True,
+                                 "replication_heat_factor": 2.0},
     }
-    def factory(machine, spec):
-        return ObjectOpsWorkload(machine, spec)
-    series = sweep(machine_spec, tuple(schedulers), workload_specs,
-                   warmup_cycles=warmup_cycles,
-                   measure_cycles=measure_cycles,
-                   xs=list(n_objects_list),
-                   workload_factory=factory, schedulers=schedulers,
-                   seed=seed, obs=obs)
-    # Label the series by configuration, not by the shared runtime name.
-    for label, s in zip(schedulers, series):
-        s.label = label
+    series = run_series(
+        grid(schedulers, machine_spec, workload_specs, warmup_cycles,
+             measure_cycles, kind="synthetic", xs=list(n_objects_list),
+             seed=seed),
+        obs=obs, workers=workers, verify=verify)
     report = figure_report(
         "E8: replicating hot read-only objects (Zipf popularity)",
         series, x_label="objects", y_label="1000s of ops per second",
@@ -404,7 +411,8 @@ def replication_ablation(n_objects_list: Sequence[int] = (96, 448),
 def replacement_ablation(n_dirs: int = 1024, scale: int = BENCH_SCALE,
                          warmup_cycles: int = 2_000_000,
                          measure_cycles: int = 4_000_000,
-                         seed: Optional[int] = None, obs=None) \
+                         seed: Optional[int] = None, obs=None,
+                         workers: int = 0, verify: bool = False) \
         -> FigureResult:
     """Working set far beyond on-chip capacity with a *shifting* hot set:
     keep the currently-frequent objects on-chip (LFU) or leave the table
@@ -420,18 +428,14 @@ def replacement_ablation(n_dirs: int = 1024, scale: int = BENCH_SCALE,
         scale, n_dirs=n_dirs, popularity="oscillating",
         oscillation_period=800_000, oscillation_rotate=True)
     schedulers = {
-        "thread": registry.resolve("thread"),
-        "coretime-firstfit": coretime_factory(),
-        "coretime+lfu": coretime_factory(lfu_replacement=True,
-                                         lfu_margin=1.5),
+        "thread": None,
+        "coretime-firstfit": {},
+        "coretime+lfu": {"lfu_replacement": True, "lfu_margin": 1.5},
     }
-    series = sweep(machine_spec, tuple(schedulers), [workload_spec],
-                   warmup_cycles=warmup_cycles,
-                   measure_cycles=measure_cycles,
-                   xs=[workload_spec.total_data_bytes / 1024],
-                   schedulers=schedulers, seed=seed, obs=obs)
-    for label, s in zip(schedulers, series):
-        s.label = label
+    series = run_series(
+        grid(schedulers, machine_spec, [workload_spec], warmup_cycles,
+             measure_cycles, seed=seed),
+        obs=obs, workers=workers, verify=verify)
     report = figure_report(
         f"E9: replacement policy, {n_dirs} Zipf directories "
         f"({workload_spec.total_data_bytes // 1024} KB, beyond on-chip)",
@@ -451,51 +455,37 @@ def object_clustering_ablation(n_objects: int = 64,
                                scale: int = BENCH_SCALE,
                                warmup_cycles: int = 1_500_000,
                                measure_cycles: int = 1_500_000,
-                               seed: Optional[int] = None, obs=None) \
+                               seed: Optional[int] = None, obs=None,
+                               workers: int = 0, verify: bool = False) \
         -> FigureResult:
     """Operations that touch an object then its partner: co-locating the
     pair saves one migration round trip per paired operation."""
     machine_spec = MachineSpec.scaled(scale)
-    base = ObjectOpsSpec(n_objects=n_objects, object_bytes=4096,
-                         pair_probability=0.8, think_cycles=12)
+    declared = ObjectOpsSpec(n_objects=n_objects, object_bytes=4096,
+                             pair_probability=0.8, think_cycles=12)
+    # Learning must do the work: the pairs go undeclared.
+    plain = declared.replace(declare_pairs=False)
     # Balanced packing spreads objects evenly (heat-ordered first-fit
     # would co-locate similarly-hot pairs by accident), and threads stay
     # where an operation leaves them (with return-home, the round trip
     # happens whether or not the partner is co-located, hiding the
     # effect being measured).
+    coretime = {"packing": "balanced", "return_home": False}
     schedulers = {
-        "coretime": coretime_factory(packing="balanced",
-                                     return_home=False),
-        "coretime+autocluster": coretime_factory(
-            packing="balanced", return_home=False, auto_cluster=True,
-            auto_cluster_threshold=16),
+        "coretime": coretime,
+        "coretime+autocluster": dict(coretime, auto_cluster=True,
+                                     auto_cluster_threshold=16),
     }
-    def plain_factory(machine, spec):
-        workload = ObjectOpsWorkload(machine, spec)
-        for obj in workload.objects:
-            obj.cluster_key = None     # learning must do the work
-        return workload
-    def declared_factory(machine, spec):
-        return ObjectOpsWorkload(machine, spec)   # keeps pair-N keys
-    series_plain = sweep(machine_spec, ("coretime",), [base],
-                         warmup_cycles=warmup_cycles,
-                         measure_cycles=measure_cycles, xs=[n_objects],
-                         workload_factory=plain_factory,
-                         schedulers=schedulers, seed=seed, obs=obs)
-    series_auto = sweep(machine_spec, ("coretime+autocluster",), [base],
-                        warmup_cycles=warmup_cycles,
-                        measure_cycles=measure_cycles, xs=[n_objects],
-                        workload_factory=plain_factory,
-                        schedulers=schedulers, seed=seed, obs=obs)
-    series_declared = sweep(machine_spec, ("coretime",), [base],
-                            warmup_cycles=warmup_cycles,
-                            measure_cycles=measure_cycles, xs=[n_objects],
-                            workload_factory=declared_factory,
-                            schedulers=schedulers, seed=seed, obs=obs)
-    series = [series_plain[0], series_auto[0], series_declared[0]]
-    series[0].label = "no clustering"
-    series[1].label = "learned clusters"
-    series[2].label = "declared clusters"
+    def lines(curves, spec):
+        return grid(curves, machine_spec, [spec], warmup_cycles,
+                    measure_cycles, kind="synthetic", xs=[n_objects],
+                    seed=seed)
+    (_, no_clustering), (_, learned) = lines(schedulers, plain)
+    [(_, declared_clusters)] = lines({"coretime": coretime}, declared)
+    series = run_series([("no clustering", no_clustering),
+                         ("learned clusters", learned),
+                         ("declared clusters", declared_clusters)],
+                        obs=obs, workers=workers, verify=verify)
     rows = ["", "traffic (the quantity clustering reduces — §1 warns "
                 "about interconnect saturation):"]
     for s in series:
@@ -522,7 +512,8 @@ def object_clustering_ablation(n_objects: int = 64,
 def packing_policy_ablation(n_dirs: int = 320, scale: int = BENCH_SCALE,
                             warmup_cycles: int = 1_500_000,
                             measure_cycles: int = 1_500_000,
-                            seed: Optional[int] = None, obs=None) \
+                            seed: Optional[int] = None, obs=None,
+                            workers: int = 0, verify: bool = False) \
         -> FigureResult:
     """First-fit (the paper's choice) vs alternatives.
 
@@ -535,19 +526,16 @@ def packing_policy_ablation(n_dirs: int = 320, scale: int = BENCH_SCALE,
     machine_spec = MachineSpec.scaled(scale)
     workload_spec = DirWorkloadSpec.scaled(scale, n_dirs=n_dirs)
     schedulers = {
-        "first-fit": coretime_factory(packing="first_fit"),
-        "first-fit-norebalance": coretime_factory(
-            packing="first_fit", rebalance=False),
-        "balanced": coretime_factory(packing="balanced"),
-        "hash": coretime_factory(packing="hash"),
+        "first-fit": {"packing": "first_fit"},
+        "first-fit-norebalance": {"packing": "first_fit",
+                                  "rebalance": False},
+        "balanced": {"packing": "balanced"},
+        "hash": {"packing": "hash"},
     }
-    series = sweep(machine_spec, tuple(schedulers), [workload_spec],
-                   warmup_cycles=warmup_cycles,
-                   measure_cycles=measure_cycles,
-                   xs=[workload_spec.total_data_bytes / 1024],
-                   schedulers=schedulers, seed=seed, obs=obs)
-    for label, s in zip(schedulers, series):
-        s.label = label
+    series = run_series(
+        grid(schedulers, machine_spec, [workload_spec], warmup_cycles,
+             measure_cycles, seed=seed),
+        obs=obs, workers=workers, verify=verify)
     report = figure_report(
         f"E11: packing policy ablation ({n_dirs} dirs, "
         f"{workload_spec.total_data_bytes // 1024} KB)",
@@ -566,25 +554,25 @@ def packing_policy_ablation(n_dirs: int = 320, scale: int = BENCH_SCALE,
 def run_scenario(name: str, seed: Optional[int] = None,
                  schedulers: Sequence[str] = ("thread", "coretime"),
                  warmup_cycles: int = 120_000,
-                 measure_cycles: int = 200_000, obs=None) -> FigureResult:
+                 measure_cycles: int = 200_000, obs=None,
+                 workers: int = 0, verify: bool = False) -> FigureResult:
     """One registered scenario, thread vs CoreTime on the tiny machine.
 
     The quick interactive view of a scenario (``python -m repro.bench
     scenario --scenario NAME``); the full cross-scheduler matrix is the
-    ``scenarios`` sweep preset.
+    ``scenarios`` sweep preset.  ``seed`` is the raw scenario seed.
     """
     from repro.workloads import scenarios as catalog
     from repro.workloads.scenarios import ScenarioSpec
     item = catalog.resolve(name)
     spec = ScenarioSpec(name=name)
     machine_spec = MachineSpec.tiny()
-    series = []
-    for scheduler in schedulers:
-        point = run_point(
-            machine_spec, registry.resolve(scheduler), spec,
-            warmup_cycles=warmup_cycles, measure_cycles=measure_cycles,
-            workload_factory=catalog.build, seed=seed, obs=obs)
-        series.append(Series(scheduler, [point]))
+    series = run_series(
+        [(scheduler, [make_case(machine_spec, scheduler, spec,
+                                warmup_cycles, measure_cycles,
+                                kind="scenario", seed=seed)])
+         for scheduler in schedulers],
+        obs=obs, workers=workers, verify=verify)
     ops = catalog.compile_spec(spec)
     report = figure_report(
         f"scenario {name} [{item.stress}]: {item.summary}",

@@ -1,24 +1,30 @@
-"""Benchmark harness: one measured point and parameter sweeps.
+"""Benchmark harness: one measured point and the cases that name them.
 
 Every figure and ablation reduces to the same experiment: build a machine,
 attach a scheduler, spawn the workload, warm up, measure throughput over a
-window.  :func:`run_point` is that experiment; :func:`sweep` maps it over
-a parameter axis, resolving scheduler names through
-:mod:`repro.sched.registry`.
+window.  :func:`run_point` is that experiment; :func:`execute_case` runs
+it for one :class:`~repro.sweep.spec.SweepCase`.  Resolving a case lives
+here, not in :mod:`repro.sweep`, because it decides what a cell measures
+and so must be inside :func:`~repro.sweep.spec.code_fingerprint`.
+:func:`run_series` measures an experiment's cases through
+:func:`repro.sweep.runner.run_cases`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cpu.machine import Machine
 from repro.cpu.topology import MachineSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.sched import registry
 from repro.sched.base import SchedulerRuntime
 from repro.sim.engine import Simulator
+from repro.sim.rng import derive_seed
+from repro.sweep.runner import RunnerOptions, run_cases
+from repro.sweep.spec import SweepCase
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
 SchedulerFactory = Callable[[], SchedulerRuntime]
@@ -100,6 +106,67 @@ def run_point(machine_spec: MachineSpec,
     )
 
 
+# ---------------------------------------------------------------------------
+# case resolution
+# ---------------------------------------------------------------------------
+
+def scheduler_factory(name: str,
+                      config: Mapping = ()) -> SchedulerFactory:
+    """The factory a case's scheduler resolves to.
+
+    Without ``config`` that is the registry entry ``name`` (an unknown
+    name raises :class:`ConfigError` listing every registered one).
+    ``config`` holds :class:`~repro.core.coretime.CoreTimeConfig`
+    overrides, which only ``coretime`` takes; they apply on top of the
+    benchmark defaults of :func:`~repro.sched.registry.coretime_factory`.
+    """
+    config = dict(config)
+    if not config:
+        return registry.resolve(name)
+    if name != "coretime":
+        raise ConfigError(f"scheduler {name!r} takes no config; "
+                          "CoreTimeConfig overrides apply to 'coretime'")
+    from repro.core.coretime import CoreTimeConfig
+    known = {f.name for f in dataclasses.fields(CoreTimeConfig)}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ConfigError(f"unknown CoreTimeConfig field(s) {unknown}")
+    return registry.coretime_factory(**config)
+
+
+def workload_factory(kind: str):
+    """``run_point``-compatible factory for a workload kind (None means
+    run_point's default, the directory-lookup workload)."""
+    if kind == "dirlookup":
+        return None
+    if kind == "synthetic":
+        from repro.workloads.synthetic import ObjectOpsWorkload
+        return ObjectOpsWorkload
+    if kind == "webserver":
+        from repro.workloads.webserver import WebServerWorkload
+        return WebServerWorkload
+    if kind == "scenario":
+        from repro.workloads import scenarios
+        return scenarios.build
+    raise ConfigError(f"unknown workload kind {kind!r}")
+
+
+def execute_case(case: SweepCase, obs=None) -> BenchPoint:
+    """Run one case and return its :class:`BenchPoint` (raises on error)."""
+    return run_point(
+        case.machine,
+        scheduler_factory(case.scheduler, case.scheduler_config),
+        case.workload,
+        warmup_cycles=case.warmup_cycles,
+        measure_cycles=case.measure_cycles,
+        x=case.x, workload_factory=workload_factory(case.workload_kind),
+        seed=case.seed, obs=obs)
+
+
+# ---------------------------------------------------------------------------
+# experiments: cases in, series out
+# ---------------------------------------------------------------------------
+
 @dataclass
 class Series:
     """One scheduler's curve across a sweep."""
@@ -122,148 +189,71 @@ class Series:
         raise KeyError(f"no point at x={x} in series {self.label}")
 
 
-def _case_seed(seed: Optional[int], scheduler_name: str,
-               index: int) -> Optional[int]:
-    """Per-point workload seed for a sweep.
+def make_case(machine_spec: MachineSpec, scheduler: str, workload_spec,
+              warmup_cycles: int, measure_cycles: int, *,
+              config: Optional[Mapping] = None, kind: str = "dirlookup",
+              index: int = 0, x: Optional[float] = None,
+              seed: Optional[int] = None) -> SweepCase:
+    """One experiment point as a case; an unknown scheduler or override
+    fails here, before any case runs."""
+    scheduler_factory(scheduler, config or ())
+    return SweepCase(
+        machine_label=machine_spec.name, machine=machine_spec,
+        scheduler=scheduler, scheduler_config=config or {},
+        workload_kind=kind, workload_label=f"w{index}",
+        workload=workload_spec, seed_index=index, seed=seed,
+        warmup_cycles=warmup_cycles, measure_cycles=measure_cycles, x=x)
 
-    A root ``seed`` fans out into one independent seed per (scheduler,
-    point) through :func:`repro.sim.rng.derive_seed` — the same helper
-    ``repro-sweep`` and ``repro.verify fuzz`` use — so a point's seed
-    depends only on its coordinates, never on execution order or which
-    tool ran it.  None keeps each workload spec's own seed.
+
+def grid(schedulers: Mapping[str, Optional[Mapping]],
+         machine_spec: MachineSpec, workload_specs: Sequence,
+         warmup_cycles: int, measure_cycles: int, *,
+         kind: str = "dirlookup", xs: Optional[Sequence[float]] = None,
+         seed: Optional[int] = None) -> List[Tuple[str, List[SweepCase]]]:
+    """Scheduler-major ``(label, cases)`` lines: every workload spec under
+    every scheduler.
+
+    ``schedulers`` maps a label to ``CoreTimeConfig`` overrides for a
+    ``coretime`` curve, or to None for the registry scheduler the label
+    names.  ``xs`` defaults to each spec's data KB.  A root ``seed``
+    fans out per point as ``derive_seed(seed, label, index)``, the
+    derivation ``repro-sweep`` and ``repro.verify fuzz`` use; None keeps
+    each workload spec's own seed.
     """
-    if seed is None:
-        return None
-    from repro.sim.rng import derive_seed
-    return derive_seed(seed, scheduler_name, index)
+    if xs is None:
+        xs = [spec.total_data_bytes / 1024 for spec in workload_specs]
+    return [(label, [make_case(
+        machine_spec, label if config is None else "coretime", spec,
+        warmup_cycles, measure_cycles, config=config, kind=kind,
+        index=index, x=xs[index],
+        seed=derive_seed(seed, label, index) if seed is not None else None)
+        for index, spec in enumerate(workload_specs)])
+        for label, config in schedulers.items()]
 
 
-def sweep(machine_spec: MachineSpec,
-          scheduler_names: Sequence[str],
-          workload_specs: Sequence[DirWorkloadSpec],
-          warmup_cycles: int = 2_000_000,
-          measure_cycles: int = 3_000_000,
-          xs: Optional[Sequence[float]] = None,
-          workload_factory=None,
-          schedulers: Optional[Dict[str, SchedulerFactory]] = None,
-          seed: Optional[int] = None,
-          obs=None,
-          workers: int = 0) -> List[Series]:
-    """Run every scheduler over every workload spec; returns one
-    :class:`Series` per scheduler, in the order given.
-
-    ``workers=0`` (the default) evaluates points serially in-process.
-    On either path a :class:`KeyboardInterrupt` re-raises with the
-    completed points attached as ``exc.partial_series``, so a long
-    interactive sweep never loses finished work.  ``workers=N`` shards
-    the grid over ``N`` processes via :mod:`repro.sweep` — identical
-    per-point results —
-    which requires registry-named schedulers and plain directory-lookup
-    workloads (custom ``schedulers`` factories or a ``workload_factory``
-    cannot cross a process boundary; neither can a shared ``obs``
-    pipeline).
+def run_series(lines: Sequence[Tuple[str, Sequence[SweepCase]]],
+               obs=None, workers: int = 0,
+               verify: bool = False) -> List[Series]:
+    """One :class:`Series` per ``(label, cases)`` line, measured by one
+    :func:`repro.sweep.runner.run_cases` call: in order in-process with
+    ``workers=0``, over worker processes otherwise, with identical
+    points.  ``obs`` is a recording attached to every case's simulator
+    (``workers=0`` only); ``verify`` checks every case's invariants.  A
+    failed case raises :class:`ReproError` naming it.
     """
-    if workers:
-        return _sweep_parallel(machine_spec, scheduler_names,
-                               workload_specs, warmup_cycles,
-                               measure_cycles, xs, workload_factory,
-                               schedulers, seed, obs, workers)
-    lookup = schedulers.__getitem__ if schedulers else registry.resolve
-    result: List[Series] = []
-    points: List[BenchPoint] = []
-    try:
-        for name in scheduler_names:
-            factory = lookup(name)
-            points = []
-            for index, workload_spec in enumerate(workload_specs):
-                x = xs[index] if xs is not None else None
-                points.append(run_point(
-                    machine_spec, factory, workload_spec,
-                    warmup_cycles=warmup_cycles,
-                    measure_cycles=measure_cycles, x=x,
-                    workload_factory=workload_factory,
-                    seed=_case_seed(seed, name, index), obs=obs))
-            result.append(Series(name, points))
-    except KeyboardInterrupt as interrupt:
-        # Flush what finished: completed series plus the partial one, so
-        # callers (and the CLI) can keep hours of completed points.
-        if points:
-            result.append(Series(f"{name} (partial)", points))
-        interrupt.partial_series = result
-        raise
+    cases = [case for _, line in lines for case in line]
+    outcome = run_cases(cases, options=RunnerOptions(workers=workers,
+                                                     verify=verify),
+                        recording=obs)
+    result = []
+    for label, line in lines:
+        points = []
+        for case in line:
+            record = outcome.records[case.key()]
+            if record is None or record["status"] != "ok":
+                error = record["error"] if record else "never ran"
+                raise ReproError(f"{label} point {case.describe()} "
+                                 f"failed: {error}")
+            points.append(BenchPoint(**record["point"]))
+        result.append(Series(label, points))
     return result
-
-
-def _sweep_parallel(machine_spec, scheduler_names, workload_specs,
-                    warmup_cycles, measure_cycles, xs, workload_factory,
-                    schedulers, seed, obs, workers: int) -> List[Series]:
-    """The ``workers>0`` path: shard the grid through repro.sweep."""
-    from repro.errors import ReproError
-    from repro.sweep.runner import RunnerOptions, run_cases
-    from repro.sweep.spec import SweepCase
-    if schedulers is not None or workload_factory is not None:
-        raise ConfigError(
-            "parallel sweep supports registry schedulers and the default "
-            "directory-lookup workload only (factories cannot cross a "
-            "process boundary); use workers=0")
-    if obs is not None:
-        raise ConfigError(
-            "parallel sweep cannot share one observability pipeline; "
-            "use workers=0 for --trace-out/--events-out runs")
-    for name in scheduler_names:
-        registry.entry(name)             # unknown names fail before forking
-    grid = []        # (scheduler, point index) in result order
-    cases = []
-    for name in scheduler_names:
-        for index, workload_spec in enumerate(workload_specs):
-            if not isinstance(workload_spec, DirWorkloadSpec):
-                raise ConfigError(
-                    "parallel sweep expects DirWorkloadSpec workloads; "
-                    f"got {type(workload_spec).__name__}")
-            grid.append((name, index))
-            cases.append(SweepCase(
-                machine_label=machine_spec.name,
-                machine=machine_spec,
-                scheduler=name,
-                workload_kind="dirlookup",
-                workload_label=f"w{index}",
-                workload=workload_spec,
-                seed_index=index,
-                seed=_case_seed(seed, name, index),
-                warmup_cycles=warmup_cycles,
-                measure_cycles=measure_cycles,
-                x=xs[index] if xs is not None else None))
-    try:
-        outcome = run_cases(cases, options=RunnerOptions(workers=workers))
-    except KeyboardInterrupt as interrupt:
-        # Mirror the workers=0 contract: completed points ride along on
-        # the exception (run_cases attached the raw records).
-        records = getattr(interrupt, "partial_records", {})
-        partial: List[Series] = []
-        for name in scheduler_names:
-            points = []
-            for case, (case_name, index) in zip(cases, grid):
-                if case_name != name:
-                    continue
-                record = records.get(case.key())
-                if record is not None and record["status"] == "ok":
-                    points.append((index, BenchPoint(**record["point"])))
-            if not points:
-                continue
-            label = (name if len(points) == len(workload_specs)
-                     else f"{name} (partial)")
-            partial.append(Series(
-                label, [point for _, point in sorted(points)]))
-        interrupt.partial_series = partial
-        raise
-    by_coord: Dict = {}
-    for case, (name, index) in zip(cases, grid):
-        record = outcome.records[case.key()]
-        if record is None or record["status"] != "ok":
-            error = record["error"] if record else "never ran"
-            raise ReproError(
-                f"sweep point {name}/{index} failed: {error}")
-        by_coord[(name, index)] = BenchPoint(**record["point"])
-    return [Series(name, [by_coord[(name, index)]
-                          for index in range(len(workload_specs))])
-            for name in scheduler_names]

@@ -7,10 +7,12 @@ shardable, crash-safe job:
 * :class:`~repro.sweep.spec.SweepSpec` declares the grid (named axes +
   filters) and expands it into content-hashable
   :class:`~repro.sweep.spec.SweepCase` cells;
-* :func:`~repro.sweep.runner.run_sweep` executes cells serially
+* :func:`~repro.sweep.runner.run_cases` executes cells serially
   (``workers=0``), across a local subprocess pool, or — via
   :mod:`repro.sweep.dist` — over a TCP worker fleet, with leases,
-  heartbeats, per-case timeout, bounded retry and crash isolation;
+  heartbeats, per-case timeout, bounded retry and crash isolation —
+  :func:`~repro.sweep.runner.run_sweep` runs a spec's cases through
+  it, and so does every ``repro.bench`` experiment;
 * :class:`~repro.sweep.store.ResultStore` caches finished cells on disk
   keyed by (case hash, code fingerprint) and journals progress so a
   killed sweep resumes without recomputing;
@@ -35,8 +37,8 @@ Quick use::
 from repro.sweep.aggregate import (SweepCell, compare_schedulers,
                                    diff_cells, export_events_jsonl,
                                    fold_records, render_report)
-from repro.sweep.runner import (RunnerOptions, SweepOutcome, execute_case,
-                                execute_case_record, run_sweep)
+from repro.sweep.runner import (RunnerOptions, SweepOutcome,
+                                execute_case_record, run_cases, run_sweep)
 from repro.sweep.spec import (MachineAxis, SweepCase, SweepSpec,
                               WorkloadAxis, code_fingerprint)
 from repro.sweep.store import ResultStore, StoreError, default_sweep_root
@@ -55,10 +57,10 @@ __all__ = [
     "compare_schedulers",
     "default_sweep_root",
     "diff_cells",
-    "execute_case",
     "execute_case_record",
     "export_events_jsonl",
     "fold_records",
     "render_report",
+    "run_cases",
     "run_sweep",
 ]

@@ -214,8 +214,7 @@ class Coordinator:
             channel.send({"type": "lease", "key": key,
                           "case": case.as_dict(),
                           "fingerprint": self.fingerprint,
-                          "verify": self.options.verify,
-                          "flight": self.options.flight})
+                          "verify": self.options.verify})
         elif self.leases:
             # Everything grantable is leased out (or dispatch is
             # stopped); a reclaim may requeue work, so hold the worker.

@@ -26,7 +26,7 @@ reject     coord→peer  hello refused (fingerprint mismatch); carries
                        ``reason``
 request    worker→coord ask for one cell
 lease      coord→worker one granted cell: ``key``, ``case`` (dict form),
-                       ``fingerprint``, ``verify``, ``flight``
+                       ``fingerprint``, ``verify``
 wait       coord→worker nothing grantable right now (all cells leased or
                        dispatch stopped); retry after ``for_s`` seconds
 drain      coord→worker sweep finished — disconnect and exit cleanly

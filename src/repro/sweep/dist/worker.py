@@ -116,7 +116,6 @@ def work_loop(channel: WorkerChannel, name: str,
             record = execute_case_record(
                 case, reply["fingerprint"],
                 verify=bool(reply.get("verify", False)),
-                flight=int(reply.get("flight", 0)),
                 case_key=reply["key"], event_sink=event_sink)
             try:
                 channel.send({"type": "result", "worker": name,

@@ -3,14 +3,15 @@
 One case is one :func:`repro.bench.harness.run_point` call described by
 a :class:`~repro.sweep.spec.SweepCase`.  :func:`execute_case_record`
 runs it and always returns a store record — a simulator exception
-becomes a ``failed`` record carrying the case's flight-recorder tail,
-never an escaped exception — so a bad cell can never take down a sweep.
+becomes a ``failed`` record carrying a flight-recorder tail, never an
+escaped exception — so a bad cell can never take down a sweep.
 
-:func:`run_sweep` drives a whole grid:
+:func:`run_cases` drives a case list — every ``repro.bench`` experiment
+and, through :func:`run_sweep`, every ``repro-sweep`` grid:
 
 * cells whose ``(case key, code fingerprint)`` already sit in the store
   are skipped (that is what makes ``repro-sweep resume`` free);
-* ``workers=0`` runs in-process, in deterministic grid order;
+* ``workers=0`` runs in-process, in the given order;
 * ``workers=N`` leases cases to ``N`` persistent worker subprocesses
   through the :mod:`repro.sweep.dist` coordinator over its local pipe
   transport — the same coordinator, lease table and worker loop that
@@ -29,16 +30,16 @@ journal instead.  Progress is observable live through
 in distributed runs ``WorkerJoined`` / ``WorkerLost`` /
 ``LeaseExpired``) events on an attached
 :class:`~repro.obs.Observability` bus (``ts`` is the dispatch sequence
-number — sweeps span many simulators with unrelated clocks).
-
-On KeyboardInterrupt the partial results are attached to the exception
-as ``interrupt.partial_records`` (case key -> record or None) before it
-propagates, so callers like ``repro-bench`` can plot what finished.
+number — sweeps span many simulators with unrelated clocks).  That bus
+is never a case's recording: ``recording=`` attaches to each case's
+simulator instead, and only in-process.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -50,6 +51,10 @@ from repro.sweep.store import ResultStore, make_record
 
 #: Events kept from a failing case's flight recorder.
 FLIGHT_TAIL = 64
+
+#: Events between invariant checks when a case runs under ``verify``
+#: (``repro-sweep --verify`` and ``repro.bench --verify`` alike).
+CHECK_INTERVAL = 1024
 
 
 @dataclass
@@ -64,8 +69,6 @@ class RunnerOptions:
     retries: int = 1
     #: Attach the repro.verify invariant checker inside each worker.
     verify: bool = False
-    #: Flight-recorder ring size for failure evidence (0 disables).
-    flight: int = 256
     #: Stop dispatching after this many newly-computed cases (used by the
     #: CI smoke job and tests to simulate a killed run deterministically).
     stop_after: Optional[int] = None
@@ -103,87 +106,66 @@ class SweepOutcome:
         return sum(1 for r in self.records.values() if r is None)
 
 
-def _scheduler_factory(name: str):
-    # The registry is the single source of truth; resolve raises
-    # ConfigError listing every registered name.
-    from repro.sched import registry
-    return registry.resolve(name)
-
-
-def _workload_factory(kind: str):
-    """``run_point``-compatible factory for a workload kind (None means
-    run_point's default, the directory-lookup workload)."""
-    if kind == "dirlookup":
-        return None
-    if kind == "synthetic":
-        from repro.workloads.synthetic import ObjectOpsWorkload
-        return lambda machine, spec: ObjectOpsWorkload(machine, spec)
-    if kind == "webserver":
-        from repro.workloads.webserver import WebServerWorkload
-        return lambda machine, spec: WebServerWorkload(machine, spec)
-    if kind == "scenario":
-        from repro.workloads import scenarios
-        return scenarios.build
-    raise ConfigError(f"unknown workload kind {kind!r}")
-
-
-def execute_case(case: SweepCase, obs=None):
-    """Run one case and return its :class:`BenchPoint` (raises on error)."""
-    from repro.bench.harness import run_point
-    return run_point(
-        case.machine, _scheduler_factory(case.scheduler), case.workload,
-        warmup_cycles=case.warmup_cycles,
-        measure_cycles=case.measure_cycles,
-        x=case.x, workload_factory=_workload_factory(case.workload_kind),
-        seed=case.seed, obs=obs)
+@contextmanager
+def _checking(verify: bool):
+    """Give every simulator built inside the block an invariant checker."""
+    if not verify:
+        yield
+        return
+    from repro.sim import engine
+    from repro.verify import InvariantChecker
+    previous = engine._default_checker_factory
+    engine.set_default_checker(
+        lambda: InvariantChecker(interval=CHECK_INTERVAL))
+    try:
+        yield
+    finally:
+        engine.set_default_checker(previous)
 
 
 def execute_case_record(case: SweepCase, fingerprint: str,
-                        verify: bool = False, flight: int = FLIGHT_TAIL,
+                        verify: bool = False,
                         case_key: Optional[str] = None,
-                        event_sink: Optional[Callable] = None) -> dict:
+                        event_sink: Optional[Callable] = None,
+                        recording: Optional[Observability] = None) -> dict:
     """Run one case to a store record, absorbing simulator failures.
 
     The record is deterministic: same case + same code -> same bytes,
     whether computed serially, by a pool worker, by a TCP worker on
     another machine, or in a resumed run.
 
-    ``event_sink(case, key, events)`` receives the case's full event
+    A case runs with no observability pipeline unless something records
+    it: ``event_sink(case, key, events)`` receives the case's full event
     recording (a shard recorder appends it and feeds its streaming
-    profile); the sink sees the events of failed cases too — failure
-    evidence is the point of recording.
+    profile; it sees failed cases too), and ``recording`` is a shared
+    pipeline attached to the case's simulator.
     """
-    import dataclasses as _dc
+    from repro.bench.harness import execute_case
     key = case_key if case_key is not None else case.key()
-    previous_checker = None
-    if verify:
-        from repro.sim import engine
-        from repro.verify import InvariantChecker
-        previous_checker = engine._default_checker_factory
-        engine.set_default_checker(lambda: InvariantChecker(interval=2048))
-    want_events = event_sink is not None
-    obs = (Observability(events=want_events, metrics=False, flight=flight)
-           if flight > 0 or want_events else None)
-    try:
+    obs = recording
+    if event_sink is not None:
+        obs = Observability(events=True, metrics=False, flight=0)
+    with _checking(verify):
         try:
             point = execute_case(case, obs=obs)
             record = make_record(key, case.as_dict(), fingerprint, "ok",
-                                 point=_dc.asdict(point))
-        except KeyboardInterrupt:
-            raise
+                                 point=dataclasses.asdict(point))
         except Exception as exc:
-            tail = (obs.flight.tail(FLIGHT_TAIL)
-                    if obs is not None and obs.flight is not None else None)
-            error = f"{type(exc).__name__}: {exc}"
+            # Failure evidence costs only the cells that fail: run the
+            # case again, under the same checker, with a flight ring.
+            ring = Observability(events=False, metrics=False,
+                                 flight=FLIGHT_TAIL)
+            try:
+                execute_case(case, obs=ring)
+            except Exception:
+                pass
             record = make_record(key, case.as_dict(), fingerprint,
-                                 "failed", error=error, flight=tail)
-        if want_events and obs is not None:
-            event_sink(case, key, obs.events())
-        return record
-    finally:
-        if verify:
-            from repro.sim import engine
-            engine.set_default_checker(previous_checker)
+                                 "failed",
+                                 error=f"{type(exc).__name__}: {exc}",
+                                 flight=ring.flight.tail(FLIGHT_TAIL))
+    if event_sink is not None:
+        event_sink(case, key, obs.events())
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +197,28 @@ def run_cases(cases: List[SweepCase],
               obs: Optional[Observability] = None,
               progress: Optional[Callable[[str], None]] = None,
               fingerprint: Optional[str] = None,
-              transport=None) -> SweepOutcome:
-    """Run an explicit case list (what ``bench.harness.sweep`` feeds in
-    when it shards a figure's grid over workers)."""
+              transport=None,
+              recording: Optional[Observability] = None) -> SweepOutcome:
+    """Run an explicit case list (every ``repro.bench`` experiment's
+    points; :func:`run_sweep` expands a grid into one).
+
+    Every case's CoreTime config is checked before any case runs.
+    ``recording`` is attached to every case's simulator, which needs
+    the in-process path.
+    """
+    from repro.bench.harness import scheduler_factory
     from repro.sweep.dist.coordinator import Seq
 
     options = options or RunnerOptions()
     options.validate()
+    if recording is not None and (options.workers or transport is not None
+                                  or options.profile_dir is not None):
+        raise ConfigError("a recording pipeline attaches to in-process "
+                          "simulators: it needs workers=0 and no "
+                          "transport or profile_dir")
+    for case in cases:
+        if case.scheduler_config:
+            scheduler_factory(case.scheduler, case.scheduler_config)
     keys = [case.key() for case in cases]
     if fingerprint is None:
         fingerprint = code_fingerprint()
@@ -300,16 +297,14 @@ def run_cases(cases: List[SweepCase],
             pass                     # everything was cached
         elif transport is None:
             _run_serial(todo, options, fingerprint, announce, finalize,
-                        outcome)
+                        outcome, recording)
         else:
             from repro.sweep.dist.coordinator import Coordinator
             Coordinator(todo, transport, options, fingerprint,
                         announce=announce, finalize=finalize,
                         outcome=outcome, say=say, obs=obs, store=store,
                         seq=seq).run()
-    except KeyboardInterrupt as interrupt:
-        # Callers (repro-bench, the CLI) can salvage what finished.
-        interrupt.partial_records = dict(outcome.records)
+    except KeyboardInterrupt:
         if store is not None:
             store.journal("interrupted",
                           computed=outcome.computed,
@@ -324,7 +319,8 @@ def run_cases(cases: List[SweepCase],
 
 
 def _run_serial(todo, options: RunnerOptions, fingerprint: str,
-                announce, finalize, outcome: SweepOutcome) -> None:
+                announce, finalize, outcome: SweepOutcome,
+                recording: Optional[Observability]) -> None:
     recorder = None
     if options.profile_dir is not None:
         from repro.obs.stream import ShardRecorder
@@ -338,10 +334,9 @@ def _run_serial(todo, options: RunnerOptions, fingerprint: str,
             announce(case, key)
             case_started = time.monotonic()
             record = execute_case_record(
-                case, fingerprint, verify=options.verify,
-                flight=options.flight, case_key=key,
+                case, fingerprint, verify=options.verify, case_key=key,
                 event_sink=recorder.record if recorder is not None
-                else None)
+                else None, recording=recording)
             finalize(case, key, record,
                      time.monotonic() - case_started, attempt=1)
     finally:

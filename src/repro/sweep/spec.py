@@ -15,9 +15,11 @@ Two identities matter here:
   process, host or session expands them.
 * :func:`code_fingerprint` — SHA-256 over the ``repro`` package sources
   (excluding ``repro/sweep``, which orchestrates but never touches a
-  simulated cycle).  A cached result is only reused when both match, so
-  editing the simulator invalidates every cell while editing the sweep
-  machinery invalidates none.
+  simulated cycle; turning a case into a simulation is
+  ``repro.bench.harness.execute_case``, which the fingerprint covers).
+  A cached result is only reused when both match, so editing the
+  simulator invalidates every cell while editing the sweep machinery
+  invalidates none.
 """
 
 from __future__ import annotations
@@ -116,12 +118,20 @@ class SweepCase:
     measure_cycles: int = 1_500_000
     #: Sweep coordinate for reports (defaults to the workload's data KB).
     x: Optional[float] = None
+    #: ``CoreTimeConfig`` overrides for ``coretime``: given as a mapping,
+    #: kept as sorted ``(field, value)`` pairs so the case stays hashable.
+    scheduler_config: Tuple[Tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scheduler_config",
+                           tuple(sorted(dict(self.scheduler_config).items())))
 
     def as_dict(self) -> dict:
         return {
             "machine_label": self.machine_label,
             "machine": machine_to_dict(self.machine),
             "scheduler": self.scheduler,
+            "scheduler_config": dict(self.scheduler_config),
             "workload_kind": self.workload_kind,
             "workload_label": self.workload_label,
             "workload": workload_to_dict(self.workload_kind,
@@ -323,7 +333,9 @@ def code_fingerprint() -> str:
 
     ``repro/sweep`` itself is excluded: the orchestration layer decides
     *which* cells run and *where*, never what a cell measures, so
-    iterating on it must not invalidate a populated cache.
+    iterating on it must not invalidate a populated cache.  What a cell
+    measures — how a case resolves to a scheduler and a workload — is
+    ``repro.bench.harness.execute_case``, inside the hash.
     """
     import repro
     root = Path(repro.__file__).resolve().parent

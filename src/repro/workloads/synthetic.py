@@ -42,6 +42,10 @@ class ObjectOpsSpec:
     #: Probability that an operation is immediately followed by one on
     #: the object's partner (pair index ^ 1) — the clustering scenario.
     pair_probability: float = 0.0
+    #: Declare each pair as a cluster (``cluster_key`` ``pair-N``) when
+    #: ``pair_probability`` > 0; False leaves the pairs undeclared, for
+    #: CoreTime's auto-clustering to learn (E10).
+    declare_pairs: bool = True
     popularity: str = "uniform"
     zipf_s: float = 1.0
     with_locks: bool = True
@@ -85,7 +89,8 @@ class ObjectOpsWorkload:
         for index in range(spec.n_objects):
             region = space.alloc(f"obj{index}", spec.object_bytes)
             cluster_key = (f"pair-{index // 2}"
-                           if spec.pair_probability > 0 else None)
+                           if spec.pair_probability > 0
+                           and spec.declare_pairs else None)
             obj = CtObject(f"obj{index}", region.base, spec.object_bytes,
                            read_only=spec.write_fraction == 0.0,
                            cluster_key=cluster_key)

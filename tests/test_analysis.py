@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.analysis import (compare, run_seeds, summarise)
+from repro.analysis import summarise
+from repro.sweep.aggregate import compare_schedulers, fold_records
+from repro.sweep.store import make_record
 
 
 class TestSummarise:
@@ -33,36 +35,41 @@ class TestSummarise:
         assert "n=2" in str(summarise([1.0, 2.0]))
 
 
-class TestRunSeeds:
-    def test_runs_every_seed(self):
-        seen = []
-        def experiment(seed):
-            seen.append(seed)
-            return float(seed * 2)
-        stats = run_seeds(experiment, [1, 2, 3])
-        assert seen == [1, 2, 3]
-        assert stats.mean == 4.0
+def _compare(baseline, candidate, seeds):
+    """Seed-paired comparison of two measure(seed) functions, through
+    the sweep aggregation that reports use."""
+    records = []
+    for name, measure in (("base", baseline), ("cand", candidate)):
+        for index, seed in enumerate(seeds):
+            case = {"machine_label": "m", "scheduler": name,
+                    "workload_label": "w", "seed_index": index,
+                    "seed": seed, "x": None}
+            records.append(make_record(
+                f"{name}-{index}", case, "fp", "ok",
+                point={"kops_per_sec": measure(seed)}))
+    return compare_schedulers(fold_records(records), "base",
+                              "cand")[("m", "w")]
 
 
 class TestCompare:
     def test_robust_speedup(self):
-        result = compare(lambda seed: 100.0 + seed,
-                         lambda seed: 200.0 + seed, [1, 2, 3])
+        result = _compare(lambda seed: 100.0 + seed,
+                          lambda seed: 200.0 + seed, [1, 2, 3])
         assert result.robust
         assert result.mean_speedup == pytest.approx(2.0, rel=0.05)
 
     def test_mixed_result_not_robust(self):
         outcomes = {1: 0.5, 2: 2.0}
-        result = compare(lambda seed: 1.0,
-                         lambda seed: outcomes[seed], [1, 2])
+        result = _compare(lambda seed: 1.0,
+                          lambda seed: outcomes[seed], [1, 2])
         assert not result.robust
 
     def test_zero_baseline_is_infinite(self):
-        result = compare(lambda seed: 0.0, lambda seed: 1.0, [1])
+        result = _compare(lambda seed: 0.0, lambda seed: 1.0, [1])
         assert result.per_seed_ratios[0] == float("inf")
 
     def test_str(self):
-        result = compare(lambda s: 1.0, lambda s: 2.0, [1])
+        result = _compare(lambda s: 1.0, lambda s: 2.0, [1])
         assert "2.00x" in str(result)
 
 
@@ -70,24 +77,26 @@ class TestIntegrationWithSimulator:
     def test_coretime_speedup_is_seed_robust(self):
         """The paper's headline holds across workload seeds, not just
         on one lucky draw."""
-        from repro.bench.harness import run_point
-        from repro.sched import registry
         from repro.cpu.topology import MachineSpec
+        from repro.sweep.runner import run_cases
+        from repro.sweep.spec import SweepCase
         from repro.workloads.dirlookup import DirWorkloadSpec
 
         spec = MachineSpec.scaled(16)
-
-        def measure(scheduler):
-            def experiment(seed):
-                workload = DirWorkloadSpec(
-                    n_dirs=128, files_per_dir=64, cluster_bytes=512,
-                    think_cycles=10, threads_per_core=4, seed=seed)
-                return run_point(spec, registry.resolve(scheduler),
-                                 workload, warmup_cycles=300_000,
-                                 measure_cycles=400_000).kops_per_sec
-            return experiment
-
-        result = compare(measure("thread"), measure("coretime"),
-                         seeds=[1, 2, 3])
+        workload = DirWorkloadSpec(
+            n_dirs=128, files_per_dir=64, cluster_bytes=512,
+            think_cycles=10, threads_per_core=4)
+        cases = [SweepCase(
+            machine_label="scaled16", machine=spec, scheduler=scheduler,
+            workload_kind="dirlookup", workload_label="dirs128",
+            workload=workload, seed_index=index, seed=seed,
+            warmup_cycles=300_000, measure_cycles=400_000)
+            for scheduler in ("thread", "coretime")
+            for index, seed in enumerate([1, 2, 3])]
+        outcome = run_cases(cases)
+        cells = fold_records(outcome.records.values())
+        result = compare_schedulers(cells, "thread", "coretime")[
+            ("scaled16", "dirs128")]
+        assert result.per_seed_ratios and len(result.per_seed_ratios) == 3
         assert result.robust, str(result)
         assert result.mean_speedup > 1.3

@@ -1,14 +1,19 @@
 """Tests for repro.bench (harness, reports, plots) on tiny configs."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench.ascii_plot import plot
-from repro.bench.harness import BenchPoint, Series, run_point, sweep
+from repro.bench.harness import (BenchPoint, Series, grid, run_point,
+                                 run_series)
 from repro.bench.report import figure_report, table
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.sched import registry
 from repro.sched.registry import coretime_factory
+from repro.sim.rng import derive_seed
 from repro.workloads.dirlookup import DirWorkloadSpec
+from repro.workloads.synthetic import ObjectOpsSpec
 
 from tests.helpers import tiny_spec
 
@@ -59,107 +64,69 @@ class TestRunPoint:
         assert scheduler.config.lookup_cost == 5
 
 
+def tiny_grid(schedulers=("thread", "coretime"), n_dirs=(2, 4), seed=None,
+              warmup_cycles=20_000, measure_cycles=50_000):
+    return grid(dict.fromkeys(schedulers), tiny_spec(),
+                [quick_workload(n) for n in n_dirs], warmup_cycles,
+                measure_cycles, xs=[float(n) for n in n_dirs], seed=seed)
+
+
 class TestSweep:
     def test_one_series_per_scheduler(self):
-        series = sweep(tiny_spec(), ("thread", "coretime"),
-                       [quick_workload(2), quick_workload(4)],
-                       warmup_cycles=20_000, measure_cycles=50_000)
+        series = run_series(tiny_grid())
         assert [s.label for s in series] == ["thread", "coretime"]
         assert all(len(s.points) == 2 for s in series)
+        assert series[0].xs == [2.0, 4.0]
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ConfigError):
-            sweep(tiny_spec(), ("nope",), [quick_workload()],
-                  warmup_cycles=0, measure_cycles=10_000)
+            tiny_grid(schedulers=("nope",))
 
-    def test_interrupt_flushes_partial_series(self, monkeypatch):
-        # Interrupt mid-grid: the exception must carry every finished
-        # point (completed series + the partial one) so hours of sweep
-        # work survive a ^C.
-        import repro.bench.harness as harness
-        real_run_point = harness.run_point
-        calls = []
-
-        def flaky_run_point(*args, **kwargs):
-            if len(calls) == 3:            # 4th point: mid-series 2
-                raise KeyboardInterrupt
-            calls.append(1)
-            return real_run_point(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "run_point", flaky_run_point)
-        with pytest.raises(KeyboardInterrupt) as exc_info:
-            sweep(tiny_spec(), ("thread", "coretime"),
-                  [quick_workload(2), quick_workload(4)],
-                  warmup_cycles=10_000, measure_cycles=20_000)
-        partial = exc_info.value.partial_series
-        assert [s.label for s in partial] == ["thread",
-                                              "coretime (partial)"]
-        assert len(partial[0].points) == 2
-        assert len(partial[1].points) == 1
-
-    def test_parallel_interrupt_flushes_partial_series(self, monkeypatch):
-        # The workers>0 path mirrors the serial ^C contract: finished
-        # points ride along on the exception as partial_series.
-        import repro.sweep.runner as runner
-
-        real_run_cases = runner.run_cases
-
-        def interrupted_run_cases(cases, **kwargs):
-            # Compute the first case for real, then "get ^C'd" the way
-            # the distributed runner reports it.
-            outcome = real_run_cases(cases[:1])
-            interrupt = KeyboardInterrupt()
-            interrupt.partial_records = {
-                case.key(): outcome.records.get(case.key())
-                for case in cases}
-            raise interrupt
-
-        monkeypatch.setattr(runner, "run_cases", interrupted_run_cases)
-        with pytest.raises(KeyboardInterrupt) as exc_info:
-            sweep(tiny_spec(), ("thread", "coretime"),
-                  [quick_workload(2), quick_workload(4)],
-                  warmup_cycles=10_000, measure_cycles=20_000,
-                  workers=2)
-        partial = exc_info.value.partial_series
-        assert [s.label for s in partial] == ["thread (partial)"]
-        assert len(partial[0].points) == 1
-        assert partial[0].points[0].kops_per_sec > 0
+    def test_failed_point_raises_naming_the_case(self):
+        # files_per_dir=0 fails validation when the case runs.
+        [(_, cases)] = tiny_grid(schedulers=("thread",), n_dirs=(2,))
+        cases[0] = dataclasses.replace(
+            cases[0], workload=quick_workload(2).replace(files_per_dir=0))
+        with pytest.raises(ReproError) as excinfo:
+            run_series([("thread", cases)])
+        assert "thread point tiny/thread/w0/s0 failed" in str(excinfo.value)
 
     def test_parallel_matches_serial(self):
-        kwargs = dict(warmup_cycles=10_000, measure_cycles=30_000,
-                      xs=[2.0, 4.0], seed=3)
-        workloads = [quick_workload(2), quick_workload(4)]
-        serial = sweep(tiny_spec(), ("thread", "coretime"), workloads,
-                       **kwargs)
-        parallel = sweep(tiny_spec(), ("thread", "coretime"), workloads,
-                         workers=2, **kwargs)
-        assert [s.label for s in serial] == [s.label for s in parallel]
+        # An E8/E10-shaped grid: two CoreTime configs over declared and
+        # undeclared pairs of the object-ops workload, plus a plain
+        # registry scheduler; every point equal at workers=0 and 2.
+        pairs = ObjectOpsSpec(n_objects=8, object_bytes=1024,
+                              pair_probability=0.8, think_cycles=10)
+        schedulers = {
+            "thread": None,
+            "coretime": {"packing": "balanced", "return_home": False},
+            "coretime+autocluster": {"packing": "balanced",
+                                     "return_home": False,
+                                     "auto_cluster": True,
+                                     "auto_cluster_threshold": 4},
+        }
+        lines = grid(schedulers, tiny_spec(),
+                     [pairs, pairs.replace(declare_pairs=False)],
+                     10_000, 30_000, kind="synthetic", xs=[1, 2], seed=3)
+        serial = run_series(lines)
+        parallel = run_series(lines, workers=2)
+        assert [s.label for s in serial] == list(schedulers)
+        assert [s.label for s in parallel] == list(schedulers)
         for left, right in zip(serial, parallel):
             assert left.points == right.points
-
-    def test_parallel_rejects_unpicklable_configurations(self):
-        with pytest.raises(ConfigError):
-            sweep(tiny_spec(), ("thread",), [quick_workload()],
-                  workers=2,
-                  schedulers={"thread": registry.resolve("thread")})
-        with pytest.raises(ConfigError):
-            sweep(tiny_spec(), ("thread",), [quick_workload()],
-                  workers=2, workload_factory=lambda m, s: None)
-        with pytest.raises(ConfigError):
-            sweep(tiny_spec(), ("thread",), [quick_workload()],
-                  workers=2, obs=object())
+        # The two configs really are two experiments.
+        assert serial[1].points != serial[2].points
 
     def test_seed_fans_out_per_point(self):
-        # A root seed derives an independent seed per (scheduler, point);
+        # A root seed derives an independent seed per (curve, point);
         # same root, same coordinates -> identical results.
-        first = sweep(tiny_spec(), ("thread",),
-                      [quick_workload(2), quick_workload(4)],
-                      warmup_cycles=10_000, measure_cycles=30_000, seed=5)
-        second = sweep(tiny_spec(), ("thread",),
-                       [quick_workload(2), quick_workload(4)],
-                       warmup_cycles=10_000, measure_cycles=30_000,
-                       seed=5)
-        assert first[0].points == second[0].points
+        first = tiny_grid(schedulers=("thread",), seed=5,
+                          warmup_cycles=10_000, measure_cycles=30_000)
+        assert [case.seed for case in first[0][1]] \
+            == [derive_seed(5, "thread", 0), derive_seed(5, "thread", 1)]
+        second = tiny_grid(schedulers=("thread",), seed=5,
+                           warmup_cycles=10_000, measure_cycles=30_000)
+        assert run_series(first)[0].points == run_series(second)[0].points
 
     def test_series_accessors(self):
         series = Series("s", [

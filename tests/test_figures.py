@@ -114,6 +114,17 @@ class TestRegistry:
         assert len((tmp_path / "e.events.jsonl").read_text()
                    .splitlines()) == 1 + kept
 
+    def test_outputs_refuse_worker_processes(self, tmp_path, capsys):
+        # A recording attaches to in-process simulators only.
+        from repro.bench.__main__ import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["fig4a", "--workers", "2",
+                  "--metrics-out", str(tmp_path / "m.json")])
+        assert info.value.code == 2
+        assert "need --workers 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_perf_is_not_an_experiment(self, capsys):
         from repro.bench.__main__ import main
 

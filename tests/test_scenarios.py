@@ -178,7 +178,7 @@ class TestSweepIntegration:
 
     def test_runner_executes_a_scenario_cell(self):
         from repro.sweep.presets import PRESETS
-        from repro.sweep.runner import execute_case
+        from repro.bench.harness import execute_case
         case = next(iter(PRESETS["scenarios"]().expand()))
         case = dataclasses.replace(case, warmup_cycles=2_000,
                                    measure_cycles=6_000)

@@ -103,10 +103,10 @@ class TestUnknownScheduler:
             assert name in message
 
     def test_sweep_runner_resolves_via_registry(self):
-        from repro.sweep.runner import _scheduler_factory
-        assert _scheduler_factory("mlfq")().name == "mlfq"
+        from repro.bench.harness import scheduler_factory
+        assert scheduler_factory("mlfq")().name == "mlfq"
         with pytest.raises(ConfigError) as excinfo:
-            _scheduler_factory("no-such-policy")
+            scheduler_factory("no-such-policy")
         message = str(excinfo.value)
         for name in registry.names():
             assert name in message

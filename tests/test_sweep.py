@@ -1,5 +1,6 @@
 """Tests for repro.sweep: specs, store, runner, aggregation, CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -12,8 +13,8 @@ from repro.sweep.aggregate import (compare_schedulers, fold_records,
                                    percentile, records_to_events,
                                    render_report)
 from repro.sweep.cli import main as sweep_main
-from repro.sweep.runner import (RunnerOptions, execute_case_record,
-                                run_sweep)
+from repro.sweep.runner import (FLIGHT_TAIL, RunnerOptions,
+                                execute_case_record, run_cases, run_sweep)
 from repro.sweep.spec import (MachineAxis, SweepCase, SweepSpec,
                               WorkloadAxis, code_fingerprint)
 from repro.sweep.store import ResultStore, make_record
@@ -45,7 +46,7 @@ def tiny_sweep(n_seeds=1, root_seed=42, schedulers=("thread", "coretime"),
 
 
 def quick_options(**overrides):
-    fields = dict(workers=0, flight=32)
+    fields = dict(workers=0)
     fields.update(overrides)
     return RunnerOptions(**fields)
 
@@ -151,12 +152,32 @@ class TestSweepCase:
     def test_key_changes_with_any_field(self):
         case = tiny_sweep().expand()[0]
         keys = {case.key()}
-        import dataclasses
         for changes in ({"scheduler": "work-stealing"},
                         {"seed_index": 3}, {"measure_cycles": 50_000},
                         {"workload": tiny_workload(5)}):
             keys.add(dataclasses.replace(case, **changes).key())
         assert len(keys) == 5
+
+    def test_coretime_config_round_trips_and_keys_the_case(self):
+        # An E8/E10-shaped case: CoreTime overrides over undeclared pairs.
+        from repro.workloads.synthetic import ObjectOpsSpec
+        case = SweepCase(
+            machine_label="tiny", machine=tiny_spec(), scheduler="coretime",
+            workload_kind="synthetic", workload_label="pairs",
+            workload=ObjectOpsSpec(pair_probability=0.8,
+                                   declare_pairs=False),
+            scheduler_config={"return_home": False, "packing": "balanced"})
+        assert case.scheduler_config == (("packing", "balanced"),
+                                          ("return_home", False))
+        hash(case)
+        clone = SweepCase.from_dict(json.loads(json.dumps(case.as_dict())))
+        assert clone == case and clone.key() == case.key()
+        keys = {case.key()}
+        for config in ({}, {"packing": "balanced"},
+                       {"packing": "balanced", "return_home": True}):
+            keys.add(dataclasses.replace(case,
+                                         scheduler_config=config).key())
+        assert len(keys) == 4
 
     def test_machine_spec_survives_round_trip(self):
         spec = MachineSpec.scaled(8)
@@ -173,6 +194,36 @@ class TestCodeFingerprint:
         assert len(first) == 16
         assert first == code_fingerprint()
         int(first, 16)
+
+    def test_case_resolution_is_inside_the_fingerprint(self, tmp_path,
+                                                      monkeypatch):
+        # Resolving a case to a scheduler and a workload decides what a
+        # cell measures, so editing it must invalidate cached cells;
+        # editing the orchestration layer must not.
+        import inspect
+        import shutil
+        from pathlib import Path
+
+        import repro
+        from repro.bench import harness
+        root = Path(repro.__file__).resolve().parent
+        copy = tmp_path / "repro"
+        shutil.copytree(root, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
+
+        def edit(path):
+            path.write_text(path.read_text() + "\n# edited\n")
+
+        for function in (harness.execute_case, harness.scheduler_factory,
+                         harness.workload_factory):
+            source = Path(inspect.getsourcefile(function)).resolve()
+            before = code_fingerprint()
+            edit(copy / source.relative_to(root))
+            assert code_fingerprint() != before, function.__name__
+        before = code_fingerprint()
+        edit(copy / "sweep" / "runner.py")
+        assert code_fingerprint() == before
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +348,65 @@ class TestRunnerSerial:
         assert "ConfigError" in record["error"]
         assert record["point"] is None
 
+    def test_failure_mid_run_records_a_flight_tail(self, monkeypatch):
+        # The case raises mid-run; the replay's ring tail is the evidence.
+        from repro.errors import DeadlockError
+        from repro.sched import registry
+        from repro.sched.registry import SchedulerEntry
+        from repro.sched.thread_sched import ThreadScheduler
+
+        class CrashOnTenthOp(ThreadScheduler):
+            ends = 0
+
+            def on_ct_end(self, thread, core, now):
+                self.ends += 1
+                if self.ends == 10:
+                    raise DeadlockError("injected mid-run")
+                return super().on_ct_end(thread, core, now)
+
+        registry.names()                 # populate the built-ins first
+        monkeypatch.setitem(registry._REGISTRY, "crash-test",
+                            SchedulerEntry("crash-test", CrashOnTenthOp))
+        case = dataclasses.replace(tiny_sweep().expand()[0],
+                                   scheduler="crash-test")
+        record = execute_case_record(case, "fp")
+        assert record["status"] == "failed"
+        assert "DeadlockError: injected mid-run" in record["error"]
+        tail = record["flight"]
+        assert 0 < len(tail) <= FLIGHT_TAIL
+        assert all("kind" in event for event in tail)
+
+    def test_ok_case_runs_without_a_pipeline(self, monkeypatch):
+        import repro.bench.harness as harness
+        real = harness.execute_case
+        seen = []
+
+        def spy(case, obs=None):
+            seen.append(obs)
+            return real(case, obs=obs)
+
+        monkeypatch.setattr(harness, "execute_case", spy)
+        record = execute_case_record(tiny_sweep().expand()[0], "fp")
+        assert record["status"] == "ok" and record["flight"] is None
+        assert seen == [None]
+
+    def test_bad_scheduler_config_fails_before_any_case_runs(self):
+        good = tiny_sweep(schedulers=("thread",)).expand()[0]
+        for changes in ({"scheduler": "coretime",
+                         "scheduler_config": {"no_such_knob": 1}},
+                        {"scheduler_config": {"packing": "balanced"}}):
+            messages = []
+            with pytest.raises(ConfigError):
+                run_cases([good, dataclasses.replace(good, **changes)],
+                          progress=messages.append)
+            assert messages == []
+
+    def test_recording_needs_the_in_process_path(self):
+        with pytest.raises(ConfigError):
+            run_cases(tiny_sweep().expand()[:1],
+                      options=quick_options(workers=2),
+                      recording=Observability())
+
     def test_failed_case_does_not_kill_the_sweep(self, tmp_path):
         spec = tiny_sweep(schedulers=("thread",))
         bad = WorkloadAxis("bad", "dirlookup",
@@ -382,23 +492,6 @@ class TestRunnerParallel:
         assert outcome.stopped
         assert 0 < outcome.computed <= 4
         assert outcome.remaining >= 4
-
-    def test_interrupt_attaches_partial_records(self):
-        # ^C mid-sweep on the pool path: the exception must carry the
-        # finished records so repro-bench can salvage them.
-        spec = tiny_sweep(n_seeds=2)
-
-        def say(message):
-            if message.startswith("done"):
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt) as exc_info:
-            run_sweep(spec, options=quick_options(workers=2),
-                      progress=say)
-        records = exc_info.value.partial_records
-        assert len(records) == 8                       # full key set
-        finished = [r for r in records.values() if r is not None]
-        assert finished and all(r["status"] == "ok" for r in finished)
 
 
 # ---------------------------------------------------------------------------
