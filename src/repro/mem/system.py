@@ -27,19 +27,23 @@ which link ``Interconnect.transfers`` counts.
 
 Hot-path layout: per-line lookups run through :meth:`_load_line` and
 whole scans through :meth:`_scan`.  A core's L1 and L2 are one
-:class:`~repro.mem.cache.PrivateStack` (``stacks``): a private hit
-restamps the line at the top of the core's recency stack, and L1's LRU
-line drops into L2 by moving the stack's level boundary past it, not by
-moving the line.  ``l1s`` and ``l2s`` are per-level views of the stacks.
-Both loops work on a per-core tuple of flattened state — counter bank,
-stack, level views and capacities, the L3's ordered dict, chip id, the
-core's and its L3's holder bits, the chip's rings of equally distant
-holders — plus the directory's raw line -> holder-mask dict.  On a
-private miss one mask probe tells an L3 hit (the chip's L3 bit is set),
-a remote hit (the first ring that intersects the mask serves) and a DRAM
-fetch (no bit set) apart, and each change of a line's holders is one dict
-store of an int, so the hit paths and the insert cascade make no Python
-method calls.
+:class:`~repro.mem.cache.PrivateStack` (``stacks``) of runs, consecutive
+lines with consecutive stamps: a private hit moves the line to the top of
+the core's recency stack, a scan moves each run it covers there in one
+step, and L1's LRU line drops into L2 by moving the stack's level
+boundary past it, not by moving the line.  ``l1s`` and ``l2s`` are
+per-level views of the stacks.  A line is found by one probe of the
+stack's run index when it starts a run, and a line that is not the core's
+shows as a clear bit in its holder mask.  Both loops work on a per-core
+tuple of flattened state — counter bank, stack, level views and
+capacities, the L3's ordered dict, chip id, the core's and its L3's
+holder bits, the chip's rings of equally distant holders and its link
+keys — plus the directory's raw line -> holder-mask dict.  On a private
+miss one mask probe tells an L3 hit (the chip's L3 bit is set), a remote
+hit (the first ring that intersects the mask serves) and a DRAM fetch
+(no bit set) apart, and each change of a line's holders is one dict store
+of an int, so the hit paths and the insert cascade make no Python method
+calls short of cutting a run.
 
 Each memory cost has one owner.  Chip-to-chip costs come from rows this
 class builds once from the hop distance: a remote read takes its cost
@@ -60,12 +64,16 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.cpu.topology import MachineSpec
-from repro.mem.cache import LRUCache, PrivateStack, StackLevel
+from repro.mem.cache import LRUCache, PrivateStack, Run, StackLevel
 from repro.obs.events import CacheEvicted, CacheInvalidated
 from repro.mem.counters import CoreCounters
 from repro.mem.dram import Dram
 from repro.mem.interconnect import Interconnect
-from repro.mem.sharing import SharingDirectory, holder_ids
+from repro.mem.sharing import SharingDirectory
+
+
+#: Allocates a :class:`Run` without running its ``__init__``.
+new_run = object.__new__
 
 
 class MemorySystem:
@@ -117,6 +125,7 @@ class MemorySystem:
         latency = spec.latency
         hop = latency.remote_hop
         rings: List[tuple] = []
+        chip_links: List[tuple] = []
         #: Per writing chip, its invalidation row: one (cost, link key or
         #: None on the writer's own chip) per holder id, the key naming
         #: the ``Interconnect.invalidations`` entry the message counts on.
@@ -124,6 +133,7 @@ class MemorySystem:
         for chip in range(n_chips):
             keys = [(other, chip) for other in range(n_chips)]
             links = tuple(keys[hchip] for hchip in self._holder_chip)
+            chip_links.append(links)
             by_distance: dict = {}
             for other in range(n_chips):
                 distance = spec.chip_distance(chip, other)
@@ -139,9 +149,10 @@ class MemorySystem:
                  (chip, hchip) if hchip != chip else None)
                 for hchip in self._holder_chip))
         # Flattened per-core state for the hot path: one tuple per core,
-        # unpacked in C once per scan and on every single-line access
-        # that misses L1, instead of chasing list-index + attribute
-        # chains.
+        # unpacked in C once per scan and on every single-line private
+        # miss, instead of chasing list-index + attribute chains.  Its
+        # last entry maps a holder id to the link its reads to this chip
+        # count on.
         self._core_state: List[tuple] = []
         for c, stack in enumerate(self.stacks):
             chip = self._chip_of[c]
@@ -151,7 +162,7 @@ class MemorySystem:
                 stack.l1, stack.l1.capacity, stack.l2, stack.l2.capacity,
                 l3, l3._lines, l3.capacity,
                 chip, 1 << c, 1 << self.directory.l3_holder(chip),
-                rings[chip]))
+                rings[chip], chip_links[chip]))
         # Observability: None until attach_observability(); publish sites
         # gate on it so the un-observed hot path allocates nothing.
         self._bus = None
@@ -215,14 +226,19 @@ class MemorySystem:
         counters.stores += 1
         holders_map = self._holders
         bit = 1 << core_id
-        others = holder_ids(holders_map[line] & ~bit)
+        others = holders_map[line] & ~bit
         if others:
             holders_map[line] = bit
             row = self._inval_rows[self._chip_of[core_id]]
             invalidations = self.interconnect.invalidations
             n_cores = self.spec.n_cores
             worst = 0
-            for holder in others:
+            count = 0
+            while others:
+                low = others & -others
+                others ^= low
+                holder = low.bit_length() - 1
+                count += 1
                 if holder < n_cores:
                     self.stacks[holder].drop(line)
                 else:
@@ -232,11 +248,11 @@ class MemorySystem:
                     invalidations[key] = invalidations.get(key, 0) + 1
                 if cost > worst:
                     worst = cost
-            counters.invalidations += len(others)
+            counters.invalidations += count
             latency += worst
             bus = self._bus
             if bus is not None and bus.wants(CacheInvalidated):
-                bus.publish(CacheInvalidated(now, core_id, line, len(others),
+                bus.publish(CacheInvalidated(now, core_id, line, count,
                                              self.op_obj[core_id]))
         counters.mem_cycles += latency
         return latency
@@ -262,183 +278,272 @@ class MemorySystem:
 
     def _scan(self, core_id: int, first: int, last: int, now: int,
               per_line_compute: int, state: tuple) -> int:
-        """Whole-scan inline loop over lines ``first..last``.
+        """Whole-scan loop over lines ``first..last``, run by run.
 
-        Unrolls :meth:`_load_line` across the scanned range with the
-        per-core state, the recency stack's integers, the directory dict,
-        the chip's rings and the bound ``Dram.load`` all held in locals,
-        and with counter increments accumulated outside the loop.
-        Mutations — the L1 -> L2 -> L3 victim cascade, holder masks —
-        follow the per-line path, so counters and event streams stay
-        byte-identical to it.  The stack's integers are written back
-        before any event is published, so a subscriber never sees a stale
-        boundary.
+        The loop walks the runs of the core's recency stack that cover
+        the range.  Each stretch of private hits (the lines of one run,
+        consecutive in address and in stamp) is folded into counters,
+        latency and boundary moves in closed form and moves to the top
+        of the stack as part of this scan's run.  Private misses, and the
+        L2 -> L3 spills they cause, are handled line by line as in
+        :meth:`_load_line`, so counters and event streams stay
+        byte-identical to a line-by-line walk.  The stack's integers and
+        the interconnect ledger are written back before any event is
+        published, so a subscriber never sees a stale boundary.
         """
         (counters, stack, l1, l1_cap, l2, l2_cap, l3, l3d, l3_cap,
-         chip, bit, l3_bit, rings) = state
+         chip, bit, l3_bit, rings, links) = state
         holders_map = self._holders
         holders_get = holders_map.get
+        runs = stack.runs
+        runs_get = runs.get
+        run = runs_get(first)
+        if run is None and holders_get(first, 0) & bit:
+            # The scan starts inside a run; every later line that a run
+            # holds is the first line of its run.
+            run = stack.cut(first)
         # AND-masks that clear this core's bit and its L3's bit.
         keep = ~bit
         keep3 = ~l3_bit
         hit1 = self._lat_l1 + per_line_compute
         hit2 = self._lat_l2 + per_line_compute
         hit3 = self._lat_l3 + per_line_compute
-        transfers = self.interconnect.transfers
         dram_load = self.dram.load
         bus = self._bus
         # ``line_now``, the time a missed line's fetch starts, only stamps
         # CacheEvicted (L3 spill), so it is kept only while eviction
         # events are published.
         publishing = bus is not None and bus.wants(CacheEvicted)
-        where = stack.where
-        where_get = where.get
-        slots = stack.slots
-        push = slots.append
-        limit = stack.limit
-        # The stack's integers live in locals for the whole scan (the
-        # loop performs every mutation of the stack); ``top`` is the next
-        # stamp, i.e. ``len(slots)``.
+        # Cross-chip remote reads per serving holder's bit, added to the
+        # interconnect ledger once per scan.
+        served: dict = {}
+        served_get = served.get
+        # The stack's state lives in locals for the whole scan (the loop
+        # performs every mutation of the stack).  ``mine`` is this
+        # scan's run: the lines it has read, newest at the top.
+        head = stack.head
         edge = stack.edge
-        low = stack.low
+        erun = stack.erun
         n1 = stack.n1
         n2 = stack.n2
-        top = len(slots)
+        top = stack.top
+        mine = None
         l3_move = l3d.move_to_end
         l3_pop = l3d.popitem
         n3 = len(l3d)
         c1 = c2 = c3 = cr = cd = e1 = e2 = e3 = 0
         total = 0
         stream_run = False
-        for line in range(first, last + 1):
-            if top >= limit:
-                stack.edge = edge
-                stack.low = low
-                stack.renumber()
-                edge = stack.edge
-                low = 0
-                top = len(slots)
-            stamp = where_get(line, -1)
-            if stamp >= edge:
-                # L1 hit: restamp the line at the top.
-                slots[stamp] = None
-                where[line] = top
-                push(line)
-                top += 1
-                c1 += 1
-                total += hit1
+        line = first
+        while True:
+            if run is not None:
+                # Private hits on lines line..end of ``run``, oldest
+                # first; ``low`` of them lie below the boundary.
+                d = run.d
+                end = run.hi
+                if end > last:
+                    end = last
+                n = end - line + 1
+                low = edge - line - d
+                demote = 0
+                if low <= 0:
+                    c1 += n
+                    total += n * hit1
+                else:
+                    if low > n:
+                        low = n
+                    room = l1_cap - n1
+                    if low <= room:
+                        # Each L2 hit fills a free place in L1.
+                        c1 += n - low
+                        c2 += low
+                        total += (n - low) * hit1 + low * hit2
+                        n1 += low
+                        n2 -= low
+                    else:
+                        # Once L1 is full, each L2 hit demotes L1's LRU
+                        # line.  The first demotions take this stretch's
+                        # own L1 lines before the scan reaches them, so
+                        # every line of the stretch is an L2 hit; the
+                        # ``low - room`` demotions left over go past it.
+                        c2 += n
+                        total += n * hit2
+                        e1 += n - room
+                        n1 = l1_cap
+                        n2 -= room
+                        demote = low - room
                 stream_run = False
-                continue
-            if stamp >= 0:
-                # L2 hit: restamp the line at the top.  If L1 was full,
-                # its LRU line takes the freed place in L2.
-                slots[stamp] = None
-                where[line] = top
-                push(line)
-                top += 1
-                c2 += 1
-                total += hit2
-                stream_run = False
-                if n1 < l1_cap:
-                    n1 += 1
-                    n2 -= 1
-                    continue
-                e1 += 1
-                while slots[edge] is None:
-                    edge += 1
-                edge += 1
-                continue
-            if publishing:
-                line_now = now + total
-            # One mask probe classifies the private miss, and one store
-            # records this core as a holder.
-            mask = holders_get(line, 0)
-            if mask & l3_bit:
-                c3 += 1
-                if mask & (mask - 1):
-                    l3_move(line)
+                # The stretch leaves ``run`` for the top of the stack; a
+                # run read to its end becomes this scan's run itself.
+                if end == run.hi:
+                    older = run.older
+                    newer = run.newer
+                    older.newer = newer
+                    newer.older = older
+                    if erun is run:
+                        erun = newer
+                    if mine is None:
+                        mine = run
+                        run.d = top - line
+                        newest = head.older
+                        run.older = newest
+                        run.newer = head
+                        newest.newer = run
+                        head.older = run
+                        if erun is head:
+                            erun = run
+                    else:
+                        del runs[line]
+                        mine.hi = end
+                else:
+                    run.lo = end + 1
+                    runs[end + 1] = run
+                    if mine is None:
+                        newest = head.older
+                        mine = Run(line, end, top - line, newest, head)
+                        newest.newer = mine
+                        head.older = mine
+                        runs[line] = mine
+                        if erun is head:
+                            erun = mine
+                    else:
+                        del runs[line]
+                        mine.hi = end
+                top += n
+                while demote:
+                    # Move the boundary past ``demote`` lines, run by run.
+                    stamp = erun.lo + erun.d
+                    if stamp < edge:
+                        stamp = edge
+                    above = erun.hi + erun.d + 1
+                    if stamp + demote < above:
+                        edge = stamp + demote
+                        break
+                    demote -= above - stamp
+                    edge = above
+                    erun = erun.newer
+                if end == last:
+                    break
+                line = end + 1
+            # Private misses, line by line, until a line starts a run.
+            for line in range(line, last + 1):
+                run = runs_get(line)
+                if run is not None:
+                    break
+                if publishing:
+                    line_now = now + total
+                # One mask probe classifies the private miss, and one
+                # store records this core as a holder.
+                mask = holders_get(line, 0)
+                if mask & l3_bit:
+                    c3 += 1
+                    if mask & (mask - 1):
+                        l3_move(line)
+                        holders_map[line] = mask | bit
+                    else:
+                        del l3d[line]
+                        n3 -= 1
+                        holders_map[line] = bit
+                    total += hit3
+                    stream_run = False
+                elif mask:
+                    # Served by the first ring holding a copy: the nearest
+                    # holders, and among them the lowest id.  A line from
+                    # another chip counts on its link, streamed or not.
+                    for ring, cost, stream, remote in rings:
+                        if mask & ring:
+                            break
+                    cr += 1
+                    if remote is not None:
+                        near = mask & ring
+                        near &= -near
+                        served[near] = served_get(near, 0) + 1
+                    if stream_run:
+                        total += stream + per_line_compute
+                    else:
+                        total += cost + per_line_compute
+                    stream_run = True
                     holders_map[line] = mask | bit
                 else:
-                    del l3d[line]
-                    n3 -= 1
+                    cd += 1
+                    total += (dram_load(line, chip, now + total, stream_run)
+                              + per_line_compute)
+                    stream_run = True
                     holders_map[line] = bit
-                total += hit3
-                stream_run = False
-            elif mask:
-                # Served by the first ring holding a copy: the nearest
-                # holders, and among them the lowest id.  A line from
-                # another chip counts on its link, streamed or not.
-                for ring, cost, stream, links in rings:
-                    if mask & ring:
-                        break
-                cr += 1
-                if links is not None:
-                    near = mask & ring
-                    key = links[(near & -near).bit_length() - 1]
-                    transfers[key] = transfers.get(key, 0) + 1
-                if stream_run:
-                    total += stream + per_line_compute
+                # --- inlined insert cascade -----------------------------
+                if mine is None:
+                    newest = head.older
+                    mine = Run(line, line, top - line, newest, head)
+                    newest.newer = mine
+                    head.older = mine
+                    runs[line] = mine
+                    if erun is head:
+                        erun = mine
                 else:
-                    total += cost + per_line_compute
-                stream_run = True
-                holders_map[line] = mask | bit
+                    mine.hi = line
+                top += 1
+                if n1 < l1_cap:
+                    n1 += 1
+                    continue
+                # L1 was full: its LRU line becomes L2's MRU line in place.
+                e1 += 1
+                stamp = erun.lo + erun.d
+                if stamp < edge:
+                    stamp = edge
+                edge = stamp + 1
+                if edge > erun.hi + erun.d:
+                    erun = erun.newer
+                if n2 < l2_cap:
+                    n2 += 1
+                    continue
+                # L2 was full: the stack's oldest line leaves it.
+                e2 += 1
+                oldest = head.newer
+                victim2 = oldest.lo
+                del runs[victim2]
+                if oldest.hi > victim2:
+                    oldest.lo = victim2 + 1
+                    runs[victim2 + 1] = oldest
+                else:
+                    newer = oldest.newer
+                    head.newer = newer
+                    newer.older = head
+                # Leaving the private hierarchy for the chip's shared L3.
+                mask = holders_map[victim2]
+                holders_map[victim2] = mask & keep | l3_bit
+                if mask & l3_bit:
+                    l3_move(victim2)
+                    continue
+                l3d[victim2] = None
+                n3 += 1
+                if n3 <= l3_cap:
+                    continue
+                e3 += 1
+                n3 -= 1
+                victim3 = l3_pop(False)[0]
+                mask = holders_map[victim3] & keep3
+                if mask:
+                    holders_map[victim3] = mask
+                else:
+                    del holders_map[victim3]
+                if publishing:
+                    stack.edge = edge
+                    stack.erun = erun
+                    stack.n1 = n1
+                    stack.n2 = n2
+                    stack.top = top
+                    self._count_served(served, links)
+                    bus.publish(CacheEvicted(line_now, core_id, "L3", victim3,
+                                             self.op_obj[core_id]))
             else:
-                cd += 1
-                total += (dram_load(line, chip, now + total, stream_run)
-                          + per_line_compute)
-                stream_run = True
-                holders_map[line] = bit
-            # --- inlined insert cascade ---------------------------------
-            where[line] = top
-            push(line)
-            top += 1
-            if n1 < l1_cap:
-                n1 += 1
-                continue
-            # L1 was full: its LRU line becomes L2's MRU line in place.
-            e1 += 1
-            while slots[edge] is None:
-                edge += 1
-            edge += 1
-            if n2 < l2_cap:
-                n2 += 1
-                continue
-            e2 += 1
-            while slots[low] is None:
-                low += 1
-            victim2 = slots[low]
-            slots[low] = None
-            low += 1
-            del where[victim2]
-            # Leaving the private hierarchy for the chip's shared L3.
-            mask = holders_map[victim2]
-            holders_map[victim2] = mask & keep | l3_bit
-            if mask & l3_bit:
-                l3_move(victim2)
-                continue
-            l3d[victim2] = None
-            n3 += 1
-            if n3 <= l3_cap:
-                continue
-            e3 += 1
-            n3 -= 1
-            victim3 = l3_pop(False)[0]
-            mask = holders_map[victim3] & keep3
-            if mask:
-                holders_map[victim3] = mask
-            else:
-                del holders_map[victim3]
-            if publishing:
-                stack.edge = edge
-                stack.low = low
-                stack.n1 = n1
-                stack.n2 = n2
-                bus.publish(CacheEvicted(line_now, core_id, "L3", victim3,
-                                         self.op_obj[core_id]))
+                break
         stack.edge = edge
-        stack.low = low
+        stack.erun = erun
         stack.n1 = n1
         stack.n2 = n2
+        stack.top = top
+        if served:
+            self._count_served(served, links)
         counters.l1_hits += c1
         counters.l2_hits += c2
         counters.l3_hits += c3
@@ -453,6 +558,15 @@ class MemorySystem:
         counters.mem_cycles += total
         return total
 
+    def _count_served(self, served: dict, links: tuple) -> None:
+        """Add a scan's cross-chip reads, tallied by the serving holder's
+        bit, to the interconnect ledger, and empty the tally."""
+        transfers = self.interconnect.transfers
+        for near, count in served.items():
+            key = links[near.bit_length() - 1]
+            transfers[key] = transfers.get(key, 0) + count
+        served.clear()
+
     # ------------------------------------------------------------------
     # hot path
     # ------------------------------------------------------------------
@@ -463,42 +577,67 @@ class MemorySystem:
         Operates directly on the core's recency stack, the L3's ordered
         dict and the directory's holder-mask dict — the lookup, the hit
         bookkeeping, and the full L1 -> L2 -> L3 victim cascade run inline
-        with no method calls short of a renumbering.
+        with no method calls short of cutting a run.
         """
         stack = self.stacks[core_id]
-        slots = stack.slots
-        if len(slots) >= stack.limit:
-            stack.renumber()
-        where = stack.where
-        stamp = where.get(line, -1)
-        if stamp >= stack.edge:
-            # L1 hit: restamp the line at the top.
-            slots[stamp] = None
-            where[line] = len(slots)
-            slots.append(line)
-            self.counters[core_id].l1_hits += 1
-            return self._lat_l1
-        (counters, _, l1, l1_cap, l2, l2_cap, l3, l3d, l3_cap,
-         chip, bit, l3_bit, rings) = self._core_state[core_id]
-        if stamp >= 0:
-            # L2 hit: restamp the line at the top.  If L1 was full, its
-            # LRU line takes the freed place in L2.
-            counters.l2_hits += 1
-            slots[stamp] = None
-            where[line] = len(slots)
-            slots.append(line)
-            if stack.n1 < l1_cap:
-                stack.n1 += 1
+        runs = stack.runs
+        run = runs.get(line)
+        if run is None:
+            holders_map = self._holders
+            mask = holders_map.get(line, 0)
+            if mask >> core_id & 1:
+                # The line lies inside a longer run.
+                run = stack.cut(line)
+        if run is not None:
+            # Private hit.  Unless it is the newest line already, the
+            # line (the first of its run) moves to the top of the stack
+            # as a run of its own.
+            stamp = line + run.d
+            top = stack.top
+            if stamp + 1 != top:
+                if run.hi > line:
+                    # The rest of the run keeps its place and stamps.
+                    stack.cut(line + 1)
+                head = stack.head
+                older = run.older
+                newer = run.newer
+                older.newer = newer
+                newer.older = older
+                if stack.erun is run and newer is not head:
+                    stack.erun = newer
+                newest = head.older
+                run.older = newest
+                run.newer = head
+                newest.newer = run
+                head.older = run
+                run.d = top - line
+                stack.top = top + 1
+            edge = stack.edge
+            if stamp >= edge:
+                self.counters[core_id].l1_hits += 1
+                return self._lat_l1
+            # L2 hit.  If L1 was full, its LRU line takes the freed place
+            # in L2.
+            self.counters[core_id].l2_hits += 1
+            l1 = stack.l1
+            n1 = stack.n1
+            if n1 < l1.capacity:
+                if not n1:
+                    stack.erun = run
+                stack.n1 = n1 + 1
                 stack.n2 -= 1
-            else:
-                l1.evictions += 1
-                edge = stack.edge
-                while slots[edge] is None:
-                    edge += 1
-                stack.edge = edge + 1
+                return self._lat_l2
+            l1.evictions += 1
+            erun = stack.erun
+            stamp = erun.lo + erun.d
+            if stamp < edge:
+                stamp = edge
+            stack.edge = stamp + 1
+            if stamp >= erun.hi + erun.d:
+                stack.erun = erun.newer
             return self._lat_l2
-        holders_map = self._holders
-        mask = holders_map.get(line, 0)
+        (counters, _, l1, l1_cap, l2, l2_cap, l3, l3d, l3_cap,
+         chip, bit, l3_bit, rings, _) = self._core_state[core_id]
         if mask & l3_bit:
             # AMD K10's non-inclusive L3: on a hit, keep the L3 copy when
             # the line is shared (other holders exist), so chip-shared
@@ -533,29 +672,53 @@ class MemorySystem:
             result = self.dram.load(line, chip, now, False)
             holders_map[line] = bit
         # --- insert at L1, cascading victims downward ------------------
-        # L1 insert (MRU); the cascade below only runs on overflow.
-        where[line] = len(slots)
-        slots.append(line)
-        if stack.n1 < l1_cap:
-            stack.n1 += 1
+        # L1 insert (MRU) as a run of its own; the cascade below only
+        # runs on overflow.  The run is filled in here rather than by
+        # ``Run.__init__``, whose call frame costs about as much as the
+        # rest of an L1 insert.
+        head = stack.head
+        newest = head.older
+        top = stack.top
+        run = new_run(Run)
+        run.lo = run.hi = line
+        run.d = top - line
+        run.older = newest
+        run.newer = head
+        newest.newer = run
+        head.older = run
+        runs[line] = run
+        stack.top = top + 1
+        n1 = stack.n1
+        if n1 < l1_cap:
+            if not n1:
+                stack.erun = run
+            stack.n1 = n1 + 1
             return result
         # L1 was full: its LRU line becomes L2's MRU line in place.
         l1.evictions += 1
+        erun = stack.erun
         edge = stack.edge
-        while slots[edge] is None:
-            edge += 1
-        stack.edge = edge + 1
+        stamp = erun.lo + erun.d
+        if stamp < edge:
+            stamp = edge
+        stack.edge = stamp + 1
+        if stamp >= erun.hi + erun.d:
+            stack.erun = erun.newer
         if stack.n2 < l2_cap:
             stack.n2 += 1
             return result
+        # L2 was full: the stack's oldest line leaves it.
         l2.evictions += 1
-        low = stack.low
-        while slots[low] is None:
-            low += 1
-        victim2 = slots[low]
-        slots[low] = None
-        stack.low = low + 1
-        del where[victim2]
+        oldest = head.newer
+        victim2 = oldest.lo
+        del runs[victim2]
+        if oldest.hi > victim2:
+            oldest.lo = victim2 + 1
+            runs[victim2 + 1] = oldest
+        else:
+            newer = oldest.newer
+            head.newer = newer
+            newer.older = head
         # Leaving the private hierarchy for the chip's shared L3.
         mask = holders_map[victim2]
         holders_map[victim2] = mask & ~bit | l3_bit

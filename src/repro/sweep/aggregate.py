@@ -82,12 +82,25 @@ def failed_records(records: Iterable[Optional[dict]]) -> List[dict]:
             if r is not None and r.get("status") == "failed"]
 
 
+def scheduler_label(case: dict) -> str:
+    """A case's scheduler name with its ``CoreTimeConfig`` overrides, if
+    it has any: ``coretime[packing=hash]``.  A record written before
+    cases carried overrides has none."""
+    config = case.get("scheduler_config") or {}
+    if not config:
+        return case["scheduler"]
+    overrides = ",".join(f"{name}={value}"
+                         for name, value in sorted(config.items()))
+    return f"{case['scheduler']}[{overrides}]"
+
+
 def fold_records(records: Iterable[Optional[dict]]) -> List[SweepCell]:
-    """Collapse the seed axis: one cell per grid coordinate."""
+    """Collapse the seed axis: one cell per grid coordinate, where a
+    scheduler under different overrides is a different coordinate."""
     grouped: Dict[CellKey, List[dict]] = {}
     for record in ok_records(records):
         case = record["case"]
-        key = (case["machine_label"], case["scheduler"],
+        key = (case["machine_label"], scheduler_label(case),
                case["workload_label"])
         grouped.setdefault(key, []).append(record)
     cells = []
@@ -175,7 +188,7 @@ def render_failures(records: Iterable[Optional[dict]],
     lines = [f"{len(failures)} failed cell(s):"]
     for record in failures[:limit]:
         case = record["case"]
-        label = (f"{case['machine_label']}/{case['scheduler']}/"
+        label = (f"{case['machine_label']}/{scheduler_label(case)}/"
                  f"{case['workload_label']}/s{case['seed_index']}")
         lines.append(f"  {label}: {record.get('error')}")
     if len(failures) > limit:

@@ -250,20 +250,55 @@ class InvariantChecker:
                         f"directory claims {sorted(claim)}", now)
 
     def _check_stack(self, core_id: int, stack: Any, now: int) -> None:
-        slots = stack.slots
-        for line, stamp in stack.where.items():
-            held = slots[stamp] if 0 <= stamp < len(slots) else "nothing"
-            if held != line:
-                self._fail("residency",
-                           f"core {core_id}: line {line} has stamp {stamp}, "
-                           f"whose slot holds {held}", now)
-        live = len(slots) - slots.count(None)
-        if live != len(stack.where):
-            self._fail("residency",
-                       f"core {core_id}: {live} live slots for "
-                       f"{len(stack.where)} stamped lines", now)
-        for level, stored in ((stack.l1, stack.n1), (stack.l2, stack.n2)):
-            held = sum(1 for _ in level.lines())
+        """A core's recency stack is well-formed runs: none empty, their
+        line ranges disjoint, their stamp ranges disjoint and ordered
+        along the ring, the start index naming exactly them, ``erun``
+        the oldest run reaching the boundary, and ``n1``/``n2`` the lines
+        at or above the boundary and below it."""
+        def fail(detail: str) -> None:
+            self._fail("residency", f"core {core_id}: {detail}", now)
+
+        head, edge = stack.head, stack.edge
+        chain = []
+        run = head.newer
+        while run is not head:
+            if run.newer.older is not run or len(chain) > len(stack.runs):
+                fail(f"the run ring is broken after run {run.lo}..{run.hi}")
+            chain.append(run)
+            run = run.newer
+        below = -1
+        erun = head
+        counts = [0, 0]
+        for run in chain:
+            lo, hi, d = run.lo, run.hi, run.d
+            if lo > hi:
+                fail(f"run {lo}..{hi} is empty")
+            if lo + d <= below:
+                fail(f"run {lo}..{hi} is stamped {lo + d}..{hi + d}, "
+                     f"not above the run before it (stamp {below})")
+            below = hi + d
+            if erun is head and hi + d >= edge:
+                erun = run
+            upper = max(0, hi + 1 - max(lo, edge - d))
+            counts[0] += upper
+            counts[1] += hi - lo + 1 - upper
+        if below >= stack.top:
+            fail(f"stamp {below} is not below the next stamp {stack.top}")
+        ordered = sorted(chain, key=lambda run: run.lo)
+        for before, after in zip(ordered, ordered[1:]):
+            if after.lo <= before.hi:
+                fail(f"runs {before.lo}..{before.hi} and "
+                     f"{after.lo}..{after.hi} both hold line {after.lo}")
+        index = stack.runs
+        if (len(index) != len(chain)
+                or any(index.get(run.lo) is not run for run in chain)):
+            fail(f"the start index names {sorted(index)[:4]}, the runs "
+                 f"start at {sorted(run.lo for run in chain)[:4]}")
+        if stack.erun is not erun:
+            fail(f"the boundary run is not the oldest run stamped at or "
+                 f"above {edge}")
+        for level, held, stored in zip((stack.l1, stack.l2), counts,
+                                       (stack.n1, stack.n2)):
             if held != stored:
                 self._fail("residency",
                            f"{level.cache_id} holds {held} lines, its "

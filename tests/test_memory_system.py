@@ -206,6 +206,117 @@ class TestScan:
         assert warm == 4 * memory.spec.latency.l1
 
 
+def levels(memory: MemorySystem, core: int = 0):
+    """Core ``core``'s L2 and L1 lines, each in LRU order."""
+    return list(memory.l2s[core].lines()), list(memory.l1s[core].lines())
+
+
+def hits(memory: MemorySystem, core: int = 0):
+    """Core ``core``'s L1 and L2 hits so far."""
+    counters = memory.counters[core]
+    return counters.l1_hits, counters.l2_hits
+
+
+class TestRunWalk:
+    """Scans walk the runs of the core's recency stack and fold each
+    stretch of private hits in closed form; every case here is shadowed
+    by the reference model, which walks line by line (tiny machine: L1 8
+    lines, L2 32)."""
+
+    def test_rescan_shorter_then_longer(self):
+        memory = make()
+        memory.scan(0, 0, 20 * LINE, 0)
+        assert levels(memory) == (list(range(12)), list(range(12, 20)))
+        # Five L2 hits with L1 full: each demotes L1's LRU line.
+        memory.scan(0, 0, 5 * LINE, 0)
+        assert levels(memory) == (list(range(5, 17)),
+                                  [17, 18, 19, 0, 1, 2, 3, 4])
+        memory.scan(0, 0, 15 * LINE, 0)
+        assert levels(memory) == ([15, 16, 17, 18, 19] + list(range(7)),
+                                  list(range(7, 15)))
+        compare(memory)
+        stack = memory.stacks[0]
+        newest = stack.head.older
+        assert (newest.lo, newest.hi) == (0, 14)
+        assert len(stack.runs) == 2
+
+    def test_scan_longer_than_the_stack_evicts_its_own_lines(self):
+        memory = make()
+        memory.scan(0, 0, 60 * LINE, 0)
+        assert levels(memory) == (list(range(20, 52)), list(range(52, 60)))
+        # Each L3 hit evicts the stack's oldest line: first lines this
+        # scan has yet to reach, then lines it read earlier.
+        l3_hits = memory.counters[0].l3_hits
+        memory.scan(0, 0, 60 * LINE, 0)
+        assert memory.counters[0].l3_hits - l3_hits == 60
+        assert levels(memory) == (list(range(20, 52)), list(range(52, 60)))
+        compare(memory)
+
+    def test_straddling_rescan_with_l1_full_has_no_l1_hits(self):
+        memory = make()
+        memory.scan(0, 0, 30 * LINE, 0)
+        before = hits(memory)
+        # Lines 0-21 are in L2 and 22-29 fill L1.  Each L2 hit demotes the
+        # oldest L1 line, one this scan reaches later, so none of the 30
+        # lines is still in L1 when it is read.
+        memory.scan(0, 0, 30 * LINE, 0)
+        assert hits(memory) == (before[0], before[1] + 30)
+        assert levels(memory)[1] == list(range(22, 30))
+        compare(memory)
+
+    def test_straddling_rescan_after_an_invalidation_hole(self):
+        memory = make()
+        memory.scan(0, 0, 30 * LINE, 0)
+        memory.store(1, 25 * LINE, 0)
+        assert len(memory.l1s[0]) == 7
+        before = hits(memory)
+        # The first L2 hit fills the hole and demotes nothing; the second
+        # demotes line 22, still ahead of the scan.  Line 25 is a miss.
+        memory.scan(0, 0, 30 * LINE, 0)
+        assert hits(memory) == (before[0], before[1] + 29)
+        assert levels(memory)[1] == list(range(22, 30))
+        compare(memory)
+
+    def test_store_splits_a_run_and_a_rescan_crosses_the_hole(self):
+        memory = make()
+        memory.scan(0, 0, 16 * LINE, 0)
+        memory.store(1, 7 * LINE, 0)
+        stack = memory.stacks[0]
+        assert sorted((run.lo, run.hi) for run in stack.runs.values()) \
+            == [(0, 6), (8, 15)]
+        remote = memory.counters[0].remote_hits
+        memory.scan(0, 0, 16 * LINE, 0)
+        assert memory.counters[0].remote_hits == remote + 1
+        newest = stack.head.older
+        assert (newest.lo, newest.hi) == (0, 15)
+        assert list(stack.runs) == [0]
+        compare(memory)
+
+    @pytest.mark.parametrize("line", [0, 4, 9])
+    def test_single_line_load_within_a_run(self, line):
+        memory = make()
+        memory.scan(0, 0, 10 * LINE, 0)
+        latency, source = load_from(memory, 0, line)
+        assert source == ("l2_hits" if line < 2 else "l1_hits")
+        assert levels(memory)[1][-1] == line
+        # The line is a run of its own at the top; the rest keep their
+        # stamps.
+        stack = memory.stacks[0]
+        assert stack.runs[line] is stack.head.older
+        assert sum(run.hi - run.lo + 1 for run in stack.runs.values()) == 10
+        compare(memory)
+
+    def test_newest_line_hit_moves_nothing(self):
+        memory = make()
+        memory.load(0, 3 * LINE, 0)
+        stack = memory.stacks[0]
+        top = stack.top
+        for _ in range(5):
+            assert load_from(memory, 0, 3) == (3, "l1_hits")
+        assert stack.top == top
+        compare(memory)
+
+
 def traffic_since(memory: MemorySystem, before: dict) -> dict:
     """The line transfers counted on each link since the ledger read
     ``before``."""

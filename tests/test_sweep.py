@@ -531,6 +531,23 @@ class TestAggregate:
         assert result.mean_speedup == pytest.approx(
             (150 / 100 + 154 / 110) / 2)
 
+    def test_scheduler_configs_fold_to_separate_cells(self):
+        records = self._records({"coretime": [150.0]})
+        configured = dict(records[0]["case"],
+                          scheduler_config={"packing": "hash"})
+        records.append(make_record("coretime-hash", configured, "fp", "ok",
+                                   point={"kops_per_sec": 120.0}))
+        cells = fold_records(records)
+        assert [(cell.scheduler, cell.seeds, cell.values)
+                for cell in cells] == [("coretime", [0], [150.0]),
+                                       ("coretime[packing=hash]", [0],
+                                        [120.0])]
+        # A plain comparison does not pick up the configured variant.
+        records += self._records({"thread": [100.0]})
+        assert compare_schedulers(fold_records(records), "thread",
+                                  "coretime")[("m", "w")].mean_speedup \
+            == pytest.approx(1.5)
+
     def test_records_to_events_deterministic_order(self):
         records = self._records({"thread": [100.0]})
         records.append(make_record(

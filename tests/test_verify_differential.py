@@ -10,13 +10,17 @@ it catches a bug planted in code every memory path shares.
 
 import pytest
 
+from repro.cpu.machine import Machine
 from repro.cpu.topology import MachineSpec
+from repro.mem.counters import aggregate
 from repro.mem.system import MemorySystem
+from repro.sched.registry import coretime_factory
 from repro.sim.engine import Simulator
 from repro.verify import InvariantChecker, check_case, generate_case
 from repro.verify.fuzz import (FuzzCase, build_machine, build_scheduler,
                                build_workload, run_case)
 from repro.verify.reference import ReferenceMismatch, compare, shadow
+from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
 from tests.helpers import tiny_spec
 
@@ -31,6 +35,26 @@ class TestReferenceDifferential:
         # the end state checked against the reference model.
         failure = check_case(generate_case(seed))
         assert failure is None, str(failure)
+
+    def test_dirlookup_rescans_at_benchmark_cache_sizes(self):
+        # simbench's dirlookup under CoreTime, scaled down to 16
+        # directories: most scans reread a random-length prefix of a
+        # directory the scanning core already holds, so they walk runs
+        # of private lines.  The fuzzer's fixed-length object scans and
+        # CI's cases rarely make that pattern.
+        machine = Machine(MachineSpec.scaled(8))
+        shadow(machine.memory)
+        sim = Simulator(machine,
+                        coretime_factory(monitor_interval=50_000)())
+        DirectoryLookupWorkload(machine, DirWorkloadSpec.scaled(
+            8, n_dirs=16, popularity="uniform", seed=0)).spawn_all(sim)
+        for until in range(50_000, 300_001, 50_000):
+            sim.run(until=until)
+        compare(machine.memory)
+        counters = aggregate(machine.memory.counters)
+        private = counters["l1_hits"] + counters["l2_hits"]
+        assert private > 0.8 * sum(counters[name] for name in (
+            "l1_hits", "l2_hits", "l3_hits", "remote_hits", "dram_loads"))
 
     def test_catches_a_planted_invalidation_bug(self, monkeypatch):
         # One extra cycle per invalidated copy, planted in the

@@ -103,16 +103,25 @@ class TestStackInvariants:
         stack.n2 -= 1
         assert self.violated_rule(checker) == "residency"
 
-    def test_corrupt_slot_trips_residency(self):
+    def test_runs_claiming_one_line_trip_residency(self):
         checker, stack = self.warm_stack()
-        line = next(stack.l1.lines())
-        stack.slots[stack.where[line]] = line + 1_000_000
+        runs = list(stack.runs.values())
+        alone = next(run for run in runs if run.lo == run.hi)
+        other = next(run for run in runs if run is not alone)
+        # ``alone`` keeps its stamp, so both levels keep their sizes, but
+        # now claims ``other``'s first line.
+        stamp = alone.lo + alone.d
+        del stack.runs[alone.lo]
+        alone.lo = alone.hi = other.lo
+        alone.d = stamp - other.lo
         assert self.violated_rule(checker) == "residency"
 
     def test_capacity_counts_lines_not_stored_size(self):
         checker, stack = self.warm_stack()
-        # Every L2 line now reads as L1's while ``n1`` stays in bounds.
-        stack.edge = stack.low
+        # With the boundary below the oldest run every L2 line reads as
+        # L1's, while ``n1`` stays in bounds.
+        oldest = stack.head.newer
+        stack.edge = oldest.lo + oldest.d
         assert len(stack.l1) <= stack.l1.capacity
         assert self.violated_rule(checker) == "cache_capacity"
 
