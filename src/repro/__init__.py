@@ -39,7 +39,6 @@ from repro.sim import RunResult, Simulator
 from repro.threads import SimThread, SpinLock
 from repro.workloads import (DirectoryLookupWorkload, DirWorkloadSpec,
                              ObjectOpsSpec, ObjectOpsWorkload,
-                             OperationTrace, TraceReplayWorkload,
                              WebServerSpec, WebServerWorkload)
 
 __all__ = [
@@ -61,8 +60,6 @@ __all__ = [
     "ObjectOpsWorkload",
     "ObjectTable",
     "Observability",
-    "OperationTrace",
-    "TraceReplayWorkload",
     "WebServerSpec",
     "WebServerWorkload",
     "PackingError",

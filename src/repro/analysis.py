@@ -44,14 +44,10 @@ class SampleStats:
 
 @dataclass
 class RunningStats:
-    """Streaming, mergeable count/sum/min/max accumulator.
+    """Streaming count/sum/min/max accumulator.
 
-    Unlike :func:`summarise` it never stores samples, so streaming
-    reducers (:mod:`repro.obs.stream`) can keep one per key at constant
-    memory; two partial aggregates over disjoint sample sets fold
-    exactly with :meth:`merge` (integer sums stay integers, and min/max
-    are order-free).  No variance — a mergeable stdev needs Welford-
-    style moments and none of the streaming reports quote one.
+    Unlike :func:`summarise` it never stores samples; the fleet sweep
+    report (:mod:`repro.obs.stream`) quotes its mean, min and max.
     """
 
     n: int = 0
@@ -67,18 +63,6 @@ class RunningStats:
         if self.maximum is None or value > self.maximum:
             self.maximum = value
 
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Fold ``other`` into self (in place); returns self."""
-        self.n += other.n
-        self.total += other.total
-        if other.minimum is not None and (self.minimum is None
-                                          or other.minimum < self.minimum):
-            self.minimum = other.minimum
-        if other.maximum is not None and (self.maximum is None
-                                          or other.maximum > self.maximum):
-            self.maximum = other.maximum
-        return self
-
     @property
     def mean(self) -> float:
         return self.total / self.n if self.n else 0.0
@@ -89,15 +73,6 @@ class RunningStats:
         for value in values:
             stats.add(value)
         return stats
-
-    def state(self) -> dict:
-        return {"n": self.n, "total": self.total,
-                "min": self.minimum, "max": self.maximum}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RunningStats":
-        return cls(n=state["n"], total=state["total"],
-                   minimum=state["min"], maximum=state["max"])
 
 
 def summarise(values: Sequence[float]) -> SampleStats:

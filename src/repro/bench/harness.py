@@ -182,12 +182,6 @@ class Series:
     def ys(self) -> List[float]:
         return [point.kops_per_sec for point in self.points]
 
-    def at(self, x: float) -> BenchPoint:
-        for point in self.points:
-            if point.x == x:
-                return point
-        raise KeyError(f"no point at x={x} in series {self.label}")
-
 
 def make_case(machine_spec: MachineSpec, scheduler: str, workload_spec,
               warmup_cycles: int, measure_cycles: int, *,

@@ -17,7 +17,7 @@ Two mechanisms are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.core.object_table import CtObject
 
@@ -73,10 +73,3 @@ class AffinityTracker:
             cluster_key = f"auto-{root}"
             previous.cluster_key = cluster_key
             obj.cluster_key = cluster_key
-
-    def cluster_of(self, obj: CtObject) -> int:
-        return self._find(obj.oid)
-
-    def clustered_pairs(self) -> List[Tuple[int, int]]:
-        return [pair for pair, count in self._transitions.items()
-                if count >= self.threshold]

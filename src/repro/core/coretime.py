@@ -371,7 +371,3 @@ class CoreTimeScheduler(SchedulerRuntime):
             "monitor_windows": (self.monitor.windows_closed
                                 if self.monitor else 0),
         }
-
-    def owner_usage(self) -> Dict[str, int]:
-        """Bytes of packed budget per owner (fairness accounting)."""
-        return dict(self._owner_bytes)

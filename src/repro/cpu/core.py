@@ -41,10 +41,6 @@ class Core:
         self.steps = 0
 
     @property
-    def busy(self) -> bool:
-        return self.current is not None or bool(self.runqueue)
-
-    @property
     def load(self) -> int:
         """Runnable threads on this core (queue plus current)."""
         return len(self.runqueue) + (1 if self.current is not None else 0)

@@ -12,7 +12,6 @@ from typing import List, Optional
 
 from repro.cpu.core import Core
 from repro.cpu.topology import MachineSpec
-from repro.errors import ConfigError
 from repro.mem.layout import AddressSpace
 from repro.mem.system import MemorySystem
 
@@ -35,11 +34,6 @@ class Machine:
     def n_cores(self) -> int:
         return self.spec.n_cores
 
-    def core(self, core_id: int) -> Core:
-        if not 0 <= core_id < len(self.cores):
-            raise ConfigError(f"no core {core_id} on {self.spec.name}")
-        return self.cores[core_id]
-
     def cores_of_chip(self, chip_id: int) -> List[Core]:
         return [self.cores[i] for i in self.spec.cores_of_chip(chip_id)]
 
@@ -47,16 +41,6 @@ class Machine:
     def now(self) -> int:
         """Latest core clock (the machine-wide notion of elapsed time)."""
         return max(core.time for core in self.cores)
-
-    def total_ops(self) -> int:
-        return sum(bank.ops_completed for bank in self.memory.counters)
-
-    def throughput(self, horizon_cycles: Optional[int] = None) -> float:
-        """Completed operations per *second* of simulated time."""
-        horizon = horizon_cycles if horizon_cycles is not None else self.now
-        if horizon <= 0:
-            return 0.0
-        return self.total_ops() / self.spec.seconds(horizon)
 
     def settle_idle(self, horizon: Optional[int] = None) -> None:
         """Account trailing idle time on every core (end of a run)."""

@@ -173,20 +173,9 @@ class MachineSpec:
         ring = abs(chip_a - chip_b)
         return min(ring, self.n_chips - ring)
 
-    @property
-    def max_hops(self) -> int:
-        if self.n_chips == 1:
-            return 0
-        if self.n_chips == 4:
-            return 2
-        return self.n_chips // 2
-
     def seconds(self, cycles: float) -> float:
         """Convert simulated cycles to seconds at this machine's frequency."""
         return cycles / self.freq_hz
-
-    def cycles(self, seconds: float) -> int:
-        return int(seconds * self.freq_hz)
 
     def validate(self) -> None:
         if self.n_chips < 1 or self.cores_per_chip < 1:

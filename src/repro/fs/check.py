@@ -118,7 +118,14 @@ def _walk_chain(image: FatImage, first: int, owner: str,
 
 
 def fsck(fs: FatFilesystem) -> FsckReport:
-    """Validate an entire file system; never raises, always reports."""
+    """Validate an entire file system; never raises, always reports.
+
+    An independent check of the image builder, which the simulation
+    never calls: ``tests/test_fsck.py`` runs it over every benchmark
+    image shape and over planted corruptions, and
+    ``tests/test_efsl.py::TestConstruction::test_duplicate_name_rejected``
+    holds ``EfslFat``'s name index to the same duplicate rule.
+    """
     report = FsckReport()
     image = fs.image
     params = fs.params

@@ -33,10 +33,6 @@ class DirEntry:
     first_cluster: int
     size: int
 
-    @property
-    def is_directory(self) -> bool:
-        return bool(self.attributes & ATTR_DIRECTORY)
-
     def encode(self) -> bytes:
         return _ENTRY_STRUCT.pack(encode_name(self.name), self.attributes,
                                   0, 0, self.first_cluster, self.size)
@@ -118,14 +114,15 @@ class FatDirectory:
     # entries
     # ------------------------------------------------------------------
 
-    def append(self, entry: DirEntry) -> int:
-        """Write ``entry`` into the next free slot; returns its index."""
-        self.extend((entry,))
-        return self.n_entries - 1
-
     def extend(self, entries: Iterable[DirEntry]) -> None:
         """Write ``entries`` into the next free slots, in order: all of
-        them, or none when one does not encode or they do not fit."""
+        them, or none when one does not encode or they do not fit.
+
+        The benchmark image writes pre-encoded bytes instead; this is
+        how tests build the irregular directories that ``fsck`` and
+        ``EfslFat``'s image checks must refuse (``tests/test_efsl.py``,
+        ``tests/test_fs_image.py``).
+        """
         self.write_entries(b"".join(entry.encode() for entry in entries))
 
     def write_entries(self, raw: bytes) -> None:
@@ -167,7 +164,8 @@ class FatDirectory:
 
         This is the byte-accurate reference search — the inner loop the
         paper's benchmark stresses.  The simulation adapter charges
-        memory costs for exactly the bytes this walk touches.
+        memory costs for exactly the bytes this walk touches; the
+        reference is reached through :meth:`FatFilesystem.lookup`.
         """
         wanted = encode_name(name)
         image = self.image

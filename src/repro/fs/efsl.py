@@ -64,10 +64,6 @@ class SimDirectory:
     def n_entries(self) -> int:
         return self.fat_dir.n_entries
 
-    @property
-    def bytes_used(self) -> int:
-        return self.fat_dir.bytes_used
-
 
 class EfslFat:
     """The paper's modified-EFSL file system on a simulated machine.
@@ -142,19 +138,6 @@ class EfslFat:
     # lookup instruction streams
     # ------------------------------------------------------------------
 
-    def resolve_index(self, directory: SimDirectory, file_name: str) -> int:
-        index = directory.names.get(file_name)
-        if index is None:
-            raise FilesystemError(
-                f"{file_name} not in {directory.name}")
-        return index
-
-    def search_items(self, directory: SimDirectory,
-                     file_name: str) -> Iterator:
-        """Annotated lookup of ``file_name`` (the Figure 3 operation)."""
-        return self.search_items_by_index(
-            directory, self.resolve_index(directory, file_name))
-
     def search_items_by_index(self, directory: SimDirectory,
                               index: int) -> Iterator:
         """Annotated lookup that will match at entry ``index``.
@@ -179,22 +162,6 @@ class EfslFat:
         yield Release(directory.lock)
         yield CtEnd()
 
-    def unannotated_search_items(self, directory: SimDirectory,
-                                 index: int) -> Iterator:
-        """The Figure 1 (no CoreTime) variant of the same lookup."""
-        if not 0 <= index < directory.n_entries:
-            raise FilesystemError(f"{directory.name}: no entry {index}")
-        directory.lookups += 1
-        yield Acquire(directory.lock)
-        remaining = (index + 1) * DIR_ENTRY_SIZE
-        for addr, nbytes in directory.extents:
-            chunk = min(remaining, nbytes)
-            yield Scan(addr, chunk, self.per_line_compute)
-            remaining -= chunk
-            if remaining <= 0:
-                break
-        yield Release(directory.lock)
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
@@ -202,9 +169,6 @@ class EfslFat:
     @property
     def total_entry_bytes(self) -> int:
         return self.fs.total_entry_bytes
-
-    def objects(self) -> List[CtObject]:
-        return [directory.object for directory in self.directories]
 
     def __repr__(self) -> str:
         return (f"EfslFat({len(self.directories)} dirs, "

@@ -51,12 +51,6 @@ class FatFilesystem:
         self.directories[name] = directory
         return directory
 
-    def create_file(self, directory: FatDirectory, name: str,
-                    size: int = 0) -> int:
-        """Add a file entry (no data clusters; lookups read names only)."""
-        entry = DirEntry(name, ATTR_ARCHIVE, 0, size)
-        return directory.append(entry)
-
     # ------------------------------------------------------------------
     # lookups (byte-accurate reference path)
     # ------------------------------------------------------------------
@@ -66,6 +60,10 @@ class FatFilesystem:
 
         Returns (index, :class:`DirEntry`).  Raises
         :class:`~repro.errors.FilesystemError` when either is missing.
+        The byte-accurate reference the simulation's index-based lookups
+        are checked against; its users are tests
+        (``tests/test_fs_image.py::test_lookup_index_matches_creation_order``
+        and ``TestBenchmarkImage::test_every_file_resolvable``).
         """
         directory = self.directories.get(directory_name)
         if directory is None:

@@ -3,15 +3,13 @@
 Workloads and the FAT image need stable, non-overlapping address regions so
 that distinct objects map to distinct cache lines.  :class:`AddressSpace` is
 a simple bump allocator with line alignment and named regions — enough to
-lay out images deterministically and to translate an address back to the
-region (and therefore the object) that owns it.
+lay out images deterministically.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional, Set
 
 from repro.errors import AllocationError
 from repro.mem.line import align_up
@@ -25,13 +23,6 @@ class Region:
     base: int
     size: int
 
-    @property
-    def end(self) -> int:
-        return self.base + self.size
-
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
-
 
 class AddressSpace:
     """Bump allocator over a flat simulated address space."""
@@ -40,32 +31,25 @@ class AddressSpace:
                  line_size: int = 64) -> None:
         if size <= 0:
             raise AllocationError("address space size must be positive")
-        self._base = base
         self._limit = base + size
         self._next = base
         self._line_size = line_size
-        self._regions: Dict[str, Region] = {}
-        self._starts: List[int] = []          # sorted region bases
-        self._by_start: List[Region] = []     # regions sorted by base
+        self._names: Set[str] = set()
 
     @property
     def line_size(self) -> int:
         return self._line_size
 
-    @property
-    def bytes_used(self) -> int:
-        return self._next - self._base
-
     def alloc(self, name: str, size: int,
               alignment: Optional[int] = None) -> Region:
         """Allocate ``size`` bytes, aligned to a line by default.
 
-        Region names must be unique; they are how tooling maps addresses
-        back to objects.
+        Region names must be unique, so one structure cannot be
+        allocated twice on a machine.
         """
         if size <= 0:
             raise AllocationError(f"region {name!r}: size must be positive")
-        if name in self._regions:
+        if name in self._names:
             raise AllocationError(f"region {name!r} already allocated")
         alignment = alignment or self._line_size
         base = align_up(self._next, alignment)
@@ -73,24 +57,6 @@ class AddressSpace:
             raise AllocationError(
                 f"region {name!r}: out of address space "
                 f"({base + size - self._limit} bytes over)")
-        region = Region(name, base, size)
         self._next = base + size
-        self._regions[name] = region
-        index = bisect.bisect(self._starts, base)
-        self._starts.insert(index, base)
-        self._by_start.insert(index, region)
-        return region
-
-    def region(self, name: str) -> Region:
-        return self._regions[name]
-
-    def regions(self) -> List[Region]:
-        return list(self._by_start)
-
-    def find(self, addr: int) -> Optional[Region]:
-        """Region containing ``addr``, or None."""
-        index = bisect.bisect(self._starts, addr) - 1
-        if index < 0:
-            return None
-        region = self._by_start[index]
-        return region if region.contains(addr) else None
+        self._names.add(name)
+        return Region(name, base, size)

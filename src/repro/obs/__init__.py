@@ -28,7 +28,7 @@ Quick use::
     result = sim.run(until=3_000_000)
     obs.write_chrome_trace("run.trace.json")   # load in Perfetto
     print(result.op_latency)                    # HistogramSummary
-    print(obs.ascii_timeline())
+    print(obs.profile_report())
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from repro.obs.export import (SCHEMA_VERSION, ascii_timeline, chrome_trace,
                               write_jsonl)
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
-                               QUEUE_DEPTH_BUCKETS, Counter, Gauge,
-                               Histogram, HistogramSummary, MetricsRegistry)
+                               QUEUE_DEPTH_BUCKETS, Counter, Histogram,
+                               HistogramSummary, MetricsRegistry)
 
 
 class Observability:
@@ -140,19 +140,12 @@ class Observability:
     # exporters
     # ------------------------------------------------------------------
 
-    def chrome_trace(self) -> Dict[str, Any]:
-        return chrome_trace(self.events())
-
     def write_chrome_trace(self, path: str) -> str:
         return write_chrome_trace(path, self.events())
 
     def write_jsonl(self, path: str) -> str:
         """Dump the event log as JSONL; ``.jsonl.gz`` paths gzip it."""
         return write_jsonl(path, self.events())
-
-    def ascii_timeline(self, n_cores: Optional[int] = None,
-                       width: int = 72) -> str:
-        return ascii_timeline(self.events(), n_cores=n_cores, width=width)
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         return self.metrics.snapshot() if self.metrics is not None else {}
@@ -207,7 +200,6 @@ __all__ = [
     "FaultInjected",
     "FlightRecorder",
     "InvariantViolated",
-    "Gauge",
     "Histogram",
     "HistogramSummary",
     "LeaseExpired",

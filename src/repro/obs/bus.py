@@ -145,7 +145,3 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.dropped = 0

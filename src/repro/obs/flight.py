@@ -42,10 +42,6 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def events(self) -> List[Event]:
-        """Snapshot of the ring, oldest first."""
-        return list(self._ring)
-
     def tail(self, limit: int) -> List[dict]:
         """Primitive-dict form of the last ``limit`` events, oldest first.
 
@@ -59,9 +55,6 @@ class FlightRecorder:
         ring = self._ring
         start = max(0, len(ring) - limit)
         return [event.as_dict() for event in list(ring)[start:]]
-
-    def clear(self) -> None:
-        self._ring.clear()
 
     # ------------------------------------------------------------------
     # dumping

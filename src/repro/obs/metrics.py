@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges and fixed-bucket histograms.
+"""The metrics registry: counters, pulled gauges and fixed-bucket histograms.
 
 Publishers either push (``counter.inc()``, ``histogram.observe(v)``) or
 register a pull callback (:meth:`MetricsRegistry.gauge_fn`), which costs
@@ -47,22 +47,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
-
-
-class Gauge:
-    """A point-in-time value, set by the publisher."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value})"
 
 
 class HistogramSummary:
@@ -201,7 +185,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._gauge_fns: Dict[str, Callable[[], float]] = {}
 
@@ -215,13 +198,6 @@ class MetricsRegistry:
             self._check_fresh(name)
             counter = self._counters[name] = Counter(name)
         return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            self._check_fresh(name)
-            gauge = self._gauges[name] = Gauge(name)
-        return gauge
 
     def histogram(self, name: str,
                   bounds: Sequence[float]) -> Histogram:
@@ -240,14 +216,12 @@ class MetricsRegistry:
         Re-registering replaces the callback (each attached simulator
         reports the current machine).
         """
-        if name in self._counters or name in self._gauges \
-                or name in self._histograms:
+        if name in self._counters or name in self._histograms:
             raise ConfigError(f"metric name {name!r} already registered")
         self._gauge_fns[name] = fn
 
     def _check_fresh(self, name: str) -> None:
-        owners = (self._counters, self._gauges, self._histograms,
-                  self._gauge_fns)
+        owners = (self._counters, self._histograms, self._gauge_fns)
         if sum(name in owner for owner in owners):
             raise ConfigError(
                 f"metric name {name!r} already registered as another type")
@@ -261,28 +235,8 @@ class MetricsRegistry:
         data: Dict[str, Any] = {}
         for name, counter in self._counters.items():
             data[name] = counter.value
-        for name, gauge in self._gauges.items():
-            data[name] = gauge.value
         for name, fn in self._gauge_fns.items():
             data[name] = fn()
         for name, histogram in self._histograms.items():
             data[name] = histogram.summary().as_dict()
         return data
-
-    def render_text(self) -> str:
-        """Human-readable dump, one instrument per line."""
-        lines: List[str] = []
-        scalars = dict(
-            [(n, c.value) for n, c in self._counters.items()]
-            + [(n, g.value) for n, g in self._gauges.items()]
-            + [(n, fn()) for n, fn in self._gauge_fns.items()])
-        for name in sorted(scalars):
-            lines.append(f"{name:<40} {scalars[name]:>14,g}")
-        for name in sorted(self._histograms):
-            summary = self._histograms[name].summary()
-            p95 = summary.percentile(0.95)
-            lines.append(
-                f"{name:<40} n={summary.count:<10,} "
-                f"mean={summary.mean:>10,.0f} "
-                f"p95={'-' if p95 is None else format(p95, ',.0f')}")
-        return "\n".join(lines)

@@ -48,7 +48,7 @@ from repro.obs.export import (SCHEMA_VERSION, jsonl_meta_line, open_text,
                               write_events)
 from repro.obs.metrics import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
                                Histogram)
-from repro.obs.profile import (CoreBreakdown, EventDecoder, LockStat,
+from repro.obs.profile import (CoreBreakdown, LockStat,
                                ObjectCost, iter_jsonl, render_core_breakdown,
                                render_lock_table, render_migration_matrix,
                                render_object_costs)
@@ -86,9 +86,10 @@ Handler = Callable[[Any], None]
 # reducers
 #
 # The reducer contract (DESIGN.md §12): ``handlers()`` maps event types
-# to bound methods, ``feed(event)`` folds one event, ``merge_from``
-# folds another reducer's partial state (stream concatenation),
-# ``state()``/``from_state()`` round-trip through JSON primitives.
+# to bound methods, each folding one event (``RunProfile`` dispatches
+# through them), ``merge_from`` folds another reducer's partial state
+# (stream concatenation), ``state()``/``from_state()`` round-trip through
+# JSON primitives.
 # ---------------------------------------------------------------------------
 
 class ObjectCostsReducer:
@@ -117,11 +118,6 @@ class ObjectCostsReducer:
                 MigrationStarted: self._migrate,
                 CacheEvicted: self._evict,
                 CacheInvalidated: self._invalidate}
-
-    def feed(self, event: Event) -> None:
-        handler = self.handlers().get(type(event))
-        if handler is not None:
-            handler(event)
 
     def _cost(self, name: str) -> ObjectCost:
         entry = self.costs.get(name)
@@ -248,11 +244,6 @@ class CoreBreakdownReducer:
         return {OperationFinished: self._op_end,
                 MigrationStarted: self._migrate}
 
-    def feed(self, event: Event) -> None:
-        handler = self.handlers().get(type(event))
-        if handler is not None:
-            handler(event)
-
     def _entry(self, core: int) -> List[int]:
         entry = self.cores.get(core)
         if entry is None:
@@ -310,10 +301,6 @@ class MigrationMatrixReducer:
     def handlers(self) -> Dict[Type[Event], Handler]:
         return {MigrationStarted: self._migrate}
 
-    def feed(self, event: Event) -> None:
-        if type(event) is MigrationStarted:
-            self._migrate(event)
-
     def _migrate(self, event: MigrationStarted) -> None:
         key = (event.core, event.target)
         self.matrix[key] = self.matrix.get(key, 0) + 1
@@ -348,10 +335,6 @@ class LockTableReducer:
 
     def handlers(self) -> Dict[Type[Event], Handler]:
         return {LockContended: self._contended}
-
-    def feed(self, event: Event) -> None:
-        if type(event) is LockContended:
-            self._contended(event)
 
     def _entry(self, name: str) -> Tuple[List[int], Set[str],
                                          Dict[int, int]]:
@@ -436,11 +419,6 @@ class LatencyReducer:
         return {OperationFinished: self._op_end,
                 MigrationStarted: self._migrate}
 
-    def feed(self, event: Event) -> None:
-        handler = self.handlers().get(type(event))
-        if handler is not None:
-            handler(event)
-
     def _op_end(self, event: OperationFinished) -> None:
         self.op.observe(event.cycles)
 
@@ -513,11 +491,6 @@ class OccupancyReducer:
 
     def handlers(self) -> Dict[Type[Event], Handler]:
         return {ObjectAssigned: self._assign, ObjectMoved: self._move}
-
-    def feed(self, event: Event) -> None:
-        handler = self.handlers().get(type(event))
-        if handler is not None:
-            handler(event)
 
     def _add(self, ts: int, core: int, delta: int) -> None:
         key = (ts, core, delta)
@@ -688,11 +661,6 @@ class SweepReducer:
                 WorkerLost: self._lost,
                 LeaseExpired: self._lease_expired}
 
-    def feed(self, event: Event) -> None:
-        handler = self.handlers().get(type(event))
-        if handler is not None:
-            handler(event)
-
     def _started(self, event: SweepCaseStarted) -> None:
         self.started += 1
 
@@ -823,16 +791,6 @@ class RunProfile:
         for handler in self._dispatch.get(type(event), ()):
             handler(event)
 
-    @classmethod
-    def from_events(cls, label: Optional[str], events: Iterable[Event],
-                    sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
-                    sample_seed: int = 0) -> "RunProfile":
-        section = cls(label, sample_capacity=sample_capacity,
-                      sample_seed=sample_seed)
-        for event in events:
-            section.feed(event)
-        return section
-
     def merge_from(self, other: "RunProfile") -> None:
         self.events += other.events
         self.horizon = max(self.horizon, other.horizon)
@@ -958,8 +916,8 @@ class Profile:
         """Append ``other`` (the right-hand stream) to self, in place.
 
         ``other``'s sections are adopted directly, so callers must pass
-        a profile they own (``merge`` round-trips through JSON to
-        guarantee that).
+        a profile they own (:func:`merge_profiles` round-trips through
+        JSON to guarantee that).
         """
         if (other.sample_capacity != self.sample_capacity
                 or other.sample_seed != self.sample_seed):
@@ -975,12 +933,6 @@ class Profile:
             self.sections[-1].merge_from(sections[0])
             sections = sections[1:]
         self.sections.extend(sections)
-
-    def merge(self, other: "Profile") -> "Profile":
-        """Non-destructive fold: a new profile equal to ``P(a + b)``."""
-        merged = Profile.from_json(self.to_json())
-        merged._ingest(Profile.from_json(other.to_json()))
-        return merged
 
     # ------------------------------------------------------------------
     # serialization
@@ -1043,7 +995,8 @@ def load_profile(path: str) -> Profile:
 
 
 def merge_profiles(profiles: Sequence[Profile]) -> Profile:
-    """Left fold of :meth:`Profile.merge` over ``profiles``."""
+    """Non-destructive left fold over ``profiles``: a new profile equal
+    to ``P(a + b + ...)`` of the concatenated streams."""
     if not profiles:
         raise ProfileError("no profiles to merge")
     merged = Profile.from_json(profiles[0].to_json())
@@ -1059,29 +1012,20 @@ def merge_profiles(profiles: Sequence[Profile]) -> Profile:
 class StreamProfiler:
     """Incremental profiling front-end: one event in, never looks back.
 
-    Accepts typed events (:meth:`feed`), raw JSONL frames from the
-    coordinator watch feed (:meth:`feed_dict`), or whole files
-    (:meth:`feed_path`, via the generator ingest) — all land in the same
-    mergeable :class:`Profile`.
+    Accepts typed events (:meth:`feed`) or whole files (:meth:`feed_path`,
+    via the generator ingest) — both land in the same mergeable
+    :class:`Profile`.
     """
 
     def __init__(self, sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
                  sample_seed: int = 0) -> None:
         self.profile = Profile(sample_capacity=sample_capacity,
                                sample_seed=sample_seed)
-        self._decoder = EventDecoder()
         self.events_seen = 0
 
     def feed(self, event: Event) -> None:
         self.profile.feed(event)
         self.events_seen += 1
-
-    def feed_dict(self, data: Dict[str, Any]) -> Optional[Event]:
-        """Decode one ``as_dict`` frame and feed it; returns the event."""
-        event = self._decoder.decode(data)
-        if event is not None:
-            self.feed(event)
-        return event
 
     def feed_path(self, path: str) -> "StreamProfiler":
         for event in iter_jsonl(path):

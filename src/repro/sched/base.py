@@ -102,9 +102,6 @@ class SchedulerRuntime(abc.ABC):
     # reporting
     # ------------------------------------------------------------------
 
-    def describe(self) -> str:
-        return self.name
-
     def stats(self) -> dict:
         """Scheduler-specific statistics for reports (override freely)."""
         return {}

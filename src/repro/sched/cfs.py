@@ -68,6 +68,3 @@ class CFSScheduler(TimeSharingScheduler):
                        now: int) -> None:
         super().on_thread_done(thread, core, now)
         self._vruntime.pop(thread.tid, None)
-
-    def describe(self) -> str:
-        return f"cfs(granularity={self.quantum})"

@@ -110,10 +110,6 @@ class MLFQScheduler(TimeSharingScheduler):
     # reporting
     # ------------------------------------------------------------------
 
-    def describe(self) -> str:
-        return (f"mlfq(levels={self.levels}, quantum={self.quantum}, "
-                f"decay={self.decay}/{self.decay_interval})")
-
     def stats(self) -> dict:
         stats = super().stats()
         stats["decay_epochs"] = self._decay_epoch

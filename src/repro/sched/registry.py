@@ -24,7 +24,7 @@ is already taken).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.errors import ConfigError
 
@@ -68,6 +68,11 @@ def register(name: str, factory: SchedulerFactory, *, summary: str = "",
     ``factory`` is called with no arguments and must return a fresh
     :class:`~repro.sched.base.SchedulerRuntime` (a class object works).
     Registering an existing name raises unless ``replace=True``.
+
+    The extension point for schedulers defined outside this package (see
+    README, "Registering a new scheduler"); the built-ins are listed
+    directly, so its users in this repository are
+    ``tests/test_sched_registry.py``.
     """
     if not name or not isinstance(name, str):
         raise ConfigError("scheduler name must be a non-empty string")
@@ -116,12 +121,6 @@ def fuzzable_names() -> Tuple[str, ...]:
     _ensure_builtins()
     return tuple(sorted(name for name, item in _REGISTRY.items()
                         if item.fuzzable))
-
-
-def entries() -> List[SchedulerEntry]:
-    """Every registry entry, sorted by name."""
-    _ensure_builtins()
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
 # ---------------------------------------------------------------------------

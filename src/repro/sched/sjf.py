@@ -66,6 +66,3 @@ class ShortestJobFirstScheduler(TimeSharingScheduler):
                        now: int) -> None:
         super().on_thread_done(thread, core, now)
         self._estimate.pop(thread.tid, None)
-
-    def describe(self) -> str:
-        return f"sjf(quantum={self.quantum}, alpha={self.alpha})"

@@ -3,8 +3,9 @@
 Threads are assigned to cores round-robin (or pinned explicitly, matching
 ``sched_setaffinity`` in the paper's setup) and never move.  CoreTime
 annotations are inert: ``ct_start`` does no table lookup and no migration,
-so the annotated program of Figure 3 behaves exactly like the unannotated
-program of Figure 1.  On-chip memory is managed implicitly by the caches.
+so the baseline runs the same Figure 3 program as CoreTime and each
+operation costs what the Figure 1 loop costs.  On-chip memory is managed
+implicitly by the caches.
 """
 
 from __future__ import annotations

@@ -6,10 +6,9 @@ policies — round-robin, CFS, SJF, MLFQ — therefore preempt at
 *operation boundaries*: ``on_ct_end`` is the simulated equivalent of a
 syscall return.
 
-Preemption uses exactly the engine's own yield mechanics
-(:meth:`Simulator._do_yield`): clear ``core.current`` and requeue the
-thread at the tail of the core's run queue, so the engine picks the
-queue head on the core's next step.  Which thread runs next is
+Preemption clears ``core.current`` and requeues the thread at the tail
+of the core's run queue, so the engine picks the queue head on the
+core's next step.  Which thread runs next is
 controlled by reordering the FIFO — the policy's pick is moved to the
 head with ``remove`` + ``push_front`` — never by touching engine state
 directly.
@@ -109,8 +108,7 @@ class TimeSharingScheduler(SchedulerRuntime):
     def _preempt(self, thread: "SimThread", core: "Core",
                  now: int) -> None:
         chosen = self._pick_next(core)
-        # The engine's own yield mechanics: the core resumes by popping
-        # the queue head on its next step.
+        # The core resumes by popping the queue head on its next step.
         core.current = None
         core.runqueue.push(thread)
         self._slice_used[thread.tid] = 0
@@ -128,9 +126,6 @@ class TimeSharingScheduler(SchedulerRuntime):
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-
-    def describe(self) -> str:
-        return f"{self.name}(quantum={self.quantum})"
 
     def stats(self) -> dict:
         return {"placements": self.placements,

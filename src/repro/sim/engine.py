@@ -8,8 +8,9 @@ invalidations, migrations — are causally ordered.
 
 One *step* executes one instruction item of a core's current thread and
 advances that core's clock by the item's simulated cost.  Threads are
-cooperative: they run until they migrate, finish, or explicitly yield,
-exactly like CoreTime's per-core user-level threading (§4).
+cooperative: they run until they migrate or finish, or a time-sharing
+scheduler requeues them at an operation boundary, like CoreTime's per-core
+user-level threading (§4).
 
 Item dispatch is a precomputed per-class table (``_dispatch``) built at
 construction: one dict lookup per step instead of a type-comparison chain,
@@ -39,8 +40,8 @@ from repro.obs import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
                        OperationFinished, OperationStarted, ThreadArrived,
                        ThreadFinished, ThreadSpawned)
 from repro.sched.base import SchedulerRuntime
-from repro.threads.program import (Acquire, Compute, CtEnd, CtStart, Load,
-                                   OpDone, Release, Scan, Store, YieldCore)
+from repro.threads.program import (Acquire, Compute, CtEnd, CtStart,
+                                   Release, Scan, Store)
 from repro.threads.thread import Program, SimThread, ThreadState
 
 _KIND_STEP = 0
@@ -163,14 +164,11 @@ class Simulator:
             = {
                 Compute: self._do_compute,
                 Scan: self._do_scan,
-                Load: self._do_load,
                 Store: self._do_store,
                 Acquire: self._do_acquire,
                 Release: self._do_release,
                 CtStart: self._do_ct_start,
                 CtEnd: self._do_ct_end,
-                YieldCore: self._do_yield,
-                OpDone: self._do_op_done,
             }
         # Verification layer (repro.verify), duck-typed so the engine
         # never imports it: both objects expose bind(sim) and
@@ -407,7 +405,7 @@ class Simulator:
             core.current = thread
             mem_ctx = self._mem_ctx
             if mem_ctx is not None and thread.ct_object is not None:
-                # Resuming mid-operation (after a migration or yield):
+                # Resuming mid-operation (after a migration):
                 # repoint the core's memory-attribution context.
                 mem_ctx[core.core_id] = thread.ct_obj_name
         item = thread.pending
@@ -460,12 +458,6 @@ class Simulator:
         core.time += latency
         thread.pending = None
 
-    def _do_load(self, core: Core, thread: SimThread, item: Any) -> None:
-        latency = self._mem_load(core.core_id, item.addr, core.time)
-        core.counters.busy_cycles += latency
-        core.time += latency
-        thread.pending = None
-
     def _do_store(self, core: Core, thread: SimThread, item: Any) -> None:
         latency = self._mem_store(core.core_id, item.addr, core.time)
         core.counters.busy_cycles += latency
@@ -504,21 +496,6 @@ class Simulator:
         latency = self._mem_store(core.core_id, item.lock.addr, core.time)
         core.counters.busy_cycles += latency
         core.time += latency
-        thread.pending = None
-
-    def _do_yield(self, core: Core, thread: SimThread, item: Any) -> None:
-        thread.pending = None
-        core.current = None
-        if self._mem_ctx is not None:
-            self._mem_ctx[core.core_id] = None
-        core.runqueue.push(thread)
-
-    def _do_op_done(self, core: Core, thread: SimThread, item: Any) -> None:
-        core.counters.ops_completed += 1
-        thread.ops_completed += 1
-        self.total_ops += 1
-        if self._c_ops is not None:
-            self._c_ops.inc()
         thread.pending = None
 
     def _do_ct_start(self, core: Core, thread: SimThread, item: Any) -> None:

@@ -36,7 +36,8 @@ Quick tour::
         Cell-by-cell mean deltas between two sweeps (two commits, two
         machines, two configs), flagging CI-separated changes.
 
-Exit codes: 0 success, 1 usage/failed cells, 3 stopped early
+Exit codes: 0 success, 1 usage/failed cells, 2 a store whose spec.json
+this version refuses (such as a field it no longer has), 3 stopped early
 (``--stop-after`` hit before the grid finished).
 """
 
@@ -58,7 +59,8 @@ from repro.sweep.aggregate import (export_events_jsonl, fold_records,
 from repro.sweep.presets import PRESETS
 from repro.sweep.runner import RunnerOptions, run_sweep
 from repro.sweep.spec import SweepSpec, code_fingerprint
-from repro.sweep.store import ResultStore, default_sweep_root
+from repro.sweep.store import (ResultStore, StoredSpecError,
+                               default_sweep_root)
 
 
 def _store_for(args_out: Optional[str], name: str) -> ResultStore:
@@ -512,6 +514,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except StoredSpecError as exc:
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return 2
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

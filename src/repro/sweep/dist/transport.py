@@ -56,11 +56,6 @@ class Channel:
     #: (None for status/watch clients and unidentified peers).
     worker: Optional[str] = None
 
-    @property
-    def peer(self) -> str:
-        """Human-readable peer label for logs and journal entries."""
-        raise NotImplementedError
-
     async def recv(self) -> Optional[dict]:
         """Next frame from this peer, or None when it is gone."""
         raise NotImplementedError
@@ -89,13 +84,6 @@ class TcpChannel(Channel):
                  writer: asyncio.StreamWriter) -> None:
         self._reader = reader
         self._writer = writer
-        peername = writer.get_extra_info("peername")
-        self._peer = (f"{peername[0]}:{peername[1]}"
-                      if peername else "tcp-peer")
-
-    @property
-    def peer(self) -> str:
-        return self._peer
 
     async def recv(self) -> Optional[dict]:
         try:
@@ -133,16 +121,10 @@ class PipeChannel(Channel):
     frames cannot block the coordinator.
     """
 
-    def __init__(self, conn, process, executor: ThreadPoolExecutor,
-                 name: str) -> None:
+    def __init__(self, conn, process, executor: ThreadPoolExecutor) -> None:
         self._conn = conn
         self.process = process
         self._executor = executor
-        self._name = name
-
-    @property
-    def peer(self) -> str:
-        return self._name
 
     def _blocking_recv(self) -> Optional[dict]:
         try:
@@ -288,7 +270,7 @@ class LocalTransport(Transport):
             args=(child_conn, name, self._profile_dir), daemon=True)
         process.start()
         child_conn.close()
-        channel = PipeChannel(parent_conn, process, self._executor, name)
+        channel = PipeChannel(parent_conn, process, self._executor)
         self._channels.append(channel)
         self._on_channel(channel)
 

@@ -60,14 +60,29 @@ def _to_jsonable(value):
     return value
 
 
+def _known_fields(cls: type, data: dict, what: str) -> dict:
+    """``data`` as keyword arguments for the dataclass ``cls``.
+
+    A stored ``spec.json`` may name a field that ``cls`` no longer has
+    (one written before the field was removed); refuse it by name rather
+    than let the constructor fail with a ``TypeError``.
+    """
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"{what} has no field "
+                          + ", ".join(repr(name) for name in unknown))
+    return dict(data)
+
+
 def machine_to_dict(spec: MachineSpec) -> dict:
     return _to_jsonable(spec)
 
 
 def machine_from_dict(data: dict) -> MachineSpec:
-    fields = dict(data)
+    fields = _known_fields(MachineSpec, data, "machine spec")
     if fields.get("latency") is not None:
-        fields["latency"] = LatencySpec(**fields["latency"])
+        fields["latency"] = LatencySpec(**_known_fields(
+            LatencySpec, fields["latency"], "machine latency spec"))
     if fields.get("core_speeds") is not None:
         fields["core_speeds"] = tuple(fields["core_speeds"])
     spec = MachineSpec(**fields)
@@ -92,7 +107,7 @@ def workload_from_dict(kind: str, data: dict):
     except KeyError:
         raise ConfigError(f"unknown workload kind {kind!r}; "
                           f"choose from {sorted(WORKLOAD_SPECS)}") from None
-    spec = cls(**data)
+    spec = cls(**_known_fields(cls, data, f"workload kind {kind!r}"))
     spec.validate()
     return spec
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.sweep.spec import SweepSpec
 
 #: Version of the per-case record layout.
@@ -38,6 +38,11 @@ RECORD_VERSION = 1
 
 class StoreError(ReproError):
     """A sweep store is missing, locked or malformed."""
+
+
+class StoredSpecError(ConfigError):
+    """A store's ``spec.json`` that this version refuses, such as one
+    naming a field that was removed since the store was written."""
 
 
 def default_sweep_root() -> Path:
@@ -93,7 +98,10 @@ class ResultStore:
             raise StoreError(
                 f"{self.root} is not a sweep store (no spec.json); "
                 "run `repro-sweep run` first")
-        return SweepSpec.from_json(path.read_text(encoding="utf-8"))
+        try:
+            return SweepSpec.from_json(path.read_text(encoding="utf-8"))
+        except ConfigError as exc:
+            raise StoredSpecError(f"{path}: {exc}") from exc
 
     # ------------------------------------------------------------------
     # case records
@@ -128,15 +136,6 @@ class ResultStore:
         text = json.dumps(record, indent=1, sort_keys=True) + "\n"
         self._write_atomic(path, text)
         return path
-
-    def records(self) -> Iterator[dict]:
-        if not self.cases_dir.is_dir():
-            return
-        for path in sorted(self.cases_dir.glob("*.json")):
-            try:
-                yield json.loads(path.read_text(encoding="utf-8"))
-            except ValueError:
-                continue         # torn write: ignored, will be recomputed
 
     @staticmethod
     def _write_atomic(path: Path, text: str) -> None:

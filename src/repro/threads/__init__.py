@@ -1,8 +1,7 @@
 """Cooperative threading runtime for the simulated machine."""
 
 from repro.threads.program import (ITEM_TYPES, Acquire, Compute, CtEnd,
-                                   CtStart, Load, OpDone, Release, Scan,
-                                   Store, YieldCore, op_items)
+                                   CtStart, Release, Scan, Store)
 from repro.threads.runqueue import RunQueue
 from repro.threads.sync import SpinLock
 from repro.threads.thread import Program, SimThread, ThreadState
@@ -13,8 +12,6 @@ __all__ = [
     "CtEnd",
     "CtStart",
     "ITEM_TYPES",
-    "Load",
-    "OpDone",
     "Program",
     "Release",
     "RunQueue",
@@ -23,6 +20,4 @@ __all__ = [
     "SpinLock",
     "Store",
     "ThreadState",
-    "YieldCore",
-    "op_items",
 ]

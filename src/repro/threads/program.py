@@ -26,7 +26,7 @@ light.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.object_table import CtObject
@@ -43,18 +43,6 @@ class Compute:
 
     def __repr__(self) -> str:
         return f"Compute({self.cycles})"
-
-
-class Load:
-    """Read one byte/word at ``addr`` (one cache-line access)."""
-
-    __slots__ = ("addr",)
-
-    def __init__(self, addr: int) -> None:
-        self.addr = addr
-
-    def __repr__(self) -> str:
-        return f"Load({self.addr:#x})"
 
 
 class Store:
@@ -116,8 +104,8 @@ class CtStart:
     """Begin an operation on ``obj`` — the paper's ``ct_start(o)``.
 
     Under CoreTime the object table is consulted and the thread may
-    migrate; under a plain thread scheduler this is free (the unannotated
-    program of Figure 1).
+    migrate; under a plain thread scheduler the annotation is inert, so
+    the thread baseline runs the same Figure 3 program.
     """
 
     __slots__ = ("obj",)
@@ -138,45 +126,7 @@ class CtEnd:
         return "CtEnd()"
 
 
-class YieldCore:
-    """Voluntarily yield the core to the next runnable thread."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "YieldCore()"
-
-
-class OpDone:
-    """Count a completed application operation without CoreTime brackets.
-
-    Workloads that do not use annotations (pure baselines) yield this so
-    throughput accounting still works.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "OpDone()"
-
-
-#: Everything a program may yield (used for validation in strict mode).
-ITEM_TYPES = (Compute, Load, Store, Scan, Acquire, Release,
-              CtStart, CtEnd, YieldCore, OpDone)
-
-
-def op_items(obj: "CtObject", lock: Optional["SpinLock"], addr: int,
-             nbytes: int, per_line_compute: int = 0):
-    """Yield the canonical annotated-operation sequence on ``obj``.
-
-    Convenience used by workload generators; equivalent to the Figure 3
-    pattern (lock taken inside the CoreTime bracket, as the paper's file
-    system does with its per-directory spin locks).
-    """
-    yield CtStart(obj)
-    if lock is not None:
-        yield Acquire(lock)
-    yield Scan(addr, nbytes, per_line_compute)
-    if lock is not None:
-        yield Release(lock)
-    yield CtEnd()
+#: Everything a program may yield: exactly the items the workloads yield
+#: (``tests/test_workloads.py`` checks this), and the keys of the
+#: engine's dispatch table.
+ITEM_TYPES = (Compute, Store, Scan, Acquire, Release, CtStart, CtEnd)

@@ -40,10 +40,6 @@ class SpinLock:
         region = space.alloc(f"lock:{name}", space.line_size)
         return cls(name, region.base)
 
-    @property
-    def held(self) -> bool:
-        return self.owner is not None
-
     def try_acquire(self, thread: "SimThread") -> bool:
         """Attempt the test-and-set; bookkeeping only, no timing."""
         if self.owner is None:

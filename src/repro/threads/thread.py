@@ -92,22 +92,8 @@ class SimThread:
         self.user: Any = None
 
     @property
-    def in_operation(self) -> bool:
-        return self.ct_object is not None
-
-    @property
     def done(self) -> bool:
         return self.state is ThreadState.DONE
-
-    def advance(self) -> Any:
-        """Resume the program and return its next item.
-
-        Raises ``StopIteration`` when the program finishes; the engine
-        translates that into thread completion.
-        """
-        if self.state is ThreadState.DONE:
-            raise SimulationError(f"advancing finished thread {self.name}")
-        return next(self.program)
 
     def begin_operation(self, obj: Any, core_id: int, snapshot: Any,
                         now: int) -> None:

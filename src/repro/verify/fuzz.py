@@ -221,8 +221,7 @@ def workload_spec(case: FuzzCase) -> ObjectOpsSpec:
         write_fraction=case.write_fraction,
         pair_probability=case.pair_probability,
         popularity=case.popularity, with_locks=case.with_locks,
-        annotated=True, seed=case.seed,
-        threads_per_core=case.threads_per_core)
+        seed=case.seed, threads_per_core=case.threads_per_core)
 
 
 def run_case(case: FuzzCase,

@@ -4,15 +4,12 @@ from repro.workloads.dirlookup import (DirectoryLookupWorkload,
                                        DirWorkloadSpec)
 from repro.workloads.popularity import (OscillatingPopularity, Popularity,
                                         UniformPopularity, ZipfPopularity,
-                                        make_popularity, popularity_for_spec)
+                                        popularity_for_spec)
 from repro.workloads.scenarios import ScenarioEntry, ScenarioSpec
 from repro.workloads.synthetic import ObjectOpsSpec, ObjectOpsWorkload
-from repro.workloads.trace import OperationTrace, TraceReplayWorkload
 from repro.workloads.webserver import WebServerSpec, WebServerWorkload
 
 __all__ = [
-    "OperationTrace",
-    "TraceReplayWorkload",
     "WebServerSpec",
     "WebServerWorkload",
     "DirWorkloadSpec",
@@ -25,6 +22,5 @@ __all__ = [
     "ZipfPopularity",
     "ScenarioEntry",
     "ScenarioSpec",
-    "make_popularity",
     "popularity_for_spec",
 ]

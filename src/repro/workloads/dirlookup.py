@@ -3,15 +3,13 @@
 One thread per core repeatedly resolves a randomly chosen file name in a
 randomly chosen directory.  Directories hold ``files_per_dir`` 32-byte
 entries (1,000 in the paper); resolution is a linear scan under the
-directory's spin lock.  With ``annotated=True`` each search is bracketed
-by CoreTime annotations (Figure 3); with ``annotated=False`` the program
-is the plain Figure 1 loop plus an :class:`~repro.threads.program.OpDone`
-marker so throughput is still counted.
+directory's spin lock, bracketed by CoreTime annotations (Figure 3).  The
+thread scheduler leaves the annotations inert, so its baseline runs the
+same program.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -21,7 +19,7 @@ from repro.fs.efsl import EfslFat
 from repro.fs.fat import DIR_ENTRY_SIZE
 from repro.fs.image import FatFilesystem
 from repro.sim.rng import make_rng
-from repro.threads.program import Compute, OpDone
+from repro.threads.program import Compute
 from repro.workloads.popularity import Popularity, popularity_for_spec
 
 
@@ -43,7 +41,6 @@ class DirWorkloadSpec:
     oscillation_rotate: bool = False
     zipf_s: float = 1.0
     seed: int = 42
-    annotated: bool = True
     cluster_bytes: int = 4096
     #: Cooperative threads multiplexed on each core.  The paper starts
     #: one application thread per core, but its runtime "continues to
@@ -57,18 +54,11 @@ class DirWorkloadSpec:
         """Total size of all directory contents (Figure 4's x-axis)."""
         return self.n_dirs * self.files_per_dir * DIR_ENTRY_SIZE
 
-    @property
-    def dir_bytes(self) -> int:
-        return self.files_per_dir * DIR_ENTRY_SIZE
-
     def validate(self) -> None:
         if self.n_dirs < 1 or self.files_per_dir < 1:
             raise ConfigError("need at least one directory and file")
         if self.think_cycles < 0:
             raise ConfigError("think_cycles must be >= 0")
-
-    def replace(self, **changes: object) -> "DirWorkloadSpec":
-        return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
 
     @classmethod
     def scaled(cls, factor: int = 8, **overrides: object) \
@@ -86,19 +76,6 @@ class DirWorkloadSpec:
             # operation so it keeps the same relative weight.
             "think_cycles": max(10, 100 // factor),
         }
-        fields.update(overrides)  # type: ignore[arg-type]
-        spec = cls(**fields)  # type: ignore[arg-type]
-        spec.validate()
-        return spec
-
-    @classmethod
-    def for_total_bytes(cls, total_bytes: int, files_per_dir: int = 1000,
-                        **overrides: object) -> "DirWorkloadSpec":
-        """Spec whose directory count makes the data total ``total_bytes``
-        (how Figure 4's x-axis sweep is generated)."""
-        dir_bytes = files_per_dir * DIR_ENTRY_SIZE
-        n_dirs = max(1, round(total_bytes / dir_bytes))
-        fields = {"n_dirs": n_dirs, "files_per_dir": files_per_dir}
         fields.update(overrides)  # type: ignore[arg-type]
         spec = cls(**fields)  # type: ignore[arg-type]
         spec.validate()
@@ -127,7 +104,7 @@ class DirectoryLookupWorkload:
     # ------------------------------------------------------------------
 
     def make_program(self, core_id: int, lane: int = 0) -> Iterator:
-        """The Figure 1/3 thread loop for one thread homed on
+        """The Figure 3 thread loop for one thread homed on
         ``core_id`` (``lane`` distinguishes threads sharing a core)."""
         spec = self.spec
         efsl = self.efsl
@@ -135,7 +112,6 @@ class DirectoryLookupWorkload:
         popularity = self.popularity
         rng = make_rng(spec.seed, "dirlookup", core_id, lane)
         core = self.machine.cores[core_id]
-        annotated = spec.annotated
         files_per_dir = spec.files_per_dir
         think = Compute(spec.think_cycles) if spec.think_cycles else None
 
@@ -145,13 +121,7 @@ class DirectoryLookupWorkload:
                     yield think
                 directory = dirs[popularity.pick(rng, core.time)]
                 file_index = rng.randrange(files_per_dir)
-                if annotated:
-                    yield from efsl.search_items_by_index(
-                        directory, file_index)
-                else:
-                    yield from efsl.unannotated_search_items(
-                        directory, file_index)
-                    yield OpDone()
+                yield from efsl.search_items_by_index(directory, file_index)
                 self.resolutions += 1
 
         return program()

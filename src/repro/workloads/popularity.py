@@ -116,25 +116,8 @@ class ZipfPopularity:
             rank = self.n - 1
         return self._order[rank]
 
-    def weight(self, index: int) -> float:
-        """Selection probability of directory ``index``."""
-        rank = self._order.index(index) + 1
-        return (rank ** -self.s) / self._total
-
     def __repr__(self) -> str:
         return f"ZipfPopularity({self.n}, s={self.s})"
-
-
-def make_popularity(kind: str, n: int, period_cycles: int = 1_000_000,
-                    **kwargs) -> Popularity:
-    """Factory keyed by the names benchmarks use."""
-    if kind == "uniform":
-        return UniformPopularity(n)
-    if kind == "oscillating":
-        return OscillatingPopularity(n, period_cycles, **kwargs)
-    if kind == "zipf":
-        return ZipfPopularity(n, **kwargs)
-    raise ConfigError(f"unknown popularity kind {kind!r}")
 
 
 def popularity_for_spec(kind: str, n: int, *, zipf_s: float = 1.0,

@@ -30,7 +30,6 @@ the verify fuzzer's scenario axis — goes through it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -67,9 +66,6 @@ class ScenarioSpec:
         if self.threads_per_core < 0:
             raise ConfigError(
                 "scenario threads_per_core must be >= 0 (0 = native)")
-
-    def replace(self, **changes: object) -> "ScenarioSpec":
-        return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
 
     @property
     def total_data_bytes(self) -> int:
@@ -113,6 +109,11 @@ def register(name: str, compile: CompileFn, *, summary: str = "",
     the scenario runs over; ``build``, when given, constructs the
     workload itself (custom popularity / per-thread programs).
     Registering an existing name raises unless ``replace=True``.
+
+    The extension point for scenarios defined outside this package (see
+    README, "registering a new one", and DESIGN, "Adding a scenario");
+    the built-ins are listed directly, so its users in this repository
+    are ``tests/test_scenarios.py``.
     """
     if not name or not isinstance(name, str):
         raise ConfigError("scenario name must be a non-empty string")
@@ -207,7 +208,7 @@ def _compile_zipf_kv(spec: ScenarioSpec) -> ObjectOpsSpec:
         n_objects=_scaled(spec, 24), object_bytes=2048,
         think_cycles=40, write_fraction=0.1,
         popularity="zipf", zipf_s=1.1, with_locks=True,
-        annotated=True, seed=spec.seed, scan_fraction=0.5,
+        seed=spec.seed, scan_fraction=0.5,
         threads_per_core=_tpc(spec, 2))
 
 
@@ -218,7 +219,7 @@ def _compile_pipeline(spec: ScenarioSpec) -> ObjectOpsSpec:
         n_objects=_scaled(spec, 4), object_bytes=4096,
         think_cycles=60, write_fraction=0.5,
         popularity="uniform", with_locks=True,
-        annotated=True, seed=spec.seed, scan_fraction=0.25,
+        seed=spec.seed, scan_fraction=0.25,
         threads_per_core=_tpc(spec, 2))
 
 
@@ -277,7 +278,7 @@ def _compile_rcu(spec: ScenarioSpec) -> ObjectOpsSpec:
         n_objects=_scaled(spec, 6), object_bytes=1024,
         think_cycles=20, write_fraction=0.5,
         popularity="uniform", with_locks=False,
-        annotated=True, seed=spec.seed, scan_fraction=1.0,
+        seed=spec.seed, scan_fraction=1.0,
         threads_per_core=_tpc(spec, 2))
 
 
@@ -324,7 +325,7 @@ def _compile_diurnal(spec: ScenarioSpec) -> ObjectOpsSpec:
         n_objects=_scaled(spec, 12), object_bytes=2048,
         think_cycles=30, write_fraction=0.05,
         popularity="zipf", zipf_s=0.9, with_locks=True,
-        annotated=True, seed=spec.seed, scan_fraction=0.5,
+        seed=spec.seed, scan_fraction=0.5,
         threads_per_core=_tpc(spec, 2))
 
 
@@ -379,7 +380,7 @@ def _compile_phase_shift(spec: ScenarioSpec) -> ObjectOpsSpec:
         n_objects=_scaled(spec, 16), object_bytes=2048,
         think_cycles=25, write_fraction=0.1,
         popularity="uniform", with_locks=True,
-        annotated=True, seed=spec.seed, scan_fraction=0.5,
+        seed=spec.seed, scan_fraction=0.5,
         threads_per_core=_tpc(spec, 2))
 
 
@@ -396,7 +397,7 @@ def _compile_cpu_storm(spec: ScenarioSpec) -> ObjectOpsSpec:
         n_objects=_scaled(spec, 32), object_bytes=4096,
         think_cycles=150, write_fraction=0.02,
         popularity="uniform", with_locks=False,
-        annotated=True, seed=spec.seed, scan_fraction=0.25,
+        seed=spec.seed, scan_fraction=0.25,
         threads_per_core=_tpc(spec, 4))
 
 

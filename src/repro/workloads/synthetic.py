@@ -49,7 +49,6 @@ class ObjectOpsSpec:
     popularity: str = "uniform"
     zipf_s: float = 1.0
     with_locks: bool = True
-    annotated: bool = True
     seed: int = 7
     #: Scan only this fraction of the object per op (1.0 = full scan).
     scan_fraction: float = 1.0
@@ -109,8 +108,7 @@ class ObjectOpsWorkload:
         obj = self.objects[index]
         lock = self.locks[index]
         scan_bytes = max(1, int(spec.object_bytes * spec.scan_fraction))
-        if spec.annotated:
-            yield CtStart(obj)
+        yield CtStart(obj)
         if lock is not None:
             yield Acquire(lock)
         yield Scan(obj.addr, scan_bytes, 2)
@@ -120,8 +118,7 @@ class ObjectOpsWorkload:
             yield Store(obj.addr + offset)
         if lock is not None:
             yield Release(lock)
-        if spec.annotated:
-            yield CtEnd()
+        yield CtEnd()
 
     def make_program(self, core_id: int, lane: int = 0) -> Iterator:
         spec = self.spec

@@ -18,7 +18,6 @@ directories, and spread content — all with the same mechanism.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -51,16 +50,12 @@ class WebServerSpec:
     threads_per_core: int = 4
     seed: int = 11
     cluster_bytes: int = 512
-    annotated: bool = True
 
     def validate(self) -> None:
         if self.n_dirs < 1 or self.files_per_dir < 1:
             raise ConfigError("need at least one directory and file")
         if self.content_bytes < 1 or self.conn_table_bytes < 1:
             raise ConfigError("content and connection table need bytes")
-
-    def replace(self, **changes: object) -> "WebServerSpec":
-        return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
 
 
 class WebServerWorkload:
@@ -102,34 +97,24 @@ class WebServerWorkload:
                        rng) -> Iterator:
         spec = self.spec
         directory = self.efsl.directories[dir_index]
-        annotated = spec.annotated
         # 1. Accept/track the connection: a write into the shared table.
-        if annotated:
-            yield CtStart(self.conn_table)
+        yield CtStart(self.conn_table)
         yield Acquire(self.conn_lock)
         slot = rng.randrange(max(1, spec.conn_table_bytes // 64)) * 64
         yield Store(self.conn_table.addr + slot)
         yield Release(self.conn_lock)
-        if annotated:
-            yield CtEnd()
+        yield CtEnd()
         # 2. Parse the request.
         yield Compute(spec.parse_cycles)
         # 3. Resolve the path (the Figure 3 annotated lookup).
-        if annotated:
-            yield from self.efsl.search_items_by_index(directory,
-                                                       file_index)
-        else:
-            yield from self.efsl.unannotated_search_items(directory,
-                                                          file_index)
+        yield from self.efsl.search_items_by_index(directory, file_index)
         # 4. Stream the content.
         content = self.content[dir_index]
         offset = (file_index * spec.content_bytes) % max(
             64, content.size - spec.content_bytes)
-        if annotated:
-            yield CtStart(content)
+        yield CtStart(content)
         yield Scan(content.addr + offset, spec.content_bytes, 1)
-        if annotated:
-            yield CtEnd()
+        yield CtEnd()
 
     def make_program(self, core_id: int, lane: int = 0) -> Iterator:
         spec = self.spec
@@ -154,7 +139,3 @@ class WebServerWorkload:
                     self.make_program(core_id, lane),
                     f"worker-{lane}-{core_id}", core_id=core_id))
         return threads
-
-    def objects(self) -> List[CtObject]:
-        return ([self.conn_table] + self.content
-                + [d.object for d in self.efsl.directories])

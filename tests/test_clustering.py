@@ -59,16 +59,7 @@ class TestAffinityTracker:
         for _ in range(2):
             tracker.observe(1, b)
             tracker.observe(1, c)
-        assert tracker.cluster_of(a) == tracker.cluster_of(c)
-
-    def test_clustered_pairs(self):
-        tracker = AffinityTracker(threshold=2)
-        a, b = objs(2)
-        for _ in range(2):
-            tracker.observe(1, a)
-            tracker.observe(1, b)
-        pairs = tracker.clustered_pairs()
-        assert (min(a.oid, b.oid), max(a.oid, b.oid)) in pairs
+        assert a.cluster_key == c.cluster_key is not None
 
     def test_order_insensitive_pair_counting(self):
         tracker = AffinityTracker(threshold=4)

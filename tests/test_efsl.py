@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu.machine import Machine
-from repro.errors import FilesystemError
+from repro.errors import AllocationError, FilesystemError
 from repro.fs.check import fsck
 from repro.fs.directory import ATTR_ARCHIVE, DirEntry
 from repro.fs.efsl import EfslFat
@@ -25,15 +25,16 @@ def build(n_dirs=2, files=50, cluster_bytes=512):
 class TestConstruction:
     def test_image_mapped_into_address_space(self):
         machine, efsl = build()
-        region = machine.address_space.region("fat-image")
-        assert region.size == len(efsl.fs.image.data)
+        assert efsl.region.size == len(efsl.fs.image.data)
+        with pytest.raises(AllocationError):     # the name is taken
+            machine.address_space.alloc("fat-image", 1)
 
     def test_every_directory_has_object_and_lock(self):
         machine, efsl = build(n_dirs=3)
         assert len(efsl.directories) == 3
         addresses = set()
         for directory in efsl.directories:
-            assert directory.object.size == directory.bytes_used
+            assert directory.object.size == directory.fat_dir.bytes_used
             assert directory.lock.addr not in addresses
             addresses.add(directory.lock.addr)
 
@@ -94,7 +95,7 @@ class TestConstruction:
 
     def test_extents_are_simulated_addresses(self):
         machine, efsl = build()
-        region = machine.address_space.region("fat-image")
+        region = efsl.region
         for directory in efsl.directories:
             for addr, nbytes in directory.extents:
                 assert region.base <= addr < region.base + region.size
@@ -104,7 +105,7 @@ class TestSearchItems:
     def test_annotated_sequence(self):
         machine, efsl = build()
         directory = efsl.directories[0]
-        items = list(efsl.search_items(directory, file_name(9)))
+        items = list(efsl.search_items_by_index(directory, 9))
         kinds = [type(i) for i in items]
         assert kinds[0] is CtStart
         assert kinds[1] is Acquire
@@ -130,23 +131,10 @@ class TestSearchItems:
         scanned = sum(i.nbytes for i in items if isinstance(i, Scan))
         assert scanned == 500 * DIR_ENTRY_SIZE
 
-    def test_lookup_by_unknown_name(self):
-        machine, efsl = build()
-        with pytest.raises(FilesystemError):
-            list(efsl.search_items(efsl.directories[0], "NOPE.DAT"))
-
     def test_index_out_of_range(self):
         machine, efsl = build(files=10)
         with pytest.raises(FilesystemError):
             list(efsl.search_items_by_index(efsl.directories[0], 10))
-
-    def test_unannotated_variant_has_no_brackets(self):
-        machine, efsl = build()
-        items = list(efsl.unannotated_search_items(
-            efsl.directories[0], 3))
-        kinds = {type(i) for i in items}
-        assert CtStart not in kinds and CtEnd not in kinds
-        assert Acquire in kinds and Release in kinds
 
     def test_lookup_counter(self):
         machine, efsl = build()

@@ -12,8 +12,7 @@ from repro.obs import (MigrationStarted, Observability, ThreadArrived,
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
 from repro.threads.program import (ITEM_TYPES, Acquire, Compute, CtEnd,
-                                   CtStart, Load, OpDone, Release, Scan,
-                                   Store, YieldCore)
+                                   CtStart, Release, Scan, Store)
 from repro.threads.sync import SpinLock
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
@@ -53,7 +52,7 @@ class TestBasics:
     def test_load_and_store_charge_memory_latency(self):
         sim = make_sim()
         def program():
-            yield Load(0)
+            yield Scan(0, 1)                  # a one-line load
             yield Store(0)
         sim.spawn(program(), core_id=0)
         sim.run(until=100_000)
@@ -111,16 +110,6 @@ class TestBasics:
         sim.run(max_ops=3)
         assert sim.total_ops >= before + 3
 
-    def test_opdone_counts_operations(self):
-        sim = make_sim()
-        def program():
-            for _ in range(4):
-                yield Compute(1)
-                yield OpDone()
-        sim.spawn(program(), core_id=0)
-        sim.run(until=10_000)
-        assert sim.total_ops == 4
-
     def test_unknown_item_rejected(self):
         sim = make_sim()
         def program():
@@ -158,19 +147,6 @@ def _obj():
 
 
 class TestCooperativeScheduling:
-    def test_yield_core_rotates_threads(self):
-        sim = make_sim()
-        order = []
-        def program(tag):
-            for _ in range(2):
-                order.append(tag)
-                yield Compute(10)
-                yield YieldCore()
-        sim.spawn(program("a"), core_id=0)
-        sim.spawn(program("b"), core_id=0)
-        sim.run(until=10_000)
-        assert order == ["a", "b", "a", "b"]
-
     def test_threads_on_one_core_serialize(self):
         sim = make_sim()
         def program():
@@ -201,7 +177,7 @@ class TestLocks:
             yield Release(lock)
         sim.spawn(program(), core_id=0)
         sim.run(until=100_000)
-        assert not lock.held
+        assert lock.owner is None
         assert lock.acquires == 1
         assert sim.machine.memory.counters[0].lock_spins == 0
 
@@ -355,7 +331,7 @@ class TestDeterminismAndTracing:
                 rng = make_rng(1, core_id)
                 for _ in range(50):
                     yield Compute(rng.randrange(1, 100))
-                    yield Load(rng.randrange(0, 4096))
+                    yield Scan(rng.randrange(0, 4096), 1)
             for core in range(4):
                 sim.spawn(program(core), core_id=core)
             sim.run(until=100_000)
@@ -429,7 +405,8 @@ class TestRunBoundaries:
         def finite(n):
             for _ in range(n):
                 yield Compute(25)
-                yield OpDone()
+                yield CtStart(_obj())
+                yield CtEnd()
 
         sim = make_sim()
         n_cores = sim.machine.n_cores
@@ -463,7 +440,8 @@ class TestRunResult:
         def program():
             for _ in range(10):
                 yield Compute(100)
-                yield OpDone()
+                yield CtStart(_obj())
+                yield CtEnd()
         sim.spawn(program(), core_id=0)
         result = sim.run(until=2000)
         assert result.ops > 0

@@ -14,8 +14,8 @@ from repro.cpu.machine import Machine
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sched.work_stealing import WorkStealingScheduler
 from repro.sim.engine import Simulator
-from repro.threads.program import (Acquire, Compute, CtEnd, CtStart, Load,
-                                   Release, Scan, Store, YieldCore)
+from repro.threads.program import (Acquire, Compute, CtEnd, CtStart,
+                                   Release, Scan, Store)
 from repro.threads.sync import SpinLock
 from repro.verify.reference import compare, shadow
 
@@ -23,8 +23,7 @@ from tests.helpers import tiny_spec
 
 # A step recipe: (opcode, operand) pairs interpreted by build_program.
 step_strategy = st.tuples(
-    st.sampled_from(["compute", "load", "store", "scan", "lock",
-                     "ctop", "yield"]),
+    st.sampled_from(["compute", "store", "scan", "lock", "ctop"]),
     st.integers(min_value=0, max_value=63),
 )
 
@@ -37,8 +36,6 @@ def build_program(recipe, locks, objects):
         for opcode, operand in recipe:
             if opcode == "compute":
                 yield Compute(operand + 1)
-            elif opcode == "load":
-                yield Load(operand * 64)
             elif opcode == "store":
                 yield Store(operand * 64)
             elif opcode == "scan":
@@ -48,13 +45,11 @@ def build_program(recipe, locks, objects):
                 yield Acquire(lock)
                 yield Compute(5)
                 yield Release(lock)
-            elif opcode == "ctop":
+            else:
                 obj = objects[operand % len(objects)]
                 yield CtStart(obj)
                 yield Scan(obj.addr, min(obj.size, 4 * 64))
                 yield CtEnd()
-            else:
-                yield YieldCore()
     return program()
 
 
@@ -85,7 +80,7 @@ def test_random_programs_complete_cleanly(recipes):
     # Everything ran to completion within the generous horizon.
     assert all(thread.done for thread in sim.threads)
     # Locks all released.
-    assert all(not lock.held for lock in locks)
+    assert all(lock.owner is None for lock in locks)
     # Exactly the ct-ops in the recipes were counted.
     expected_ops = sum(1 for recipe in recipes
                        for opcode, _ in recipe if opcode == "ctop")
@@ -114,4 +109,4 @@ def test_work_stealing_preserves_semantics(recipes):
     """Stealing changes placement, never correctness."""
     machine, sim, locks = run_recipes(recipes, WorkStealingScheduler())
     assert all(thread.done for thread in sim.threads)
-    assert all(not lock.held for lock in locks)
+    assert all(lock.owner is None for lock in locks)

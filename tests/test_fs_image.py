@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FilesystemError
-from repro.fs.directory import ATTR_ARCHIVE, ATTR_DIRECTORY, DirEntry
+from repro.fs.directory import ATTR_ARCHIVE, DirEntry
 from repro.fs.fat import DIR_ENTRY_SIZE
 from repro.fs.image import FatFilesystem
 from repro.fs.names import file_name
@@ -36,10 +36,6 @@ class TestDirEntry:
     def test_free_slot_decodes_to_none(self):
         assert DirEntry.decode(b"\x00" * 32) is None
 
-    def test_is_directory(self):
-        assert DirEntry("D", ATTR_DIRECTORY, 2, 0).is_directory
-        assert not DirEntry("F", ATTR_ARCHIVE, 0, 0).is_directory
-
     def test_decode_wrong_size(self):
         with pytest.raises(FilesystemError):
             DirEntry.decode(b"x" * 31)
@@ -62,8 +58,8 @@ class TestFatFilesystem:
     def test_create_and_lookup(self):
         fs = FatFilesystem()
         directory = fs.mkdir("D", 10)
-        fs.create_file(directory, "A.DAT")
-        fs.create_file(directory, "B.DAT")
+        directory.extend([DirEntry("A.DAT", ATTR_ARCHIVE, 0, 0),
+                          DirEntry("B.DAT", ATTR_ARCHIVE, 0, 0)])
         index, entry = fs.lookup("D", "B.DAT")
         assert index == 1
         assert entry.name == "B.DAT"
@@ -82,10 +78,10 @@ class TestFatFilesystem:
     def test_directory_full(self):
         fs = FatFilesystem()
         directory = fs.mkdir("D", 2)
-        fs.create_file(directory, "A.DAT")
-        fs.create_file(directory, "B.DAT")
+        directory.extend([DirEntry("A.DAT", ATTR_ARCHIVE, 0, 0),
+                          DirEntry("B.DAT", ATTR_ARCHIVE, 0, 0)])
         with pytest.raises(FilesystemError):
-            fs.create_file(directory, "C.DAT")
+            directory.extend([DirEntry("C.DAT", ATTR_ARCHIVE, 0, 0)])
 
     def test_entry_offset_walks_chain(self):
         fs = FatFilesystem()
@@ -167,7 +163,7 @@ class TestFatFilesystem:
         one, many = FatFilesystem(), FatFilesystem()
         single = one.mkdir("D", 200)
         for entry in entries:
-            single.append(entry)
+            single.extend([entry])            # one entry at a time
         bulk = many.mkdir("D", 200)
         bulk.extend(entries)
         assert one.image.data == many.image.data

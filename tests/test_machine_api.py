@@ -2,11 +2,8 @@
 
 import os
 
-import pytest
-
 from repro.core.api import ct_object, method_operation, operation
 from repro.core.object_table import CtObject
-from repro.errors import ConfigError
 from repro.threads.program import Compute, CtEnd, CtStart, Scan
 
 
@@ -17,13 +14,6 @@ class TestMachine:
         assert len(machine.memory.l3s) == 2
         assert machine.cores[3].chip_id == 1
 
-    def test_core_lookup_bounds(self, machine):
-        assert machine.core(0) is machine.cores[0]
-        with pytest.raises(ConfigError):
-            machine.core(4)
-        with pytest.raises(ConfigError):
-            machine.core(-1)
-
     def test_cores_of_chip(self, machine):
         chip1 = machine.cores_of_chip(1)
         assert [core.core_id for core in chip1] == [2, 3]
@@ -31,12 +21,6 @@ class TestMachine:
     def test_now_is_max_core_clock(self, machine):
         machine.cores[2].time = 500
         assert machine.now == 500
-
-    def test_throughput(self, machine):
-        machine.memory.counters[0].ops_completed = 100
-        # 100 ops in 1000 cycles at 2 GHz = 200M ops/s.
-        assert machine.throughput(1000) == pytest.approx(2e8)
-        assert machine.throughput(0) == 0.0
 
     def test_counters_shared_with_memory(self, machine):
         assert machine.cores[1].counters is machine.memory.counters[1]

@@ -21,7 +21,7 @@ from repro.obs.metrics import (Histogram, MetricsRegistry)
 from repro.sched.base import SchedulerRuntime
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
-from repro.threads.program import Compute, CtEnd, CtStart, OpDone
+from repro.threads.program import Compute, CtEnd, CtStart
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
 from tests.helpers import tiny_spec
@@ -41,7 +41,6 @@ def annotated_program(n_ops=3, cycles=100, obj=None):
             yield CtStart(obj)
             yield Compute(cycles)
             yield CtEnd()
-            yield OpDone()
     return program()
 
 
@@ -219,7 +218,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(ConfigError):
-            registry.gauge("x")
+            registry.histogram("x", (1,))
         with pytest.raises(ConfigError):
             registry.gauge_fn("x", lambda: 0)
 
@@ -233,11 +232,12 @@ class TestMetricsRegistry:
     def test_snapshot_is_json_ready(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
-        registry.gauge("g").set(1.5)
+        registry.gauge_fn("g", lambda: 1.5)
         registry.histogram("h", (10,)).observe(4)
         text = json.dumps(registry.snapshot())
         assert json.loads(text)["c"] == 3
-        assert "h" in registry.render_text()
+        assert json.loads(text)["g"] == 1.5
+        assert json.loads(text)["h"]["count"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ class TestChromeTrace:
     def test_ascii_timeline_smoke(self):
         obs = Observability()
         run_workload(obs=obs)
-        art = obs.ascii_timeline(width=40)
+        art = ascii_timeline(obs.events(), width=40)
         assert "core   0" in art
         assert ascii_timeline([], width=40) == "(no operations recorded)"
 
@@ -419,7 +419,7 @@ class TestFlightRecorder:
         for i in range(4):
             flight.record(ThreadSpawned(i, 0, f"t{i}"))
         assert flight.recorded == 4
-        assert [e.ts for e in flight.events()] == [2, 3]
+        assert [e["ts"] for e in flight.tail(4)] == [2, 3]
         assert "t3" in flight.dump_text("why")
 
     def test_crash_dumps_flight_to_file(self, tmp_path):

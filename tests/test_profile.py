@@ -381,7 +381,7 @@ class TestStreamStructure:
 
     def test_horizon_counts_migration_landing(self):
         events = [MigrationStarted(100, 0, "t0", 1, 300)]
-        assert RunProfile.from_events("run", events).horizon == 300
+        assert profile_of(events).horizon == 300
         assert summarise_stream(events).horizon == 300
 
 
@@ -391,7 +391,10 @@ class TestStreamStructure:
 
 def profile_of(events):
     """One run's reducers, fed the way every report feeds them."""
-    return RunProfile.from_events("run", events)
+    section = RunProfile("run")
+    for event in events:
+        section.feed(event)
+    return section
 
 
 class TestObjectCosts:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.sched import registry
-from repro.sched.registry import SchedulerEntry
 from repro.sched.thread_sched import ThreadScheduler
 
 
@@ -32,7 +31,8 @@ class TestBuiltins:
     def test_resolve_returns_zero_arg_factory(self):
         factory = registry.resolve("cfs")
         scheduler = factory()
-        assert scheduler.describe().startswith("cfs(")
+        assert scheduler.name == "cfs"
+        assert factory() is not scheduler
 
     def test_create_builds_an_instance(self):
         assert registry.create("thread").name == "thread"
@@ -49,11 +49,6 @@ class TestBuiltins:
         fuzzable = registry.fuzzable_names()
         assert "coretime-norebalance" not in fuzzable
         assert "coretime" in fuzzable
-
-    def test_entries_returns_entry_objects(self):
-        entries = registry.entries()
-        assert all(isinstance(e, SchedulerEntry) for e in entries)
-        assert tuple(e.name for e in entries) == registry.names()
 
 
 class TestRegistration:

@@ -9,7 +9,6 @@ import tracemalloc
 
 import pytest
 
-from repro.analysis import RunningStats
 from repro.core.coretime import CoreTimeScheduler
 from repro.cpu.machine import Machine
 from repro.errors import ConfigError, ProfileError
@@ -19,7 +18,7 @@ from repro.obs.events import (LockContended, ObjectAssigned,
                               OperationFinished, RunMarker)
 from repro.obs.export import write_jsonl
 from repro.obs.metrics import OP_LATENCY_BUCKETS, Histogram
-from repro.obs.profile import (iter_jsonl, render_lock_table,
+from repro.obs.profile import (EventDecoder, iter_jsonl, render_lock_table,
                                render_object_costs, split_runs)
 from repro.obs.stream import (OccupancyReducer, Profile, RunProfile,
                               ShardRecorder, StreamProfiler, load_profile,
@@ -36,6 +35,22 @@ def synth(n, seed=0, label="synthetic", **kwargs):
     return list(synthesize(n, seed=seed, label=label, **kwargs))
 
 
+def run_profile(label, events):
+    """One run's section, fed event by event."""
+    section = RunProfile(label)
+    for event in events:
+        section.feed(event)
+    return section
+
+
+def fold(reducer, events):
+    """Feed ``events`` to one reducer through its dispatch table."""
+    handlers = reducer.handlers()
+    for event in events:
+        handlers[type(event)](event)
+    return reducer
+
+
 # ---------------------------------------------------------------------------
 # the merge law: merge(P(a), P(b)) == P(a + b), any split, any stream
 # ---------------------------------------------------------------------------
@@ -49,7 +64,7 @@ class TestMergeLaw:
         for cut in (1, 2, 97, 300, 599):
             left = Profile.from_events(events[:cut])
             right = Profile.from_events(events[cut:])
-            merged = left.merge(right)
+            merged = merge_profiles([left, right])
             assert merged.to_json() == whole.to_json(), f"split at {cut}"
 
     def test_merge_does_not_mutate_operands(self):
@@ -57,7 +72,7 @@ class TestMergeLaw:
         left = Profile.from_events(events[:100])
         right = Profile.from_events(events[100:])
         before_left, before_right = left.to_json(), right.to_json()
-        left.merge(right)
+        merge_profiles([left, right])
         assert left.to_json() == before_left
         assert right.to_json() == before_right
 
@@ -66,8 +81,8 @@ class TestMergeLaw:
         a = Profile.from_events(events[:150])
         b = Profile.from_events(events[150:300])
         c = Profile.from_events(events[300:])
-        assert a.merge(b).merge(c).to_json() \
-            == a.merge(b.merge(c)).to_json()
+        assert merge_profiles([merge_profiles([a, b]), c]).to_json() \
+            == merge_profiles([a, merge_profiles([b, c])]).to_json()
 
     def test_merge_profiles_folds_left_to_right(self):
         events = synth(300, seed=4)
@@ -84,7 +99,7 @@ class TestMergeLaw:
         a = Profile.from_events(synth(50), sample_capacity=64)
         b = Profile.from_events(synth(50), sample_capacity=128)
         with pytest.raises(ProfileError, match="sampl"):
-            a.merge(b)
+            merge_profiles([a, b])
 
     def test_artifact_round_trips(self):
         profile = Profile.from_events(synth(400, seed=8))
@@ -135,14 +150,14 @@ class TestRepeatedLabels:
         events = two_runs_one_label
         whole = Profile.from_events(events).to_json()
         # Independent oracle: each section is its run profiled alone.
-        per_run = [RunProfile.from_events(run.label, run.events).state()
+        per_run = [run_profile(run.label, run.events).state()
                    for run in split_runs(events)]
         second = next(index for index, event in enumerate(events)
                       if type(event) is RunMarker and index > 0)
         for cut in (second - 1, second, second + 1):
             left = Profile.from_events(events[:cut])
             right = Profile.from_events(events[cut:])
-            merged = left.merge(right)
+            merged = merge_profiles([left, right])
             assert merged.to_json() == whole, f"cut at {cut}"
             assert [s.state() for s in merged.sections] == per_run
 
@@ -182,43 +197,30 @@ def _occupancy_events(n, seed):
 class TestOccupancySampling:
     def test_seeded_and_order_free(self):
         events = _occupancy_events(500, seed=2)
-        forward, backward = (OccupancyReducer(capacity=64)
-                             for _ in range(2))
-        for event in events:
-            forward.feed(event)
-        for event in reversed(events):
-            backward.feed(event)
+        forward = fold(OccupancyReducer(capacity=64), events)
+        backward = fold(OccupancyReducer(capacity=64), reversed(events))
         assert forward.state() == backward.state()
         assert forward.render(events[-1].ts) == backward.render(
             events[-1].ts)
 
     def test_merge_law_survives_pruning(self):
         events = _occupancy_events(500, seed=7)
-        whole = OccupancyReducer(capacity=64)
-        left, right = (OccupancyReducer(capacity=64) for _ in range(2))
-        for event in events:
-            whole.feed(event)
-        for event in events[:250]:
-            left.feed(event)
-        for event in events[250:]:
-            right.feed(event)
+        whole = fold(OccupancyReducer(capacity=64), events)
+        left = fold(OccupancyReducer(capacity=64), events[:250])
+        right = fold(OccupancyReducer(capacity=64), events[250:])
         left.merge_from(right)
         assert left.state() == whole.state()
 
     def test_annotates_when_sampled(self):
         events = _occupancy_events(300, seed=1)
-        reducer = OccupancyReducer(capacity=32)
-        for event in events:
-            reducer.feed(event)
+        reducer = fold(OccupancyReducer(capacity=32), events)
         assert reducer.pruned
         rendered = reducer.render(events[-1].ts)
         assert "[sampled: kept" in rendered
         assert f"of {reducer.total:,} changes" in rendered
 
     def test_unsampled_stream_has_no_annotation(self):
-        reducer = OccupancyReducer()
-        for event in _occupancy_events(100, seed=1):
-            reducer.feed(event)
+        reducer = fold(OccupancyReducer(), _occupancy_events(100, seed=1))
         assert "[sampled" not in reducer.render(10_000)
 
     def test_capacity_mismatch_refuses_merge(self):
@@ -302,30 +304,30 @@ class TestDiagnostics:
         events = [OperationFinished(100 * (i + 1), 0, "t0", f"dir:D{i}",
                                     100, 1, 1, 10, 5)
                   for i in range(8)]
-        costs = RunProfile.from_events(None, events).objects.result()
+        costs = run_profile(None, events).objects.result()
         text = render_object_costs(costs, top=3)
         assert "5 rows dropped" in text
         full = render_object_costs(costs, top=8)
         assert "dropped" not in full
 
     def test_decode_refuses_frames_without_kind(self):
-        # Watch-feed frames reach decode() directly, not via a JSONL line.
-        profiler = StreamProfiler()
+        # Watch-feed frames reach decode() directly, not via a JSONL line
+        # (``repro-analyze tail`` decodes each frame's event itself).
+        decoder = EventDecoder()
         for frame in ({}, {"type": "event"}, "x", None):
             with pytest.raises(ProfileError, match="'kind' field"):
-                profiler.feed_dict(frame)
-        assert profiler.events_seen == 0
+                decoder.decode(frame)
 
     def test_lock_table_logs_dropped_rows(self):
         events = [LockContended(10 * (i + 1), 0, "t0", f"lock:L{i}")
                   for i in range(6)]
-        locks = RunProfile.from_events(None, events).locks.result()
+        locks = run_profile(None, events).locks.result()
         text = render_lock_table(locks, top=2)
         assert "4 rows dropped" in text
 
 
 # ---------------------------------------------------------------------------
-# mergeable primitives (Histogram.merge, RunningStats)
+# mergeable primitives (Histogram.merge)
 # ---------------------------------------------------------------------------
 
 class TestMergeablePrimitives:
@@ -347,14 +349,6 @@ class TestMergeablePrimitives:
     def test_histogram_merge_rejects_different_buckets(self):
         with pytest.raises(ConfigError):
             Histogram("a", (1, 2)).merge(Histogram("b", (1, 3)))
-
-    def test_running_stats_merge(self):
-        whole = RunningStats.from_values([3, 1, 4, 1, 5])
-        left = RunningStats.from_values([3, 1])
-        right = RunningStats.from_values([4, 1, 5])
-        assert left.merge(right) == whole
-        assert whole.mean == pytest.approx(2.8)
-        assert RunningStats.from_state(whole.state()) == whole
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,23 @@ class TestSweepSpec:
         assert [c.key() for c in clone.expand()] \
             == [c.key() for c in spec.expand()]
 
+    def test_unknown_stored_field_is_refused_by_name(self):
+        data = tiny_sweep().as_dict()
+        data["workloads"][0]["spec"]["annotated"] = True
+        with pytest.raises(ConfigError, match="workload kind 'dirlookup' "
+                                              "has no field 'annotated'"):
+            SweepSpec.from_dict(data)
+        data = tiny_sweep().as_dict()
+        data["machines"][0]["spec"]["max_hops"] = 2
+        with pytest.raises(ConfigError,
+                           match="machine spec has no field 'max_hops'"):
+            SweepSpec.from_dict(data)
+        data = tiny_sweep().as_dict()
+        data["machines"][0]["spec"]["latency"]["l4"] = 40
+        with pytest.raises(ConfigError, match="latency spec has no field "
+                                              "'l4'"):
+            SweepSpec.from_dict(data)
+
 
 class TestSweepCase:
     def test_key_is_stable_across_dict_round_trip(self):
@@ -612,6 +629,25 @@ class TestCli:
 
     def test_unknown_store_directory_errors(self, tmp_path):
         assert sweep_main(["status", str(tmp_path / "nope")]) == 1
+
+    def test_stored_spec_with_unknown_field_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert sweep_main(["run", "smoke", "--out", str(out), "--workers",
+                           "0", "--seeds", "1", "--stop-after", "0",
+                           "--quiet"]) == 3
+        path = out / "spec.json"
+        data = json.loads(path.read_text())
+        data["workloads"][0]["spec"]["annotated"] = True
+        path.write_text(json.dumps(data))
+        kind = data["workloads"][0]["kind"]
+        capsys.readouterr()
+        for argv in (["status", str(out)], ["report", str(out)],
+                     ["resume", str(out), "--workers", "0", "--quiet"],
+                     ["diff", str(out), str(out)]):
+            assert sweep_main(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                f"repro-sweep: {path}: workload kind {kind!r} has no "
+                "field 'annotated'\n")
 
 
 # ---------------------------------------------------------------------------

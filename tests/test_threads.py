@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.mem.layout import AddressSpace
-from repro.threads.program import (Acquire, Compute, CtEnd, CtStart, Load,
-                                   Release, Scan, Store, op_items)
+from repro.threads.program import (Acquire, Compute, CtEnd, CtStart,
+                                   Release, Scan, Store)
 from repro.threads.runqueue import RunQueue
 from repro.threads.sync import SpinLock
 from repro.threads.thread import SimThread, ThreadState
@@ -20,7 +20,7 @@ class TestSimThread:
         thread = SimThread(dummy_program(), "t")
         assert thread.state is ThreadState.READY
         assert thread.name == "t"
-        assert not thread.in_operation
+        assert thread.ct_object is None
 
     def test_auto_names_are_unique(self):
         a = SimThread(dummy_program())
@@ -28,26 +28,13 @@ class TestSimThread:
         assert a.name != b.name
         assert a.tid != b.tid
 
-    def test_advance_yields_items(self):
-        thread = SimThread(dummy_program())
-        item = thread.advance()
-        assert isinstance(item, Compute)
-        with pytest.raises(StopIteration):
-            thread.advance()
-
-    def test_advance_after_done_is_error(self):
-        thread = SimThread(dummy_program())
-        thread.state = ThreadState.DONE
-        with pytest.raises(SimulationError):
-            thread.advance()
-
     def test_operation_bracketing(self):
         thread = SimThread(dummy_program())
         thread.begin_operation("obj", 0, None, 5)
-        assert thread.in_operation
+        assert thread.ct_object == "obj"
         assert thread.end_operation() == "obj"
         assert thread.ops_completed == 1
-        assert not thread.in_operation
+        assert thread.ct_object is None
 
     def test_ran_on_needs_entry_core_and_no_migration(self):
         thread = SimThread(dummy_program())
@@ -129,9 +116,9 @@ class TestSpinLock:
         lock = SpinLock("l", 0)
         thread = SimThread(dummy_program())
         assert lock.try_acquire(thread)
-        assert lock.held
+        assert lock.owner is thread
         lock.release(thread)
-        assert not lock.held
+        assert lock.owner is None
 
     def test_contended_acquire_fails(self):
         lock = SpinLock("l", 0)
@@ -161,22 +148,9 @@ class TestSpinLock:
 
 
 class TestOpItems:
-    def test_canonical_sequence(self):
-        lock = SpinLock("l", 0)
-        items = list(op_items("obj", lock, 100, 256, per_line_compute=2))
-        kinds = [type(item) for item in items]
-        assert kinds == [CtStart, Acquire, Scan, Release, CtEnd]
-        scan = items[2]
-        assert scan.addr == 100 and scan.nbytes == 256
-
-    def test_lockless_sequence(self):
-        items = list(op_items("obj", None, 0, 64))
-        kinds = [type(item) for item in items]
-        assert kinds == [CtStart, Scan, CtEnd]
-
     def test_item_reprs(self):
         # Smoke-test every item's repr (used in error messages).
         lock = SpinLock("l", 0)
-        for item in (Compute(5), Load(1), Store(2), Scan(0, 64),
+        for item in (Compute(5), Store(2), Scan(0, 64),
                      Acquire(lock), Release(lock), CtStart("o"), CtEnd()):
             assert repr(item)

@@ -24,11 +24,13 @@ class TestConstruction:
     def test_objects_cover_all_tiers(self):
         machine = Machine(tiny_spec())
         workload = WebServerWorkload(machine, tiny_server())
-        objects = workload.objects()
-        names = {obj.name for obj in objects}
-        assert "conn-table" in names
-        assert any(name.startswith("dir:") for name in names)
-        assert any(name.startswith("content:") for name in names)
+        assert workload.conn_table.name == "conn-table"
+        directories = workload.efsl.directories
+        assert directories and all(d.object.name.startswith("dir:")
+                                   for d in directories)
+        assert len(workload.content) == len(directories)
+        assert all(obj.name.startswith("content:")
+                   for obj in workload.content)
 
     def test_conn_table_is_writable_object(self):
         machine = Machine(tiny_spec())
@@ -64,18 +66,6 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             WebServerWorkload(Machine(tiny_spec()),
                               tiny_server(files_per_dir=0))
-
-    def test_replace_returns_modified_copy(self):
-        base = tiny_server()
-        changed = base.replace(n_dirs=9, zipf_s=1.4)
-        assert changed.n_dirs == 9 and changed.zipf_s == 1.4
-        assert changed.files_per_dir == base.files_per_dir
-        assert base.n_dirs == 4                # original untouched
-        assert changed.replace() == changed    # no-op replace
-
-    def test_replace_rejects_unknown_field(self):
-        with pytest.raises(TypeError):
-            tiny_server().replace(banana=1)
 
 
 class TestRequestStream:

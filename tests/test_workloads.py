@@ -1,4 +1,5 @@
-"""Tests for repro.workloads.dirlookup and repro.workloads.synthetic."""
+"""Tests for repro.workloads.dirlookup and repro.workloads.synthetic, and
+for the program item set every workload draws from."""
 
 import pytest
 
@@ -6,11 +7,13 @@ from repro.cpu.machine import Machine
 from repro.errors import ConfigError
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
-from repro.threads.program import (Acquire, Compute, CtEnd, CtStart,
-                                   OpDone, Release, Scan)
+from repro.threads.program import (ITEM_TYPES, Acquire, Compute, CtEnd,
+                                   CtStart, Release, Scan)
+from repro.workloads import scenarios
 from repro.workloads.dirlookup import (DirectoryLookupWorkload,
                                        DirWorkloadSpec)
 from repro.workloads.synthetic import ObjectOpsSpec, ObjectOpsWorkload
+from repro.workloads.webserver import WebServerSpec, WebServerWorkload
 
 from tests.helpers import tiny_spec
 
@@ -30,19 +33,11 @@ class TestDirWorkloadSpec:
     def test_paper_defaults(self):
         spec = DirWorkloadSpec()
         assert spec.files_per_dir == 1000     # paper: 1,000 entries
-        assert spec.dir_bytes == 32_000       # of 32 bytes each
+        assert spec.total_data_bytes == spec.n_dirs * 32_000  # of 32 B
 
     def test_scaled_preserves_ratio(self):
         spec = DirWorkloadSpec.scaled(8)
         assert spec.files_per_dir == 125
-
-    def test_for_total_bytes(self):
-        spec = DirWorkloadSpec.for_total_bytes(320_000)
-        assert spec.n_dirs == 10
-
-    def test_replace(self):
-        spec = tiny_dir_spec().replace(n_dirs=7)
-        assert spec.n_dirs == 7
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -65,16 +60,6 @@ class TestDirectoryLookupWorkload:
         assert kinds[4] is Release
         assert kinds[5] is CtEnd                # ct_end()
         assert kinds[6] is Compute              # next iteration
-
-    def test_unannotated_program_uses_opdone(self):
-        machine = Machine(tiny_spec())
-        workload = DirectoryLookupWorkload(
-            machine, tiny_dir_spec(annotated=False))
-        program = workload.make_program(0)
-        items = [next(program) for _ in range(6)]
-        kinds = [type(i) for i in items]
-        assert CtStart not in kinds
-        assert OpDone in kinds
 
     def test_spawn_all_threads_per_core(self):
         machine = Machine(tiny_spec())
@@ -171,3 +156,22 @@ class TestObjectOpsWorkload:
             ObjectOpsSpec(n_objects=0).validate()
         with pytest.raises(ConfigError):
             ObjectOpsSpec(write_fraction=-0.1).validate()
+
+
+class TestItemSet:
+    def test_workloads_yield_exactly_the_item_types(self):
+        """The item set is what the workloads yield: an item class (and
+        its engine handler) that no workload yields has no user."""
+        builds = [
+            lambda machine: DirectoryLookupWorkload(machine,
+                                                    tiny_dir_spec()),
+            lambda machine: WebServerWorkload(machine, WebServerSpec()),
+            lambda machine: ObjectOpsWorkload(machine, ObjectOpsSpec()),
+        ] + [lambda machine, name=name: scenarios.build(
+                 machine, scenarios.ScenarioSpec(name=name))
+             for name in scenarios.names()]
+        seen = set()
+        for build in builds:
+            program = build(Machine(tiny_spec())).make_program(0)
+            seen.update(type(next(program)) for _ in range(200))
+        assert seen == set(ITEM_TYPES)
