@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 
 @dataclass(frozen=True)
@@ -40,39 +40,6 @@ class SampleStats:
         return (f"{self.mean:,.1f} +/- {1.96 * self.stderr:,.1f} "
                 f"(n={self.n}, range {self.minimum:,.1f}"
                 f"..{self.maximum:,.1f})")
-
-
-@dataclass
-class RunningStats:
-    """Streaming count/sum/min/max accumulator.
-
-    Unlike :func:`summarise` it never stores samples; the fleet sweep
-    report (:mod:`repro.obs.stream`) quotes its mean, min and max.
-    """
-
-    n: int = 0
-    total: float = 0
-    minimum: Optional[float] = None
-    maximum: Optional[float] = None
-
-    def add(self, value: float) -> None:
-        self.n += 1
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n if self.n else 0.0
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "RunningStats":
-        stats = cls()
-        for value in values:
-            stats.add(value)
-        return stats
 
 
 def summarise(values: Sequence[float]) -> SampleStats:

@@ -19,7 +19,7 @@ walks the directory, exactly as modified EFSL did.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Set
 
 from repro.core.object_table import CtObject
 from repro.cpu.machine import Machine
@@ -39,21 +39,15 @@ DEFAULT_COMPARE_CYCLES = 3
 class SimDirectory:
     """A directory as the simulator sees it: object + lock + extents."""
 
-    __slots__ = ("fat_dir", "object", "lock", "extents", "names",
-                 "lookups")
+    __slots__ = ("fat_dir", "object", "lock", "extents", "lookups")
 
     def __init__(self, fat_dir: FatDirectory, object_: CtObject, lock,
-                 extents: List[tuple], names: Dict[str, int]) -> None:
+                 extents: List[tuple]) -> None:
         self.fat_dir = fat_dir
         self.object = object_
         self.lock = lock
         #: (simulated address, nbytes) runs covering the directory data.
         self.extents = extents
-        #: name -> entry index, decoded from the real image bytes once per
-        #: distinct directory content; each directory holds its own copy.
-        #: (The reference ``search`` stays byte-accurate; this is the
-        #: index the fast inner loop effectively embodies.)
-        self.names = names
         self.lookups = 0
 
     @property
@@ -89,37 +83,31 @@ class EfslFat:
         from repro.threads.sync import SpinLock
 
         self.directories: List[SimDirectory] = []
-        self.by_name: Dict[str, SimDirectory] = {}
-        # Name index per distinct directory content, for this image only:
-        # the benchmark image's directories all hold the same bytes.  The
-        # first directory with a content keeps the decoded dict, and the
-        # others get copies of it.
-        indexed: Dict[bytes, Dict[str, int]] = {}
+        # Directory contents already checked, for this image only: the
+        # benchmark image's directories all hold the same bytes.
+        checked: Set[bytes] = set()
         for fat_dir in fs.directory_list():
             extents = [(region.base + offset, nbytes)
                        for offset, nbytes in fat_dir.extents()]
             raw = fat_dir.read_entries()
-            names = indexed.get(raw)
-            if names is None:
-                names = indexed[raw] = self._index_names(fat_dir.name, raw)
-            else:
-                names = dict(names)
+            if raw not in checked:
+                self._index_names(fat_dir.name, raw)
+                checked.add(raw)
             obj = CtObject(f"dir:{fat_dir.name}", extents[0][0],
                            fat_dir.bytes_used, read_only=True)
             lock = SpinLock.allocate(machine.address_space,
                                      f"dirlock:{fat_dir.name}")
-            sim_dir = SimDirectory(fat_dir, obj, lock, extents, names)
-            self.directories.append(sim_dir)
-            self.by_name[fat_dir.name] = sim_dir
+            self.directories.append(
+                SimDirectory(fat_dir, obj, lock, extents))
 
     @staticmethod
     def _index_names(dir_name: str, raw: bytes) -> Dict[str, int]:
         """Decode a directory's used entries ``raw`` into name -> index.
 
-        Runs once per distinct directory content and doubles as an image
-        validity check: a free slot below the used count, or a name held
-        twice (which the byte-level search would resolve to its first
-        slot), is refused.
+        Construction runs it once per distinct directory content as the
+        image validity check: a free slot below the used count, or a
+        name held twice (which the byte-level search would resolve to
+        its first slot), is refused.
         """
         names: Dict[str, int] = {}
         for index, start in enumerate(range(0, len(raw), DIR_ENTRY_SIZE)):

@@ -17,7 +17,8 @@ migration matrix, the lock-contention table and cache-occupancy
 timelines, one section per run, in one constant-memory pass over
 recordings of any size.  ``diff`` reports per-metric deltas with
 confidence intervals so scheduler A/Bs and regression checks are one
-command.
+command; it reads each recording through the same pass, and
+``timeline`` reads one twice, so neither holds a run in memory.
 
 Fleet-scale analysis (:mod:`repro.obs.stream`)::
 
@@ -35,57 +36,71 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Sequence, TypeVar
+from itertools import chain, groupby
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ProfileError, ReproError
-from repro.obs.export import ascii_timeline, open_text, write_jsonl
-from repro.obs.profile import (EventDecoder, Run, diff_metrics,
-                               diff_streams, folded_stacks, iter_jsonl,
-                               render_diff, split_runs)
-from repro.obs.stream import (RunProfile, StreamProfiler, load_profile,
-                              merge_profiles, synthesize)
+from repro.obs.events import Event, RunMarker
+from repro.obs.export import (open_text, render_timeline, timeline_extent,
+                              write_jsonl)
+from repro.obs.profile import (EventDecoder, diff_metrics, folded_stacks,
+                               iter_jsonl, render_diff)
+from repro.obs.stream import (RunProfile, StreamProfiler, diff_sections,
+                              load_profile, merge_profiles, synthesize)
 
-T = TypeVar("T")
 
-
-def _select_runs(runs: Sequence[T], labels: Sequence[str],
-                 run_filter: Optional[str], path: str) -> List[T]:
-    """The runs of ``path`` that ``run_filter`` picks (all when None).
+def _select_runs(labels: Sequence[str], run_filter: Optional[str],
+                 path: str) -> List[int]:
+    """The indices of the runs of ``path`` that ``run_filter`` picks (all
+    when None), given the runs' labels.
 
     ``run_filter`` selects by label, or by index when it is an integer.
     """
-    if not runs:
+    if not labels:
         raise ProfileError(f"{path}: stream contains no events")
     if run_filter is None:
-        return list(runs)
+        return list(range(len(labels)))
     try:
         index = int(run_filter)
     except ValueError:
-        selected = [run for run, label in zip(runs, labels)
+        selected = [index for index, label in enumerate(labels)
                     if label == run_filter]
         if not selected:
             raise ProfileError(
                 f"{path}: no run labelled {run_filter!r}; "
                 f"stream has {list(labels)}")
         return selected
-    if not 0 <= index < len(runs):
+    if not 0 <= index < len(labels):
         raise ProfileError(
             f"{path}: run index {index} out of range (stream has "
-            f"{len(runs)} runs)")
-    return [runs[index]]
+            f"{len(labels)} runs)")
+    return [index]
 
 
 def _profiled_runs(path: str, run_filter: Optional[str]) -> List[RunProfile]:
     """The selected runs of ``path``, profiled in one streaming pass."""
     sections = StreamProfiler().feed_path(path).profile.sections
-    return _select_runs(sections, [s.display_label for s in sections],
-                        run_filter, path)
+    return [sections[index] for index in _select_runs(
+        [section.display_label for section in sections], run_filter, path)]
 
 
-def _recorded_runs(path: str, run_filter: Optional[str]) -> List[Run]:
-    """The selected runs of ``path`` with their events in memory."""
-    runs = split_runs(iter_jsonl(path))
-    return _select_runs(runs, [run.label for run in runs], run_filter, path)
+def _runs(events: Iterable[Event]) -> Iterator[Tuple[str, Iterator[Event]]]:
+    """Each run's label and events, read lazily (before the next run);
+    events before the first marker are a run labelled ``run``."""
+    markers = 0
+
+    def run_of(event: Event) -> int:
+        nonlocal markers
+        if type(event) is RunMarker:
+            markers += 1
+        return markers
+
+    for _, run in groupby(events, key=run_of):
+        first = next(run)
+        if type(first) is RunMarker:
+            yield first.label, run
+        else:
+            yield "run", chain((first,), run)
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
@@ -134,10 +149,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    base, cand = ([event for run in _recorded_runs(path, args.run)
-                   for event in run.events]
-                  for path in (args.baseline, args.candidate))
-    deltas = diff_streams(base, cand)
+    deltas = diff_sections(*(_profiled_runs(path, args.run)
+                             for path in (args.baseline, args.candidate)))
     parts = [f"baseline:  {args.baseline}",
              f"candidate: {args.candidate}",
              "",
@@ -166,10 +179,19 @@ def _cmd_folded(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    for run in _recorded_runs(args.events, args.run):
-        print(f"=== run: {run.label} ===")
-        print(ascii_timeline(run.events, width=args.width))
-        print()
+    # A run's bucket width is known only at its end: one pass finds each
+    # run's extent, a second draws each chosen run as it goes by.
+    labels: List[str] = []
+    extents = []
+    for label, run in _runs(iter_jsonl(args.events)):
+        labels.append(label)
+        extents.append(timeline_extent(run))
+    chosen = set(_select_runs(labels, args.run, args.events))
+    for index, (label, run) in enumerate(_runs(iter_jsonl(args.events))):
+        if index in chosen:
+            print(f"=== run: {label} ===")
+            print(render_timeline(run, extents[index], width=args.width))
+            print()
     return 0
 
 

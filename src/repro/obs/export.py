@@ -325,31 +325,48 @@ def write_jsonl(path: str, events: Iterable[Event]) -> str:
 _RAMP = " .:-=+*#@"
 
 
-def ascii_timeline(events: Sequence[Event], n_cores: Optional[int] = None,
-                   width: int = 72) -> str:
-    """Per-core activity strip chart for terminals.
+def timeline_extent(events: Iterable[Event]) -> Optional[Tuple[int, int]]:
+    """The last cycle an operation finished or a thread departed at, and
+    the highest core either happened on (None when neither did): a
+    timeline's first pass, since its bucket width follows from them."""
+    horizon = last_core = -1
+    for event in events:
+        etype = type(event)
+        if etype is OperationFinished or etype is MigrationStarted:
+            if event.ts > horizon:
+                horizon = event.ts
+            if event.core > last_core:
+                last_core = event.core
+    return (horizon, last_core) if last_core >= 0 else None
+
+
+def render_timeline(events: Iterable[Event],
+                    extent: Optional[Tuple[int, int]],
+                    n_cores: Optional[int] = None, width: int = 72) -> str:
+    """Per-core activity strip chart of ``events``, whose
+    :func:`timeline_extent` is ``extent``, in one pass.
 
     Each column is a time bucket; the glyph encodes how many operations
     finished on that core in the bucket, and ``M`` flags a bucket where
     the core handed a thread away (migration out dominates the glyph so
     scheduler activity stands out).
     """
-    ops = [e for e in events if type(e) is OperationFinished]
-    migrations = [e for e in events if type(e) is MigrationStarted]
-    if not ops and not migrations:
+    if extent is None:
         return "(no operations recorded)"
-    horizon = max(e.ts for e in ops + migrations)
+    horizon, last_core = extent
     if n_cores is None:
-        n_cores = 1 + max(e.core for e in ops + migrations)
+        n_cores = last_core + 1
     width = max(8, width)
     bucket = max(1, -(-horizon // width))          # ceil division
     op_counts = [[0] * width for _ in range(n_cores)]
     migrated = [[False] * width for _ in range(n_cores)]
-    for event in ops:
-        if event.core < n_cores:
-            op_counts[event.core][min(width - 1, event.ts // bucket)] += 1
-    for event in migrations:
-        if event.core < n_cores:
+    for event in events:
+        etype = type(event)
+        if etype is OperationFinished:
+            if event.core < n_cores:
+                op_counts[event.core][min(width - 1,
+                                          event.ts // bucket)] += 1
+        elif etype is MigrationStarted and event.core < n_cores:
             migrated[event.core][min(width - 1, event.ts // bucket)] = True
     peak = max((max(row) for row in op_counts), default=0)
     lines = [f"ops/bucket timeline  (bucket = {bucket:,} cycles, "
@@ -367,3 +384,11 @@ def ascii_timeline(events: Sequence[Event], n_cores: Optional[int] = None,
         lines.append(f"core {core_id:>3} |{''.join(row)}|")
     lines.append(f"         0{'cycles'.center(width - 1)}{horizon:,}")
     return "\n".join(lines)
+
+
+def ascii_timeline(events: Sequence[Event], n_cores: Optional[int] = None,
+                   width: int = 72) -> str:
+    """Per-core activity strip chart for terminals (see
+    :func:`render_timeline`); ``events`` is read twice, so it must be
+    re-iterable."""
+    return render_timeline(events, timeline_extent(events), n_cores, width)

@@ -9,16 +9,17 @@ streams and metrics snapshots :mod:`repro.obs` already exports — so a
 recorded run can be profiled, compared and regression-gated long after
 the simulator is gone.
 
-This module holds the one reader (:func:`iter_jsonl`), the split into
-runs, the attribution records and tables the reducers of
-:mod:`repro.obs.stream` fill in, and the A/B diff.  Every report is a
-:class:`repro.obs.stream.Profile`, one section per run::
+This module holds the one reader (:func:`iter_jsonl`), the attribution
+records and tables the reducers of :mod:`repro.obs.stream` fill in, and
+the rows and rendering of the A/B diff.  Every report, the diff
+included, reads a :class:`repro.obs.stream.Profile`, one section per
+run::
 
     profile = StreamProfiler().feed_path("fig2.events.jsonl").profile
     print(profile.render())                       # attribution & co
-    (base,) = split_runs(iter_jsonl("base.events.jsonl"))
-    (cand,) = split_runs(iter_jsonl("cand.events.jsonl"))
-    print(render_diff(diff_streams(base.events, cand.events)))
+    base, cand = (StreamProfiler().feed_path(path).profile.sections
+                  for path in ("base.events.jsonl", "cand.events.jsonl"))
+    print(render_diff(diff_sections(base, cand)))
 
 Everything here is strictly off the hot path: the simulator never
 imports this module, so profiling adds zero overhead to a run that does
@@ -29,20 +30,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple, Type)
+from typing import (Any, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Tuple, Type)
 
-from repro.analysis import SampleStats, format_table, summarise
+from repro.analysis import SampleStats, format_table
 from repro.errors import ProfileError
-from repro.obs.events import (EVENT_KINDS, CacheEvicted, CacheInvalidated,
-                              Event, LockContended, MigrationStarted,
-                              OperationFinished, RunMarker)
+from repro.obs.events import EVENT_KINDS, Event
 from repro.obs.export import SCHEMA_VERSION, open_text
 
 __all__ = [
-    "Run", "ObjectCost", "CoreBreakdown", "LockStat", "StreamSummary",
-    "MetricDelta", "EventDecoder", "iter_jsonl", "split_runs",
-    "folded_stacks", "summarise_stream", "diff_streams", "render_diff",
+    "ObjectCost", "CoreBreakdown", "LockStat", "MetricDelta",
+    "EventDecoder", "iter_jsonl", "folded_stacks", "render_diff",
     "render_migration_matrix", "render_lock_table", "diff_metrics",
 ]
 
@@ -191,35 +189,6 @@ def iter_jsonl(path: str) -> Iterator[Event]:
                 yield event
 
 
-@dataclass
-class Run:
-    """One simulator run's slice of an event stream."""
-
-    label: str
-    events: List[Event]
-
-
-def split_runs(events: Iterable[Event]) -> List[Run]:
-    """Split a stream on :class:`RunMarker` into per-simulator runs.
-
-    Events before the first marker (streams recorded without one) become
-    a run labelled ``"run"``.  Labels repeat as recorded; callers that
-    need unique names should add the index themselves.
-    """
-    runs: List[Run] = []
-    current: Optional[Run] = None
-    for event in events:
-        if type(event) is RunMarker:
-            current = Run(event.label, [])
-            runs.append(current)
-            continue
-        if current is None:
-            current = Run("run", [])
-            runs.append(current)
-        current.events.append(event)
-    return runs
-
-
 # ---------------------------------------------------------------------------
 # per-object attribution
 # ---------------------------------------------------------------------------
@@ -361,71 +330,8 @@ def folded_stacks(costs: Sequence[ObjectCost],
 
 
 # ---------------------------------------------------------------------------
-# stream summary & diff
+# diff rows
 # ---------------------------------------------------------------------------
-
-@dataclass
-class StreamSummary:
-    """Per-metric samples and counts for one recording (diff fodder)."""
-
-    label: str
-    horizon: int
-    ops: int
-    migrations: int
-    migration_cycles: int
-    lock_contended: int
-    evictions: int
-    invalidations: int
-    op_cycles: List[int]
-    op_dram: List[int]
-    op_remote: List[int]
-    op_mem_stall: List[int]
-    op_spin: List[int]
-
-
-def summarise_stream(events: Iterable[Event],
-                     label: str = "run") -> StreamSummary:
-    """Collect the per-operation samples and counts a diff compares.
-
-    The horizon is the last cycle any event touches; a migration counts
-    its landing.
-    """
-    op_cycles: List[int] = []
-    op_dram: List[int] = []
-    op_remote: List[int] = []
-    op_mem: List[int] = []
-    op_spin: List[int] = []
-    horizon = migrations = migration_cycles = lock_contended = 0
-    evictions = invalidations = 0
-    for event in events:
-        etype = type(event)
-        ts = event.ts
-        if etype is OperationFinished:
-            op_cycles.append(event.cycles)
-            if event.dram is not None:
-                op_dram.append(event.dram)
-                op_remote.append(event.remote)
-                op_mem.append(event.mem_stall)
-                op_spin.append(event.spin)
-        elif etype is MigrationStarted:
-            migrations += 1
-            migration_cycles += event.arrive_ts - event.ts
-            ts = max(ts, event.arrive_ts)
-        elif etype is LockContended:
-            lock_contended += 1
-        elif etype is CacheEvicted:
-            evictions += 1
-        elif etype is CacheInvalidated:
-            invalidations += event.copies
-        if ts > horizon:
-            horizon = ts
-    return StreamSummary(
-        label=label, horizon=horizon, ops=len(op_cycles),
-        migrations=migrations, migration_cycles=migration_cycles,
-        lock_contended=lock_contended, evictions=evictions,
-        invalidations=invalidations, op_cycles=op_cycles, op_dram=op_dram,
-        op_remote=op_remote, op_mem_stall=op_mem, op_spin=op_spin)
-
 
 @dataclass
 class MetricDelta:
@@ -472,52 +378,6 @@ class MetricDelta:
         if ci is None:
             return None
         return abs(self.delta) > ci
-
-
-def _sample_delta(name: str, base: List[int],
-                  cand: List[int]) -> Optional[MetricDelta]:
-    if not base or not cand:
-        return None
-    return MetricDelta(name, summarise(base), summarise(cand))
-
-
-def diff_streams(baseline: Iterable[Event], candidate: Iterable[Event],
-                 baseline_label: str = "baseline",
-                 candidate_label: str = "candidate") -> List[MetricDelta]:
-    """Per-metric deltas between two recordings, CI-qualified.
-
-    Sample metrics (per-operation distributions) carry
-    :class:`~repro.analysis.SampleStats` confidence intervals so a
-    scheduler A/B — or a regression check — can tell signal from
-    seed noise; count metrics report plain deltas.
-    """
-    base = summarise_stream(baseline, baseline_label)
-    cand = summarise_stream(candidate, candidate_label)
-    deltas: List[MetricDelta] = []
-    for name, bvals, cvals in (
-            ("op latency (cycles/op)", base.op_cycles, cand.op_cycles),
-            ("dram loads/op", base.op_dram, cand.op_dram),
-            ("remote hits/op", base.op_remote, cand.op_remote),
-            ("mem-stall (cycles/op)", base.op_mem_stall, cand.op_mem_stall),
-            ("lock-spin (cycles/op)", base.op_spin, cand.op_spin)):
-        delta = _sample_delta(name, bvals, cvals)
-        if delta is not None:
-            deltas.append(delta)
-    for name, bval, cval in (
-            ("ops", base.ops, cand.ops),
-            ("migrations", base.migrations, cand.migrations),
-            ("migration cycles", base.migration_cycles,
-             cand.migration_cycles),
-            ("contended lock acquires", base.lock_contended,
-             cand.lock_contended),
-            ("L3 evictions", base.evictions, cand.evictions),
-            ("invalidated copies", base.invalidations,
-             cand.invalidations),
-            ("horizon (cycles)", base.horizon, cand.horizon)):
-        if bval or cval:
-            deltas.append(MetricDelta(name, None, None,
-                                      float(bval), float(cval)))
-    return deltas
 
 
 def diff_metrics(baseline: Dict[str, Any],

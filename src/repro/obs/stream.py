@@ -1,7 +1,7 @@
 """Single-pass, constant-memory streaming profiles over event streams.
 
 Every report of a recording — ``repro-analyze report``, ``folded``,
-``profile``, ``merge`` and ``tail``, and
+``diff``, ``profile``, ``merge`` and ``tail``, and
 ``Observability.profile_report()`` — is a :class:`Profile`: one
 :class:`RunProfile` section per :class:`~repro.obs.events.RunMarker`,
 each a set of incremental *reducers* that fold one event at a time and
@@ -29,15 +29,19 @@ from __future__ import annotations
 import copy
 import heapq
 import json
+import math
+import os
 import random
 from dataclasses import asdict
 from hashlib import blake2b
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple, Type)
 
-from repro.analysis import RunningStats
+from repro.analysis import SampleStats, summarise
 from repro.errors import ConfigError, ProfileError
-from repro.obs.events import (CacheEvicted, CacheInvalidated, Event,
+from repro.obs import Observability
+from repro.obs.events import (CONTROL_EVENTS, CacheEvicted,
+                              CacheInvalidated, Event,
                               LeaseExpired, LockContended,
                               MigrationStarted, ObjectAssigned,
                               ObjectMoved, OperationFinished,
@@ -48,18 +52,18 @@ from repro.obs.export import (SCHEMA_VERSION, jsonl_meta_line, open_text,
                               write_events)
 from repro.obs.metrics import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
                                Histogram)
-from repro.obs.profile import (CoreBreakdown, LockStat,
+from repro.obs.profile import (CoreBreakdown, LockStat, MetricDelta,
                                ObjectCost, iter_jsonl, render_core_breakdown,
                                render_lock_table, render_migration_matrix,
                                render_object_costs)
 
 __all__ = [
     "DEFAULT_SAMPLE_CAPACITY", "NO_OPERATION", "PROFILE_FORMAT_VERSION",
-    "ObjectCostsReducer", "CoreBreakdownReducer",
+    "SAMPLED_METRICS", "Moments", "ObjectCostsReducer", "CoreBreakdownReducer",
     "MigrationMatrixReducer", "LockTableReducer", "LatencyReducer",
     "OccupancyReducer", "SweepReducer", "RunProfile", "Profile",
-    "StreamProfiler", "ShardRecorder", "load_profile", "merge_profiles",
-    "synthesize",
+    "StreamProfiler", "ShardRecorder", "diff_sections", "load_profile",
+    "merge_profiles", "synthesize",
 ]
 
 #: Pseudo-object charged for migrations of threads outside any
@@ -71,9 +75,19 @@ NO_OPERATION = "(no operation)"
 #: :class:`RunProfile`, so every report of a stream prunes identically.
 DEFAULT_SAMPLE_CAPACITY = 65_536
 
-#: Version of the :class:`Profile` JSON artifact.  Version 2 holds one
-#: section per run; version 1 folded runs that shared a label.
-PROFILE_FORMAT_VERSION = 2
+#: Version of the :class:`Profile` JSON artifact.  Version 3 added what
+#: a diff reads (per-operation moments, eviction and invalidation
+#: totals); version 1 folded runs that shared a label.
+PROFILE_FORMAT_VERSION = 3
+
+#: The per-operation metrics a diff samples, named as its rows: cycles,
+#: then the counter deltas of operations that ran on one core.
+SAMPLED_METRICS = ("op latency (cycles/op)", "dram loads/op",
+                   "remote hits/op", "mem-stall (cycles/op)",
+                   "lock-spin (cycles/op)")
+
+#: Events a :class:`ShardRecorder` holds between two writes.
+SHARD_CHUNK = 1024
 
 #: Sentinel distinguishing "thread never seen" from "thread known to be
 #: outside any operation" in :class:`ObjectCostsReducer`.
@@ -92,6 +106,54 @@ Handler = Callable[[Any], None]
 # JSON primitives.
 # ---------------------------------------------------------------------------
 
+class Moments:
+    """Exact moments of an integer sample: count, sum, sum of squares,
+    minimum and maximum (the last two meaningful once ``n`` is
+    positive).  They are all :class:`~repro.analysis.SampleStats` needs,
+    and they merge exactly, so a diff needs no per-event samples."""
+
+    __slots__ = ("n", "total", "squares", "minimum", "maximum")
+
+    def __init__(self, n: int = 0, total: int = 0, squares: int = 0,
+                 minimum: int = 0, maximum: int = 0) -> None:
+        self.n, self.total, self.squares = n, total, squares
+        self.minimum, self.maximum = minimum, maximum
+
+    def add(self, value: int) -> None:
+        if not self.n:
+            self.minimum = self.maximum = value
+        elif value < self.minimum:
+            self.minimum = value
+        elif value > self.maximum:
+            self.maximum = value
+        self.n += 1
+        self.total += value
+        self.squares += value * value
+
+    def merge_from(self, other: "Moments") -> None:
+        if other.n:
+            self.minimum = (min(self.minimum, other.minimum) if self.n
+                            else other.minimum)
+            self.maximum = (max(self.maximum, other.maximum) if self.n
+                            else other.maximum)
+            self.n += other.n
+            self.total += other.total
+            self.squares += other.squares
+
+    def stats(self) -> SampleStats:
+        """The summary of a non-empty sample; its variance is the exact
+        one of the integer moments, rounded once."""
+        n = self.n
+        variance = ((n * self.squares - self.total * self.total)
+                    / (n * (n - 1)) if n > 1 else 0.0)
+        return SampleStats(n=n, mean=self.total / n,
+                           stdev=math.sqrt(variance),
+                           minimum=self.minimum, maximum=self.maximum)
+
+    def state(self) -> List[int]:
+        return [getattr(self, name) for name in self.__slots__]
+
+
 class ObjectCostsReducer:
     """Per-object cycles/misses/migrations, one pass, mergeable.
 
@@ -105,12 +167,18 @@ class ObjectCostsReducer:
     shard recorded any operation event for that thread; a merge resolves
     the right shard's pending migrations against the left shard's final
     thread states, so any split of a stream folds to the same costs.
+
+    The same handlers keep, run-wide, what a diff compares: the moments
+    of :data:`SAMPLED_METRICS` and all evictions and invalidations.
     """
 
     def __init__(self) -> None:
         self.costs: Dict[str, ObjectCost] = {}
         self.known: Dict[str, Optional[str]] = {}
         self.pending: Dict[str, List[int]] = {}
+        self.samples = tuple(Moments() for _ in SAMPLED_METRICS)
+        self.evictions = 0
+        self.invalidations = 0
 
     def handlers(self) -> Dict[Type[Event], Handler]:
         return {OperationStarted: self._op_start,
@@ -132,12 +200,18 @@ class ObjectCostsReducer:
         entry = self._cost(event.obj)
         entry.ops += 1
         entry.cycles += event.cycles
+        cycles, dram, remote, mem_stall, spin = self.samples
+        cycles.add(event.cycles)
         if event.dram is not None:
             entry.attributed_ops += 1
             entry.dram_loads += event.dram
             entry.remote_hits += event.remote
             entry.mem_stall_cycles += event.mem_stall
             entry.spin_cycles += event.spin
+            dram.add(event.dram)
+            remote.add(event.remote)
+            mem_stall.add(event.mem_stall)
+            spin.add(event.spin)
         self.known[event.thread] = None
 
     def _migrate(self, event: MigrationStarted) -> None:
@@ -156,14 +230,20 @@ class ObjectCostsReducer:
         cost.migration_cycles += flight
 
     def _evict(self, event: CacheEvicted) -> None:
+        self.evictions += 1
         if event.obj is not None:
             self._cost(event.obj).evictions += 1
 
     def _invalidate(self, event: CacheInvalidated) -> None:
+        self.invalidations += event.copies
         if event.obj is not None:
             self._cost(event.obj).invalidations += event.copies
 
     def merge_from(self, other: "ObjectCostsReducer") -> None:
+        for mine, theirs in zip(self.samples, other.samples):
+            mine.merge_from(theirs)
+        self.evictions += other.evictions
+        self.invalidations += other.invalidations
         for name, cost in other.costs.items():
             mine = self.costs.get(name)
             if mine is None:
@@ -217,7 +297,10 @@ class ObjectCostsReducer:
                           for name, cost in self.costs.items()},
                 "known": dict(self.known),
                 "pending": {thread: list(entry)
-                            for thread, entry in self.pending.items()}}
+                            for thread, entry in self.pending.items()},
+                "samples": [moments.state() for moments in self.samples],
+                "evictions": self.evictions,
+                "invalidations": self.invalidations}
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "ObjectCostsReducer":
@@ -227,6 +310,10 @@ class ObjectCostsReducer:
         reducer.known.update(state["known"])
         for thread, entry in state["pending"].items():
             reducer.pending[thread] = list(entry)
+        reducer.samples = tuple(Moments(*moments)
+                                for moments in state["samples"])
+        reducer.evictions = state["evictions"]
+        reducer.invalidations = state["invalidations"]
         return reducer
 
 
@@ -709,7 +796,7 @@ class SweepReducer:
             lines.append("  throughput by scheduler (kops/s over "
                          "finished cells):")
             for scheduler in sorted(self.kops):
-                stats = RunningStats.from_values(self.kops[scheduler])
+                stats = summarise(self.kops[scheduler])
                 lines.append(f"    {scheduler:<10} n={stats.n:,}  "
                              f"mean={stats.mean:,.1f}  "
                              f"min={stats.minimum:,.1f}  "
@@ -866,8 +953,7 @@ class Profile:
 
     Every :class:`RunMarker` opens a new section, whatever its label;
     events before the first marker go to a headless section (label
-    None, rendered as ``run``), matching
-    :func:`~repro.obs.profile.split_runs`.  Merging concatenates: the
+    None, rendered as ``run``).  Merging concatenates: the
     right profile's headless prefix continues the left profile's last
     section, and the right's other sections are appended.  With that,
     ``merge(P(a), P(b)) == P(a + b)`` holds for any split point of one
@@ -1006,6 +1092,58 @@ def merge_profiles(profiles: Sequence[Profile]) -> Profile:
 
 
 # ---------------------------------------------------------------------------
+# the A/B diff
+# ---------------------------------------------------------------------------
+
+#: The rows of a diff that compare plain values, after the sampled ones.
+_COUNT_ROWS = ("ops", "migrations", "migration cycles",
+               "contended lock acquires", "L3 evictions",
+               "invalidated copies", "horizon (cycles)")
+
+
+def _diff_side(sections: Sequence[RunProfile]) -> Tuple[
+        Tuple[Moments, ...], List[int]]:
+    """One side of a diff, its sections taken as one stream: the moments
+    of each sampled metric and the value of each count row."""
+    samples = tuple(Moments() for _ in SAMPLED_METRICS)
+    sums = [0] * (len(_COUNT_ROWS) - 1)          # every row but horizon
+    horizon = 0
+    for section in sections:
+        for mine, theirs in zip(samples, section.objects.samples):
+            mine.merge_from(theirs)
+        sums = [total + value for total, value in zip(sums, (
+            section.latency.op.count, section.latency.flight.count,
+            sum(core.migrating
+                for core in section.cores.result(section.horizon)),
+            sum(lock.contended_acquires for lock in section.locks.result()),
+            section.objects.evictions, section.objects.invalidations))]
+        horizon = max(horizon, section.horizon)
+    return samples, sums + [horizon]
+
+
+def diff_sections(baseline: Sequence[RunProfile],
+                  candidate: Sequence[RunProfile]) -> List[MetricDelta]:
+    """Per-metric deltas between two recordings' run sections.
+
+    Sample metrics (per-operation distributions) carry
+    :class:`~repro.analysis.SampleStats` confidence intervals so a
+    scheduler A/B — or a regression check — can tell signal from seed
+    noise; count metrics report plain deltas.
+    """
+    (base_samples, base_counts), (cand_samples, cand_counts) = (
+        _diff_side(baseline), _diff_side(candidate))
+    deltas = [MetricDelta(name, base.stats(), cand.stats())
+              for name, base, cand in zip(SAMPLED_METRICS, base_samples,
+                                          cand_samples)
+              if base.n and cand.n]
+    deltas.extend(MetricDelta(name, None, None, float(bval), float(cval))
+                  for name, bval, cval in zip(_COUNT_ROWS, base_counts,
+                                              cand_counts)
+                  if bval or cval)
+    return deltas
+
+
+# ---------------------------------------------------------------------------
 # streaming front-ends
 # ---------------------------------------------------------------------------
 
@@ -1017,10 +1155,8 @@ class StreamProfiler:
     :class:`Profile`.
     """
 
-    def __init__(self, sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
-                 sample_seed: int = 0) -> None:
-        self.profile = Profile(sample_capacity=sample_capacity,
-                               sample_seed=sample_seed)
+    def __init__(self) -> None:
+        self.profile = Profile()
         self.events_seen = 0
 
     def feed(self, event: Event) -> None:
@@ -1037,49 +1173,57 @@ class StreamProfiler:
 
 
 class ShardRecorder:
-    """Per-worker event shard + mergeable profile, written as cases run.
+    """Per-worker event shard + mergeable profile, written as events are
+    published.
 
-    Each recorded case appends its events to
-    ``<dir>/<name>.events.jsonl.gz`` (the simulator emits the case's
-    ``RunMarker`` itself, so shards are already label-led) and feeds the
-    same events through a :class:`StreamProfiler`; :meth:`close` writes
-    ``<dir>/<name>.profile.json``.  Workers that never ran a case write
-    nothing, so concatenating the shard event files and merging the
-    shard profiles describe exactly the same stream.
+    Each recorded case runs under its own :meth:`pipeline`, whose bus
+    hands every event to the shard's :class:`Profile` at once and to
+    ``<dir>/<name>.events.jsonl.gz`` through
+    :func:`~repro.obs.export.write_events`, :data:`SHARD_CHUNK` events
+    at a time, so a case of any length is recorded whole.  The simulator
+    emits each case's ``RunMarker``, so shards are already label-led.
+    :meth:`close` writes ``<dir>/<name>.profile.json``.  Workers that
+    never ran a case write nothing, so concatenating the shard event
+    files and merging the shard profiles describe the same stream.
     """
 
-    def __init__(self, profile_dir: str, name: str,
-                 sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
-                 sample_seed: int = 0) -> None:
-        import os
+    def __init__(self, profile_dir: str, name: str) -> None:
         os.makedirs(profile_dir, exist_ok=True)
         self.events_path = os.path.join(profile_dir,
                                         f"{name}.events.jsonl.gz")
         self.profile_path = os.path.join(profile_dir,
                                          f"{name}.profile.json")
-        self._profiler = StreamProfiler(sample_capacity=sample_capacity,
-                                        sample_seed=sample_seed)
+        self._profile = Profile()
         self._handle: Optional[Any] = None
-        self.cases = 0
+        self._chunk: List[Event] = []
 
-    def record(self, case: Any, key: str,
-               events: Sequence[Event]) -> None:
+    def pipeline(self) -> Observability:
+        """A new pipeline for one case, recording into this shard the
+        events an event log would keep (:data:`CONTROL_EVENTS`)."""
         if self._handle is None:
             self._handle = open_text(self.events_path, "w")
             self._handle.write(jsonl_meta_line() + "\n")
-        write_events(self._handle, events)
-        for event in events:
-            self._profiler.feed(event)
-        self.cases += 1
+        obs = Observability(events=False, metrics=False, flight=0)
+        obs.bus.subscribe(self._record, *CONTROL_EVENTS)
+        return obs
+
+    def _record(self, event: Event) -> None:
+        self._profile.feed(event)
+        self._chunk.append(event)
+        if len(self._chunk) >= SHARD_CHUNK:
+            write_events(self._handle, self._chunk)
+            self._chunk.clear()
 
     def close(self) -> Optional[str]:
         """Flush the shard; returns the profile path (None if no cases)."""
         if self._handle is None:
             return None
+        write_events(self._handle, self._chunk)
+        self._chunk.clear()
         self._handle.close()
         self._handle = None
         with open(self.profile_path, "w", encoding="utf-8") as handle:
-            handle.write(self._profiler.profile.to_json() + "\n")
+            handle.write(self._profile.to_json() + "\n")
         return self.profile_path
 
 

@@ -222,8 +222,7 @@ def cmd_work(args: argparse.Namespace) -> int:
         computed = work_loop(
             channel, name, fingerprint=code_fingerprint(),
             say=_progress(args.quiet), max_cases=args.max_cases,
-            fail_after=args.fail_after,
-            event_sink=recorder.record if recorder is not None else None)
+            fail_after=args.fail_after, recorder=recorder)
     finally:
         if recorder is not None:
             shard = recorder.close()

@@ -31,6 +31,7 @@ import time
 from typing import Callable, Optional
 
 from repro.errors import ConfigError
+from repro.obs.stream import ShardRecorder
 from repro.sweep.dist.protocol import ProtocolError
 from repro.sweep.dist.transport import PipeWorkerChannel, WorkerChannel
 
@@ -43,17 +44,16 @@ def work_loop(channel: WorkerChannel, name: str,
               say: Optional[Callable[[str], None]] = None,
               max_cases: Optional[int] = None,
               fail_after: Optional[int] = None,
-              event_sink: Optional[Callable] = None) -> int:
+              recorder: Optional[ShardRecorder] = None) -> int:
     """Serve leases from ``channel`` until drained; returns cases done.
 
     ``fingerprint`` is this worker's :func:`~repro.sweep.spec.
     code_fingerprint`; pass None only for trusted local pipe workers
     (they share the coordinator's tree by construction).  Raises
     :class:`~repro.errors.ConfigError` if the coordinator rejects the
-    handshake (fingerprint or name mismatch).  ``event_sink(case, key,
-    events)`` receives each computed case's event recording (a shard
-    recorder, usually) — results stay records-only on the wire; the
-    recording lands next to the worker.
+    handshake (fingerprint or name mismatch).  ``recorder`` records
+    each computed case's events into this worker's shard — results stay
+    records-only on the wire; the recording lands next to the worker.
     """
     from repro.sweep.runner import execute_case_record
     from repro.sweep.spec import SweepCase
@@ -116,7 +116,7 @@ def work_loop(channel: WorkerChannel, name: str,
             record = execute_case_record(
                 case, reply["fingerprint"],
                 verify=bool(reply.get("verify", False)),
-                case_key=reply["key"], event_sink=event_sink)
+                case_key=reply["key"], recorder=recorder)
             try:
                 channel.send({"type": "result", "worker": name,
                               "key": reply["key"], "record": record})
@@ -138,14 +138,11 @@ def local_worker_main(conn, name: str,
     channel = PipeWorkerChannel(conn)
     recorder = None
     if profile_dir is not None:
-        from repro.obs.stream import ShardRecorder
         recorder = ShardRecorder(profile_dir, name)
     try:
         # fingerprint=None: a pipe worker runs the coordinator's own
         # tree, so there is nothing to cross-check.
-        work_loop(channel, name, fingerprint=None,
-                  event_sink=recorder.record if recorder is not None
-                  else None)
+        work_loop(channel, name, fingerprint=None, recorder=recorder)
     except (ConfigError, ProtocolError, KeyboardInterrupt):
         pass                         # parent shut down / user ^C: exit quietly
     finally:

@@ -46,6 +46,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import ConfigError
 from repro.obs import (Observability, SweepCaseFailed, SweepCaseFinished,
                        SweepCaseStarted)
+from repro.obs.stream import ShardRecorder
 from repro.sweep.spec import SweepCase, SweepSpec, code_fingerprint
 from repro.sweep.store import ResultStore, make_record
 
@@ -126,7 +127,7 @@ def _checking(verify: bool):
 def execute_case_record(case: SweepCase, fingerprint: str,
                         verify: bool = False,
                         case_key: Optional[str] = None,
-                        event_sink: Optional[Callable] = None,
+                        recorder: Optional[ShardRecorder] = None,
                         recording: Optional[Observability] = None) -> dict:
     """Run one case to a store record, absorbing simulator failures.
 
@@ -135,16 +136,13 @@ def execute_case_record(case: SweepCase, fingerprint: str,
     another machine, or in a resumed run.
 
     A case runs with no observability pipeline unless something records
-    it: ``event_sink(case, key, events)`` receives the case's full event
-    recording (a shard recorder appends it and feeds its streaming
-    profile; it sees failed cases too), and ``recording`` is a shared
-    pipeline attached to the case's simulator.
+    it: ``recorder`` writes and profiles each of the case's events as it
+    is published (it sees failed cases too), and ``recording`` is a
+    shared pipeline attached to the case's simulator.
     """
     from repro.bench.harness import execute_case
     key = case_key if case_key is not None else case.key()
-    obs = recording
-    if event_sink is not None:
-        obs = Observability(events=True, metrics=False, flight=0)
+    obs = recorder.pipeline() if recorder is not None else recording
     with _checking(verify):
         try:
             point = execute_case(case, obs=obs)
@@ -163,8 +161,6 @@ def execute_case_record(case: SweepCase, fingerprint: str,
                                  "failed",
                                  error=f"{type(exc).__name__}: {exc}",
                                  flight=ring.flight.tail(FLIGHT_TAIL))
-    if event_sink is not None:
-        event_sink(case, key, obs.events())
     return record
 
 
@@ -323,7 +319,6 @@ def _run_serial(todo, options: RunnerOptions, fingerprint: str,
                 recording: Optional[Observability]) -> None:
     recorder = None
     if options.profile_dir is not None:
-        from repro.obs.stream import ShardRecorder
         recorder = ShardRecorder(options.profile_dir, "serial")
     try:
         for case, key in todo:
@@ -335,8 +330,7 @@ def _run_serial(todo, options: RunnerOptions, fingerprint: str,
             case_started = time.monotonic()
             record = execute_case_record(
                 case, fingerprint, verify=options.verify, case_key=key,
-                event_sink=recorder.record if recorder is not None
-                else None, recording=recording)
+                recorder=recorder, recording=recording)
             finalize(case, key, record,
                      time.monotonic() - case_started, attempt=1)
     finally:

@@ -22,6 +22,20 @@ def build(n_dirs=2, files=50, cluster_bytes=512):
     return machine, EfslFat(machine, fs)
 
 
+def spy_on_checks(monkeypatch):
+    """The names of the directories whose entries construction checks,
+    in order."""
+    checked = []
+    check = EfslFat._index_names
+
+    def spy(dir_name, raw):
+        checked.append(dir_name)
+        return check(dir_name, raw)
+
+    monkeypatch.setattr(EfslFat, "_index_names", staticmethod(spy))
+    return checked
+
+
 class TestConstruction:
     def test_image_mapped_into_address_space(self):
         machine, efsl = build()
@@ -45,18 +59,18 @@ class TestConstruction:
     def test_name_index_complete(self):
         machine, efsl = build(files=25)
         directory = efsl.directories[0]
-        assert len(directory.names) == 25
-        assert directory.names[file_name(7)] == 7
+        names = EfslFat._index_names(directory.name,
+                                     directory.fat_dir.read_entries())
+        assert len(names) == 25
+        assert names[file_name(7)] == 7
 
-    def test_each_directory_holds_its_own_name_dict(self):
-        machine, efsl = build(n_dirs=3, files=20)
-        first, *others = [d.names for d in efsl.directories]
-        assert all(names == first and names is not first
-                   for names in others)
-        first["EXTRA.DAT"] = 20
-        assert all("EXTRA.DAT" not in names for names in others)
+    def test_identical_directories_are_checked_once(self, monkeypatch):
+        checked = spy_on_checks(monkeypatch)
+        build(n_dirs=3, files=20)
+        assert checked == ["DIR00000"]
 
-    def test_directories_that_differ_are_indexed_on_their_own(self):
+    def test_directories_that_differ_are_indexed_on_their_own(
+            self, monkeypatch):
         fs = FatFilesystem.build_benchmark_image(3, 20, cluster_bytes=512)
         changed = fs.directories["DIR00001"]
         fs.image.write(changed.entry_offset(4),
@@ -64,13 +78,17 @@ class TestConstruction:
         odd = fs.mkdir("ODD", 4)
         odd.extend(DirEntry(f"O{i}.DAT", ATTR_ARCHIVE, 0, 0)
                    for i in range(4))
-        efsl = EfslFat(Machine(tiny_spec()), fs)
-        by_name = {d.name: d.names for d in efsl.directories}
-        assert by_name["ODD"] == {f"O{i}.DAT": i for i in range(4)}
-        assert by_name["DIR00001"]["NEW.DAT"] == 4
-        assert file_name(4) not in by_name["DIR00001"]
-        for name in ("DIR00000", "DIR00002"):
-            assert by_name[name] == {file_name(i): i for i in range(20)}
+        checked = spy_on_checks(monkeypatch)
+        EfslFat(Machine(tiny_spec()), fs)
+        assert sorted(checked) == ["DIR00000", "DIR00001", "ODD"]
+        # A broken directory whose content differs from its siblings'
+        # is still refused, although theirs passed the check.
+        fs.image.write(changed.entry_offset(4),
+                       DirEntry(file_name(2), ATTR_ARCHIVE, 0, 0).encode())
+        with pytest.raises(FilesystemError,
+                           match="DIR00001: duplicate name .* at 4 "
+                                 r"\(first at 2\)"):
+            EfslFat(Machine(tiny_spec()), fs)
 
     def test_free_slot_in_one_directory_rejected(self):
         fs = FatFilesystem.build_benchmark_image(4, 50, cluster_bytes=512)

@@ -24,7 +24,7 @@ from repro.sim.engine import Simulator
 from repro.threads.program import Compute, CtEnd, CtStart
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
-from tests.helpers import tiny_spec
+from tests.helpers import timeline_by_lists, tiny_spec
 
 
 class _Obj:
@@ -399,6 +399,9 @@ class TestChromeTrace:
         run_workload(obs=obs)
         art = ascii_timeline(obs.events(), width=40)
         assert "core   0" in art
+        assert art == timeline_by_lists(obs.events(), width=40)
+        assert ascii_timeline(obs.events(), n_cores=1, width=40) \
+            == timeline_by_lists(obs.events(), n_cores=1, width=40)
         assert ascii_timeline([], width=40) == "(no operations recorded)"
 
 

@@ -4,6 +4,7 @@ import enum
 import gzip
 import json
 import math
+import random
 
 import pytest
 
@@ -24,14 +25,15 @@ from repro.obs.events import (ALL_EVENTS, EVENT_KINDS, CacheEvicted,
                               WorkerJoined, WorkerLost)
 from repro.obs.export import SCHEMA_VERSION, events_to_jsonl, write_jsonl
 from repro.obs.profile import (EventDecoder, MetricDelta, diff_metrics,
-                               diff_streams, folded_stacks, iter_jsonl,
-                               split_runs, summarise_stream)
-from repro.obs.stream import RunProfile, synthesize
+                               folded_stacks, iter_jsonl, render_diff)
+from repro.obs.stream import (Profile, RunProfile, diff_sections,
+                              merge_profiles, synthesize)
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
-from tests.helpers import tiny_spec
+from tests.helpers import (diff_by_lists, split_runs, tiny_spec,
+                           timeline_by_lists)
 
 #: One fully-populated instance of every event type the bus can carry.
 SAMPLE_EVENTS = [
@@ -371,18 +373,19 @@ class TestStreamStructure:
     def test_split_runs_on_markers(self):
         events = [RunMarker(0, "a"), ThreadSpawned(1, 0, "t0"),
                   RunMarker(10, "b"), ThreadSpawned(11, 0, "t1")]
-        runs = split_runs(events)
-        assert [run.label for run in runs] == ["a", "b"]
-        assert [len(run.events) for run in runs] == [1, 1]
+        sections = Profile.from_events(events).sections
+        assert [s.display_label for s in sections] == ["a", "b"]
+        assert [s.events for s in sections] == [1, 1]
 
     def test_markerless_stream_becomes_one_run(self):
-        runs = split_runs([ThreadSpawned(1, 0, "t0")])
-        assert len(runs) == 1 and runs[0].label == "run"
+        sections = Profile.from_events([ThreadSpawned(1, 0, "t0")]).sections
+        assert len(sections) == 1 and sections[0].display_label == "run"
 
     def test_horizon_counts_migration_landing(self):
         events = [MigrationStarted(100, 0, "t0", 1, 300)]
         assert profile_of(events).horizon == 300
-        assert summarise_stream(events).horizon == 300
+        rows = {d.name: d for d in diff_of(events, events)}
+        assert rows["horizon (cycles)"].baseline_value == 300
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +398,11 @@ def profile_of(events):
     for event in events:
         section.feed(event)
     return section
+
+
+def diff_of(baseline, candidate):
+    """The diff of two one-run event lists, read through sections."""
+    return diff_sections([profile_of(baseline)], [profile_of(candidate)])
 
 
 class TestObjectCosts:
@@ -553,7 +561,7 @@ class TestDiff:
     def test_clear_improvement_is_significant(self):
         base = _ops([1000, 1010, 990, 1005, 995] * 4)
         cand = _ops([500, 510, 490, 505, 495] * 4)
-        deltas = {d.name: d for d in diff_streams(base, cand)}
+        deltas = {d.name: d for d in diff_of(base, cand)}
         latency = deltas["op latency (cycles/op)"]
         assert latency.sampled
         assert latency.delta == pytest.approx(-500, abs=5)
@@ -563,12 +571,12 @@ class TestDiff:
     def test_noise_is_not_significant(self):
         base = _ops([1000, 1200, 800, 1100, 900])
         cand = _ops([1010, 1190, 810, 1090, 910])
-        deltas = {d.name: d for d in diff_streams(base, cand)}
+        deltas = {d.name: d for d in diff_of(base, cand)}
         assert deltas["op latency (cycles/op)"].significant is False
 
     def test_ci_matches_normal_approximation(self):
         base_vals, cand_vals = [100, 200, 300], [150, 250, 350]
-        delta = diff_streams(_ops(base_vals), _ops(cand_vals))[0]
+        delta = diff_of(_ops(base_vals), _ops(cand_vals))[0]
         expected = 1.96 * (summarise(base_vals).stderr ** 2
                            + summarise(cand_vals).stderr ** 2) ** 0.5
         assert delta.ci95 == pytest.approx(expected)
@@ -577,7 +585,7 @@ class TestDiff:
         base = [MigrationStarted(1, 0, "t0", 1, 201)]
         cand = [MigrationStarted(1, 0, "t0", 1, 201),
                 MigrationStarted(2, 0, "t1", 1, 202)]
-        deltas = {d.name: d for d in diff_streams(base, cand)}
+        deltas = {d.name: d for d in diff_of(base, cand)}
         migrations = deltas["migrations"]
         assert not migrations.sampled
         assert migrations.delta == 1 and migrations.ci95 is None
@@ -596,6 +604,91 @@ class TestDiff:
         delta = MetricDelta("n", None, None, 100.0, 150.0)
         assert delta.delta_pct == pytest.approx(50.0)
         assert MetricDelta("n", None, None, 0.0, 5.0).delta_pct is None
+
+    def test_equals_the_list_fold_on_synth_streams(self):
+        for seed in range(3):
+            base = with_memory_events(
+                synth(400, seed, "a") + synth(300, seed + 10, "b"), seed)
+            cand = with_memory_events(synth(500, seed + 20, "a"), seed + 1)
+            assert_same_rows(
+                diff_sections(sections_of(base), sections_of(cand)),
+                diff_by_lists(base, cand))
+
+    def test_equals_the_list_fold_with_one_sample(self):
+        base = [OperationFinished(10, 0, "t0", "x", 700, 2, 1, 50, 5)]
+        cand = [OperationFinished(20, 1, "t1", "y", 900, 3, 0, 80, 0)]
+        got = diff_sections(sections_of(base), sections_of(cand))
+        assert_same_rows(got, diff_by_lists(base, cand))
+        assert got[0].baseline.n == 1 and got[0].ci95 == 0.0
+
+    def test_equals_the_list_fold_without_attributed_operations(self):
+        base = [OperationFinished(100 * i, 0, f"t{i}", "x", 300 + 7 * i,
+                                  None, None, None, None)
+                for i in range(4)]
+        cand = base[:2] + [CacheEvicted(500, 1, "L3", 9, None)]
+        got = diff_sections(sections_of(base), sections_of(cand))
+        assert_same_rows(got, diff_by_lists(base, cand))
+        assert [d.name for d in got if d.sampled] \
+            == ["op latency (cycles/op)"]
+
+    def test_merged_profiles_diff_like_the_list_fold_at_every_split(self):
+        events = with_memory_events(
+            synth(90, 21, "a") + synth(90, 22, "b"), 5)
+        other = with_memory_events(synth(150, 23, "a"), 6)
+        want = diff_by_lists(events, other)
+        other_sections = sections_of(other)
+        for cut in range(len(events) + 1):
+            merged = merge_profiles([Profile.from_events(events[:cut]),
+                                     Profile.from_events(events[cut:])])
+            assert_same_rows(diff_sections(merged.sections,
+                                           other_sections), want)
+
+
+def synth(n, seed, label):
+    return list(synthesize(n, seed=seed, label=label))
+
+
+def sections_of(events):
+    return Profile.from_events(events).sections
+
+
+def with_memory_events(events, seed):
+    """``events`` with an eviction or an invalidation, each with or
+    without an object, after about one event in five."""
+    rng = random.Random(seed)
+    mixed = []
+    for event in events:
+        mixed.append(event)
+        if rng.random() < 0.2:
+            obj = rng.choice((None, "obj1", "obj2"))
+            if rng.random() < 0.5:
+                mixed.append(CacheEvicted(event.ts, rng.randrange(4), "L3",
+                                          rng.randrange(99), obj))
+            else:
+                mixed.append(CacheInvalidated(
+                    event.ts, rng.randrange(4), rng.randrange(99),
+                    rng.randrange(1, 4), obj))
+    return mixed
+
+
+def assert_same_rows(got, want):
+    """Section diff rows equal the list fold's: the same text, and every
+    statistic but the standard deviation equal, which the list fold sums
+    in floating point and the moments compute exactly."""
+    assert render_diff(got) == render_diff(want)
+    assert [d.name for d in got] == [d.name for d in want]
+    for mine, theirs in zip(got, want):
+        assert (mine.baseline_value, mine.candidate_value) \
+            == (theirs.baseline_value, theirs.candidate_value)
+        for stats, expected in ((mine.baseline, theirs.baseline),
+                                (mine.candidate, theirs.candidate)):
+            if expected is None:
+                assert stats is None
+                continue
+            assert (stats.n, stats.mean, stats.minimum, stats.maximum) \
+                == (expected.n, expected.mean, expected.minimum,
+                    expected.maximum)
+            assert stats.stdev == pytest.approx(expected.stdev, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +749,60 @@ class TestReportAndCli:
     def test_cli_timeline(self, recorded, capsys):
         path, _ = recorded
         assert analyze_main(["timeline", str(path)]) == 0
-        assert "=== run: thread ===" in capsys.readouterr().out
+        ((label, events),) = split_runs(iter_jsonl(str(path)))
+        assert label == "thread"
+        assert capsys.readouterr().out \
+            == f"=== run: thread ===\n{timeline_by_lists(events)}\n\n"
+
+    @pytest.fixture()
+    def runs_file(self, tmp_path):
+        """Four runs: a headless prefix, two synthetic runs and an empty
+        one, two of them labelled ``a``."""
+        events = ([OperationFinished(50, 1, "t9", "z", 40, None, None,
+                                     None, None)]
+                  + with_memory_events(synth(300, 1, "a"), 1)
+                  + synth(200, 2, "b") + [RunMarker(0, "a")])
+        path = tmp_path / "runs.events.jsonl"
+        write_jsonl(str(path), events)
+        return str(path), split_runs(events)
+
+    @pytest.mark.parametrize("run_filter,picked", [
+        (None, [0, 1, 2, 3]), ("1", [1]), ("a", [1, 3]), ("run", [0])])
+    def test_cli_timeline_draws_runs_like_the_list_fold(
+            self, runs_file, capsys, run_filter, picked):
+        path, runs = runs_file
+        args = ["timeline", path, "--width", "40"]
+        assert analyze_main(args + (["--run", run_filter]
+                                    if run_filter else [])) == 0
+        assert capsys.readouterr().out == "".join(
+            f"=== run: {runs[i][0]} ===\n"
+            f"{timeline_by_lists(runs[i][1], width=40)}\n\n"
+            for i in picked)
+
+    @pytest.mark.parametrize("run_filter,picked", [
+        (None, [0, 1, 2, 3]), ("1", [1]), ("a", [1, 3])])
+    def test_cli_diff_reads_runs_like_the_list_fold(
+            self, runs_file, tmp_path, capsys, run_filter, picked):
+        path, runs = runs_file
+        cand = tmp_path / "cand.events.jsonl"
+        cand_events = with_memory_events(synth(250, 3, "a"), 2)
+        write_jsonl(str(cand), cand_events + synth(100, 4, "b"))
+        cand_runs = split_runs(iter_jsonl(str(cand)))
+        args = ["diff", path, str(cand)]
+        assert analyze_main(args + (["--run", run_filter]
+                                    if run_filter else [])) == 0
+        if run_filter == "1":
+            cand_picked = [cand_runs[1][1]]
+        elif run_filter == "a":
+            cand_picked = [cand_runs[0][1]]
+        else:
+            cand_picked = [run for _, run in cand_runs]
+        deltas = diff_by_lists(
+            [event for i in picked for event in runs[i][1]],
+            [event for run in cand_picked for event in run])
+        assert capsys.readouterr().out == (
+            f"baseline:  {path}\ncandidate: {cand}\n\n"
+            f"{render_diff(deltas)}\n")
 
     def test_cli_run_filter(self, recorded, capsys):
         path, _ = recorded
@@ -692,7 +838,7 @@ class TestReportAndCli:
 
 
 # ---------------------------------------------------------------------------
-# stream summary
+# stream summary: what one side of a diff reads off its sections
 # ---------------------------------------------------------------------------
 
 class TestSummariseStream:
@@ -706,13 +852,16 @@ class TestSummariseStream:
             CacheEvicted(500, 0, "L3", 1, None),
             CacheInvalidated(600, 0, 2, 3, None),
         ]
-        summary = summarise_stream(events)
-        assert summary.horizon == 600
-        assert summary.ops == 2
-        assert summary.op_cycles == [500, 400]
-        assert summary.op_dram == [1]          # attributed ops only
-        assert summary.migrations == 1
-        assert summary.migration_cycles == 200
-        assert summary.lock_contended == 1
-        assert summary.evictions == 1
-        assert summary.invalidations == 3
+        objects = profile_of(events).objects
+        cycles, dram = objects.samples[:2]
+        assert (cycles.n, cycles.total, cycles.squares) \
+            == (2, 900, 500 ** 2 + 400 ** 2)
+        assert (cycles.minimum, cycles.maximum) == (400, 500)
+        assert dram.n == 1                     # attributed ops only
+        # Memory events without an object still count run-wide.
+        assert (objects.evictions, objects.invalidations) == (1, 3)
+        rows = {d.name: d.baseline_value for d in diff_of(events, events)
+                if not d.sampled}
+        assert rows == {"ops": 2, "migrations": 1, "migration cycles": 200,
+                        "contended lock acquires": 1, "L3 evictions": 1,
+                        "invalidated copies": 3, "horizon (cycles)": 600}

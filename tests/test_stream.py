@@ -2,6 +2,7 @@
 
 import glob
 import gzip
+import json
 import os
 import socket
 import threading
@@ -19,15 +20,16 @@ from repro.obs.events import (LockContended, ObjectAssigned,
 from repro.obs.export import write_jsonl
 from repro.obs.metrics import OP_LATENCY_BUCKETS, Histogram
 from repro.obs.profile import (EventDecoder, iter_jsonl, render_lock_table,
-                               render_object_costs, split_runs)
+                               render_object_costs)
 from repro.obs.stream import (OccupancyReducer, Profile, RunProfile,
                               ShardRecorder, StreamProfiler, load_profile,
                               merge_profiles, synthesize)
 from repro.sim.engine import Simulator
-from repro.sweep.runner import run_sweep
+from repro.sweep import presets
+from repro.sweep.runner import execute_case_record, run_sweep
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
-from tests.helpers import tiny_spec
+from tests.helpers import split_runs, tiny_spec
 from tests.test_sweep import quick_options, tiny_sweep
 
 
@@ -112,6 +114,15 @@ class TestMergeLaw:
         with pytest.raises(ProfileError, match="shard.json"):
             Profile.from_json('{"kind": "nope"}', source="shard.json")
 
+    def test_version_2_artifact_is_refused(self):
+        # Version 2 artifacts lack the moments and totals a diff reads.
+        document = json.loads(Profile.from_events(synth(50)).to_json())
+        document["version"] = 2
+        with pytest.raises(ProfileError,
+                           match="profile format version 2 is not "
+                                 "supported"):
+            Profile.from_json(json.dumps(document))
+
 
 # ---------------------------------------------------------------------------
 # one section per run, even when runs share a label
@@ -150,8 +161,8 @@ class TestRepeatedLabels:
         events = two_runs_one_label
         whole = Profile.from_events(events).to_json()
         # Independent oracle: each section is its run profiled alone.
-        per_run = [run_profile(run.label, run.events).state()
-                   for run in split_runs(events)]
+        per_run = [run_profile(label, run).state()
+                   for label, run in split_runs(events)]
         second = next(index for index, event in enumerate(events)
                       if type(event) is RunMarker and index > 0)
         for cut in (second - 1, second, second + 1):
@@ -261,7 +272,8 @@ class TestGzip:
             with open(cat, mode) as out:
                 out.write(open(member, "rb").read())
         events = list(iter_jsonl(cat))
-        assert [r.label for r in split_runs(events)] == ["alpha", "beta"]
+        assert [label for label, _ in split_runs(events)] \
+            == ["alpha", "beta"]
         assert len(events) == len(a) + len(b)
 
     def test_iter_jsonl_reads_back_written_events(self, tmp_path):
@@ -549,3 +561,33 @@ class TestSweepShardProfiles:
         recorder = ShardRecorder(str(tmp_path / "dir"), "idle")
         assert recorder.close() is None
         assert os.listdir(str(tmp_path / "dir")) == []
+
+    def test_shard_holds_every_event_of_a_long_case(self, tmp_path,
+                                                    monkeypatch):
+        # The first fig4a dirs160 cell under CoreTime publishes more
+        # events than an event log keeps (250,000); its shard must hold
+        # each one its case's bus published.
+        case = next(case for case in presets.fig4a().expand()
+                    if case.scheduler == "coretime"
+                    and case.workload_label == "dirs160")
+        recorder = ShardRecorder(str(tmp_path), "cell")
+        pipelines = []
+
+        def pipeline(make=recorder.pipeline):
+            pipelines.append(make())
+            return pipelines[-1]
+
+        monkeypatch.setattr(recorder, "pipeline", pipeline)
+        record = execute_case_record(case, "test", recorder=recorder)
+        recorder.close()
+        assert record["status"] == "ok"
+        (obs,) = pipelines
+        published = obs.bus.published
+        assert published > 250_000
+        with gzip.open(recorder.events_path, "rt",
+                       encoding="utf-8") as handle:
+            assert sum(1 for _ in handle) == 1 + published   # meta line
+        # A run marker opens a profile section; every other event is
+        # counted in one.
+        profile = load_profile(recorder.profile_path)
+        assert profile.total_events + len(profile.sections) == published
