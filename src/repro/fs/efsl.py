@@ -39,7 +39,7 @@ DEFAULT_COMPARE_CYCLES = 3
 class SimDirectory:
     """A directory as the simulator sees it: object + lock + extents."""
 
-    __slots__ = ("fat_dir", "object", "lock", "extents", "lookups")
+    __slots__ = ("fat_dir", "object", "lock", "extents")
 
     def __init__(self, fat_dir: FatDirectory, object_: CtObject, lock,
                  extents: List[tuple]) -> None:
@@ -48,7 +48,6 @@ class SimDirectory:
         self.lock = lock
         #: (simulated address, nbytes) runs covering the directory data.
         self.extents = extents
-        self.lookups = 0
 
     @property
     def name(self) -> str:
@@ -137,7 +136,6 @@ class EfslFat:
         if not 0 <= index < directory.n_entries:
             raise FilesystemError(
                 f"{directory.name}: no entry {index}")
-        directory.lookups += 1
         yield CtStart(directory.object)
         yield Acquire(directory.lock)
         remaining = (index + 1) * DIR_ENTRY_SIZE

@@ -30,8 +30,9 @@ whole scans through :meth:`_scan`.  A core's L1 and L2 are one
 :class:`~repro.mem.cache.PrivateStack` (``stacks``) of runs, consecutive
 lines with consecutive stamps: a private hit moves the line to the top of
 the core's recency stack, a scan moves each run it covers there in one
-step, and L1's LRU line drops into L2 by moving the stack's level
-boundary past it, not by moving the line.  ``l1s`` and ``l2s`` are
+step and enters each stretch of lines it misses there in one step, and
+L1's LRU line drops into L2 by moving the stack's level boundary past
+it, not by moving the line.  ``l1s`` and ``l2s`` are
 per-level views of the stacks.  A line is found by one probe of the
 stack's run index when it starts a run, and a line that is not the core's
 shows as a clear bit in its holder mask.  Both loops work on a per-core
@@ -41,7 +42,8 @@ holder bits, the chip's rings of equally distant holders and its link
 keys — plus the directory's raw line -> holder-mask dict.  On a private
 miss one mask probe tells an L3 hit (the chip's L3 bit is set), a remote
 hit (the first ring that intersects the mask serves) and a DRAM fetch
-(no bit set) apart, and each change of a line's holders is one dict store
+(no bit set) apart; in a scan the same probe ends a stretch of misses at
+a line the core holds.  Each change of a line's holders is one dict store
 of an int, so the hit paths and the insert cascade make no Python method
 calls short of cutting a run.
 
@@ -278,18 +280,22 @@ class MemorySystem:
 
     def _scan(self, core_id: int, first: int, last: int, now: int,
               per_line_compute: int, state: tuple) -> int:
-        """Whole-scan loop over lines ``first..last``, run by run.
+        """Whole-scan loop over lines ``first..last``, stretch by stretch.
 
-        The loop walks the runs of the core's recency stack that cover
-        the range.  Each stretch of private hits (the lines of one run,
-        consecutive in address and in stamp) is folded into counters,
-        latency and boundary moves in closed form and moves to the top
-        of the stack as part of this scan's run.  Private misses, and the
-        L2 -> L3 spills they cause, are handled line by line as in
-        :meth:`_load_line`, so counters and event streams stay
-        byte-identical to a line-by-line walk.  The stack's integers and
-        the interconnect ledger are written back before any event is
-        published, so a subscriber never sees a stale boundary.
+        A stretch is either the lines of one run of the core's recency
+        stack (private hits, consecutive in address and in stamp) or
+        consecutive lines the core does not hold (private misses).  A hit
+        stretch is folded into counters, latency and boundary moves in
+        closed form and moves to the top of the stack as part of this
+        scan's run.  A miss stretch is probed, charged and entered in the
+        directory and the L3 line by line, each line's L2 victim with it,
+        in the order of a line-by-line walk, so counters, the L3's order
+        and event streams stay byte-identical to one.  The stack takes the
+        stretch once: the scan's run grows by it, the boundary passes the
+        demoted lines and the victims leave the oldest runs, run by run.
+        A stretch is settled, and the stack's integers and the
+        interconnect ledger written back, before an event is published,
+        so a subscriber never sees a stale boundary.
         """
         (counters, stack, l1, l1_cap, l2, l2_cap, l3, l3d, l3_cap,
          chip, bit, l3_bit, rings, links) = state
@@ -314,6 +320,9 @@ class MemorySystem:
         # CacheEvicted (L3 spill), so it is kept only while eviction
         # events are published.
         publishing = bus is not None and bus.wants(CacheEvicted)
+        # The L3 eviction that ended a miss stretch, published once the
+        # stack is settled.
+        pending = None
         # Cross-chip remote reads per serving holder's bit, added to the
         # interconnect ledger once per scan.
         served: dict = {}
@@ -328,6 +337,15 @@ class MemorySystem:
         n2 = stack.n2
         top = stack.top
         mine = None
+        # A miss stretch takes its L2 victims from the oldest runs without
+        # changing them: line ``vline`` of ``vrun`` is the next victim
+        # unless it lies past ``vhi``, that run's last line (``head``
+        # before the first victim).  At most ``span`` misses make one
+        # stretch, so its victims are all lines it found in the stack.
+        vrun = head
+        vline = 0
+        vhi = -1
+        span = l1_cap + l2_cap
         l3_move = l3d.move_to_end
         l3_pop = l3d.popitem
         n3 = len(l3d)
@@ -409,134 +427,171 @@ class MemorySystem:
                     else:
                         del runs[line]
                         mine.hi = end
-                top += n
-                while demote:
-                    # Move the boundary past ``demote`` lines, run by run.
-                    stamp = erun.lo + erun.d
-                    if stamp < edge:
-                        stamp = edge
-                    above = erun.hi + erun.d + 1
-                    if stamp + demote < above:
-                        edge = stamp + demote
-                        break
-                    demote -= above - stamp
-                    edge = above
-                    erun = erun.newer
-                if end == last:
-                    break
                 line = end + 1
-            # Private misses, line by line, until a line starts a run.
-            for line in range(line, last + 1):
-                run = runs_get(line)
-                if run is not None:
-                    break
-                if publishing:
-                    line_now = now + total
-                # One mask probe classifies the private miss, and one
-                # store records this core as a holder.
-                mask = holders_get(line, 0)
-                if mask & l3_bit:
-                    c3 += 1
-                    if mask & (mask - 1):
-                        l3_move(line)
+            else:
+                # Private misses from ``line`` on, until a line the core
+                # holds (after the stack is settled, the first line of
+                # its run), the end of the range or ``span`` lines.  The
+                # lines from ``spill`` on find L1 and L2 full: each one's
+                # L2 victim leaves for the chip's L3.
+                start = line
+                stop = start + span
+                if stop > last:
+                    stop = last + 1
+                room = l1_cap - n1
+                spill = start + room + l2_cap - n2
+                for line in range(start, stop):
+                    # One mask probe tells a held line, which ends the
+                    # stretch, and classifies a miss; one store records
+                    # this core as a holder.
+                    mask = holders_get(line, 0)
+                    if mask & bit:
+                        break
+                    if publishing:
+                        line_now = now + total
+                    if mask & l3_bit:
+                        c3 += 1
+                        if mask & (mask - 1):
+                            l3_move(line)
+                            holders_map[line] = mask | bit
+                        else:
+                            del l3d[line]
+                            n3 -= 1
+                            holders_map[line] = bit
+                        total += hit3
+                        stream_run = False
+                    elif mask:
+                        # Served by the first ring holding a copy: the
+                        # nearest holders, and among them the lowest id.
+                        # A line from another chip counts on its link,
+                        # streamed or not.
+                        for ring, cost, stream, remote in rings:
+                            if mask & ring:
+                                break
+                        cr += 1
+                        if remote is not None:
+                            near = mask & ring
+                            near &= -near
+                            served[near] = served_get(near, 0) + 1
+                        if stream_run:
+                            total += stream + per_line_compute
+                        else:
+                            total += cost + per_line_compute
+                        stream_run = True
                         holders_map[line] = mask | bit
                     else:
-                        del l3d[line]
-                        n3 -= 1
+                        cd += 1
+                        total += (dram_load(line, chip, now + total,
+                                            stream_run)
+                                  + per_line_compute)
+                        stream_run = True
                         holders_map[line] = bit
-                    total += hit3
-                    stream_run = False
-                elif mask:
-                    # Served by the first ring holding a copy: the nearest
-                    # holders, and among them the lowest id.  A line from
-                    # another chip counts on its link, streamed or not.
-                    for ring, cost, stream, remote in rings:
-                        if mask & ring:
-                            break
-                    cr += 1
-                    if remote is not None:
-                        near = mask & ring
-                        near &= -near
-                        served[near] = served_get(near, 0) + 1
-                    if stream_run:
-                        total += stream + per_line_compute
+                    if line < spill:
+                        continue
+                    # The stack's oldest line leaves it for the chip's L3.
+                    if vline > vhi:
+                        vrun = vrun.newer
+                        vline = vrun.lo
+                        vhi = vrun.hi
+                    victim2 = vline
+                    vline += 1
+                    mask = holders_map[victim2]
+                    holders_map[victim2] = mask & keep | l3_bit
+                    if mask & l3_bit:
+                        l3_move(victim2)
+                        continue
+                    l3d[victim2] = None
+                    n3 += 1
+                    if n3 <= l3_cap:
+                        continue
+                    e3 += 1
+                    n3 -= 1
+                    victim3 = l3_pop(False)[0]
+                    mask = holders_map[victim3] & keep3
+                    if mask:
+                        holders_map[victim3] = mask
                     else:
-                        total += cost + per_line_compute
-                    stream_run = True
-                    holders_map[line] = mask | bit
+                        del holders_map[victim3]
+                    if publishing:
+                        pending = CacheEvicted(line_now, core_id, "L3",
+                                               victim3, self.op_obj[core_id])
+                        line += 1
+                        break
                 else:
-                    cd += 1
-                    total += (dram_load(line, chip, now + total, stream_run)
-                              + per_line_compute)
-                    stream_run = True
-                    holders_map[line] = bit
-                # --- inlined insert cascade -----------------------------
+                    line = stop
+                # The stack takes the stretch: the scan's run grows by
+                # it, L1 and L2 fill their free places and L1's oldest
+                # lines are demoted.
+                n = line - start
                 if mine is None:
                     newest = head.older
-                    mine = Run(line, line, top - line, newest, head)
+                    mine = Run(start, line - 1, top - start, newest, head)
                     newest.newer = mine
                     head.older = mine
-                    runs[line] = mine
+                    runs[start] = mine
                     if erun is head:
                         erun = mine
                 else:
-                    mine.hi = line
-                top += 1
-                if n1 < l1_cap:
-                    n1 += 1
-                    continue
-                # L1 was full: its LRU line becomes L2's MRU line in place.
-                e1 += 1
+                    mine.hi = line - 1
+                demote = n - room
+                if demote <= 0:
+                    n1 += n
+                    demote = 0
+                else:
+                    e1 += demote
+                    n1 = l1_cap
+                    n2 += demote
+                    if n2 > l2_cap:
+                        e2 += n2 - l2_cap
+                        n2 = l2_cap
+            top += n
+            while demote:
+                # Move the boundary past ``demote`` lines, run by run.
                 stamp = erun.lo + erun.d
                 if stamp < edge:
                     stamp = edge
-                edge = stamp + 1
-                if edge > erun.hi + erun.d:
-                    erun = erun.newer
-                if n2 < l2_cap:
-                    n2 += 1
-                    continue
-                # L2 was full: the stack's oldest line leaves it.
-                e2 += 1
-                oldest = head.newer
-                victim2 = oldest.lo
-                del runs[victim2]
-                if oldest.hi > victim2:
-                    oldest.lo = victim2 + 1
-                    runs[victim2 + 1] = oldest
+                above = erun.hi + erun.d + 1
+                if stamp + demote < above:
+                    edge = stamp + demote
+                    break
+                demote -= above - stamp
+                edge = above
+                erun = erun.newer
+            if vrun is not head:
+                # The stretch's victims leave the oldest runs: every line
+                # of the runs older than ``vrun``, and ``vrun``'s lines
+                # below ``vline``.  A removed run drops its link to the
+                # next one, so removed runs make no reference cycle and
+                # are freed at once, not by the cyclic collector.
+                run = head.newer
+                while run is not vrun:
+                    del runs[run.lo]
+                    newer = run.newer
+                    run.newer = None
+                    run = newer
+                del runs[vrun.lo]
+                if vline > vrun.hi:
+                    newer = vrun.newer
                 else:
-                    newer = oldest.newer
-                    head.newer = newer
-                    newer.older = head
-                # Leaving the private hierarchy for the chip's shared L3.
-                mask = holders_map[victim2]
-                holders_map[victim2] = mask & keep | l3_bit
-                if mask & l3_bit:
-                    l3_move(victim2)
-                    continue
-                l3d[victim2] = None
-                n3 += 1
-                if n3 <= l3_cap:
-                    continue
-                e3 += 1
-                n3 -= 1
-                victim3 = l3_pop(False)[0]
-                mask = holders_map[victim3] & keep3
-                if mask:
-                    holders_map[victim3] = mask
-                else:
-                    del holders_map[victim3]
-                if publishing:
-                    stack.edge = edge
-                    stack.erun = erun
-                    stack.n1 = n1
-                    stack.n2 = n2
-                    stack.top = top
-                    self._count_served(served, links)
-                    bus.publish(CacheEvicted(line_now, core_id, "L3", victim3,
-                                             self.op_obj[core_id]))
-            else:
+                    vrun.lo = vline
+                    runs[vline] = vrun
+                    newer = vrun
+                head.newer = newer
+                newer.older = head
+                vrun = head
+                vhi = -1
+            if pending is not None:
+                stack.edge = edge
+                stack.erun = erun
+                stack.n1 = n1
+                stack.n2 = n2
+                stack.top = top
+                self._count_served(served, links)
+                bus.publish(pending)
+                pending = None
+            if line > last:
                 break
+            run = runs_get(line)
         stack.edge = edge
         stack.erun = erun
         stack.n1 = n1

@@ -149,8 +149,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    deltas = diff_sections(*(_profiled_runs(path, args.run)
-                             for path in (args.baseline, args.candidate)))
+    # The diff only reads the sections, so a recording diffed against
+    # itself is profiled once.
+    profiled = {path: _profiled_runs(path, args.run)
+                for path in dict.fromkeys((args.baseline, args.candidate))}
+    deltas = diff_sections(profiled[args.baseline], profiled[args.candidate])
     parts = [f"baseline:  {args.baseline}",
              f"candidate: {args.candidate}",
              "",

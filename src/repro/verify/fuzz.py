@@ -4,9 +4,12 @@
 topology × workload × scheduler combinations and checks three
 properties on each, with the invariant checker attached throughout:
 
-* **no violations or crashes** — a clean run stays clean;
-* **same-seed determinism** — two identical runs produce byte-identical
-  JSONL event streams;
+* **no violations or crashes** — a clean run stays clean, and any
+  exception a run raises is a ``crash``;
+* **same-seed determinism** — a rerun that records without memory
+  events (the mode simbench and ``repro.bench`` run) produces the first
+  run's JSONL event stream less its ``evict``/``invalidate`` lines, and
+  the same counters;
 * **reference differential** — every memory access charges the latency
   the naive :class:`~repro.verify.reference.ReferenceMemory` computes,
   and the run ends with the same counters, cache contents, DRAM and
@@ -38,7 +41,7 @@ from repro.cpu.machine import Machine
 from repro.cpu.topology import MachineSpec
 from repro.errors import ConfigError, SimulationError
 from repro.mem.counters import aggregate
-from repro.obs import Observability, events_to_jsonl
+from repro.obs import MEMORY_EVENTS, Observability, events_to_jsonl
 from repro.sched import registry
 from repro.sched.timeshare import TimeSharingScheduler
 from repro.sim.engine import Simulator
@@ -169,6 +172,10 @@ def generate_case(seed: int) -> FuzzCase:
     # keep the raw knobs; the rest run a registered scenario.
     names = scenario_axis()
     scenario = rng.choice(("",) * len(names) + names)
+    # Drawn last for the same reason: a quarter of the cases scan
+    # objects larger than L1 + L2, so scans evict lines they read.
+    if rng.random() < 0.25:
+        case = case.replace(object_bytes=4096)
     return case.replace(scenario=scenario)
 
 
@@ -226,8 +233,10 @@ def workload_spec(case: FuzzCase) -> ObjectOpsSpec:
 
 def run_case(case: FuzzCase,
              checker: Optional[InvariantChecker] = None,
-             faults: Optional[FaultPlan] = None) -> Tuple[str, dict, Any]:
-    """One full simulation of ``case``.
+             faults: Optional[FaultPlan] = None,
+             capture_memory: bool = True) -> Tuple[str, dict, Any]:
+    """One full simulation of ``case``, recording memory events
+    (evictions, invalidations) when ``capture_memory`` is set.
 
     A run without a fault plan is shadowed by the reference memory
     model and raises :class:`ReferenceMismatch` if any access or the end
@@ -236,14 +245,17 @@ def run_case(case: FuzzCase,
 
     Returns ``(jsonl_stream, aggregated_counters, RunResult)``; raises
     whatever the simulator raises (crash dumps are routed to
-    ``os.devnull`` — the caller owns the reporting).
+    ``os.devnull`` — the caller owns the reporting), and
+    :class:`SimulationError` if the event log dropped events, as a
+    stream cut short cannot show that two runs agree.
     """
     machine = build_machine(case)
     if faults is None:
         shadow(machine.memory)
     scheduler = build_scheduler(case)
     obs = Observability(events=True, metrics=False, flight=256,
-                        capture_memory=True, flight_path=os.devnull)
+                        capture_memory=capture_memory,
+                        flight_path=os.devnull)
     sim = Simulator(machine, scheduler, obs=obs,
                     checker=checker, faults=faults)
     workload = build_workload(machine, case)
@@ -251,6 +263,9 @@ def run_case(case: FuzzCase,
     result = sim.run(until=case.horizon)
     if faults is None:
         compare(machine.memory)
+    if obs.log.dropped:
+        raise SimulationError(
+            f"the event log dropped {obs.log.dropped} events")
     stream = events_to_jsonl(obs.events())
     return stream, aggregate(machine.memory.counters), result
 
@@ -271,6 +286,16 @@ class FuzzFailure:
     def __str__(self) -> str:
         tag = f"{self.kind}:{self.rule}" if self.rule else self.kind
         return f"[{tag}] {self.detail}"
+
+
+#: The JSONL fragments that mark a memory event's line.
+_MEMORY_KINDS = tuple(f'"kind":"{event.kind}"' for event in MEMORY_EVENTS)
+
+
+def _without_memory_events(stream: str) -> str:
+    """``stream`` less the lines of memory events."""
+    return "\n".join(line for line in stream.splitlines()
+                     if not any(kind in line for kind in _MEMORY_KINDS))
 
 
 def _first_diff(a: str, b: str) -> str:
@@ -301,14 +326,14 @@ def check_case(case: FuzzCase,
     # line re-adds the directory entry the fault orphaned).
     interval = 1 if inject else 128
     try:
-        stream_a, _, _ = run_case(
+        stream_a, counters_a, _ = run_case(
             case, checker=InvariantChecker(interval=interval),
             faults=faults)
     except InvariantViolation as exc:
         return FuzzFailure("invariant", str(exc), rule=exc.rule)
     except ReferenceMismatch as exc:
         return FuzzFailure("differential", str(exc))
-    except SimulationError as exc:
+    except Exception as exc:
         return FuzzFailure("crash", f"{type(exc).__name__}: {exc}")
     if inject is not None:
         return FuzzFailure(
@@ -316,18 +341,27 @@ def check_case(case: FuzzCase,
             f"fault {inject!r} "
             + ("was injected but tripped nothing"
                if faults.injected else "never found a target"))
+    # The rerun publishes no memory events, so the memory system runs
+    # its other mode: the one simbench and repro.bench run.
     try:
-        stream_b, _, _ = run_case(
-            case, checker=InvariantChecker(interval=interval))
+        stream_b, counters_b, _ = run_case(
+            case, checker=InvariantChecker(interval=interval),
+            capture_memory=False)
     except ReferenceMismatch as exc:
         return FuzzFailure("differential", f"rerun: {exc}")
-    except SimulationError as exc:
+    except Exception as exc:
         return FuzzFailure("crash",
                            f"rerun: {type(exc).__name__}: {exc}")
+    stream_a = _without_memory_events(stream_a)
     if stream_a != stream_b:
         return FuzzFailure("determinism",
                            "same-seed reruns diverged — "
                            + _first_diff(stream_a, stream_b))
+    if counters_a != counters_b:
+        differ = [name for name in counters_a
+                  if counters_a[name] != counters_b[name]]
+        return FuzzFailure("determinism",
+                           f"same-seed reruns counted {differ} differently")
     return None
 
 

@@ -154,13 +154,6 @@ class TestSearchItems:
         with pytest.raises(FilesystemError):
             list(efsl.search_items_by_index(efsl.directories[0], 10))
 
-    def test_lookup_counter(self):
-        machine, efsl = build()
-        directory = efsl.directories[0]
-        list(efsl.search_items_by_index(directory, 0))
-        list(efsl.search_items_by_index(directory, 1))
-        assert directory.lookups == 2
-
     def test_per_line_compute_reflects_entries_per_line(self):
         machine, efsl = build()
         # 64-byte lines hold two 32-byte entries.

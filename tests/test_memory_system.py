@@ -7,12 +7,17 @@ state — counters, LRU order, DRAM and interconnect state, and the
 sharing directory against the caches' contents.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.topology import LatencySpec, MachineSpec
+from repro.mem.cache import Run
 from repro.mem.system import MemorySystem
+from repro.obs import CacheEvicted, Observability
+from repro.verify.invariants import InvariantChecker
 from repro.verify.reference import compare, shadow
 
 from tests.helpers import tiny_spec
@@ -241,16 +246,21 @@ class TestRunWalk:
         assert len(stack.runs) == 2
 
     def test_scan_longer_than_the_stack_evicts_its_own_lines(self):
-        memory = make()
-        memory.scan(0, 0, 60 * LINE, 0)
-        assert levels(memory) == (list(range(20, 52)), list(range(52, 60)))
-        # Each L3 hit evicts the stack's oldest line: first lines this
-        # scan has yet to reach, then lines it read earlier.
-        l3_hits = memory.counters[0].l3_hits
-        memory.scan(0, 0, 60 * LINE, 0)
-        assert memory.counters[0].l3_hits - l3_hits == 60
-        assert levels(memory) == (list(range(20, 52)), list(range(52, 60)))
-        compare(memory)
+        # A run of misses longer than L1 + L2 (40 lines) settles in
+        # stretches of at most 40; 41 lines is one more than a stretch.
+        for n in (41, 60, 100):
+            memory = make()
+            memory.scan(0, 0, n * LINE, 0)
+            assert levels(memory) == (list(range(n - 40, n - 8)),
+                                      list(range(n - 8, n)))
+            # Each L3 hit evicts the stack's oldest line: first lines
+            # this scan has yet to reach, then lines it read earlier.
+            l3_hits = memory.counters[0].l3_hits
+            memory.scan(0, 0, n * LINE, 0)
+            assert memory.counters[0].l3_hits - l3_hits == n
+            assert levels(memory) == (list(range(n - 40, n - 8)),
+                                      list(range(n - 8, n)))
+            compare(memory)
 
     def test_straddling_rescan_with_l1_full_has_no_l1_hits(self):
         memory = make()
@@ -315,6 +325,126 @@ class TestRunWalk:
             assert load_from(memory, 0, 3) == (3, "l1_hits")
         assert stack.top == top
         compare(memory)
+
+
+def watched(memory: MemorySystem) -> list:
+    """Publish ``memory``'s L3 evictions to a subscriber that checks the
+    evicting core's recency stack at publish time; return the list the
+    published events are appended to."""
+    obs = Observability(events=False, metrics=False, flight=0,
+                        capture_memory=True)
+    checker = InvariantChecker()
+    published = []
+
+    def check(event):
+        checker._check_stack(event.core, memory.stacks[event.core],
+                             event.ts)
+        published.append(event)
+
+    obs.bus.subscribe(check, CacheEvicted)
+    memory.attach_observability(obs)
+    return published
+
+
+def settled(memory: MemorySystem):
+    """What the scans settle: the counters, every cache's evictions, each
+    L3's order and each stack's runs, boundary, counts and next stamp."""
+    return ([bank.snapshot() for bank in memory.counters],
+            [cache.evictions
+             for cache in memory.l1s + memory.l2s + memory.l3s],
+            [list(l3.lines()) for l3 in memory.l3s],
+            [(sorted((run.lo, run.hi, run.d) for run in stack.runs.values()),
+              stack.edge, (stack.erun.lo, stack.erun.hi), stack.n1,
+              stack.n2, stack.top)
+             for stack in memory.stacks])
+
+
+class TestMissStretch:
+    """A scan's private misses are probed, charged and entered in the L3
+    line by line, and settle the recency stack once per stretch: up to
+    L1 + L2 (40) consecutive lines the core does not hold (tiny machine:
+    L1 8 lines, L2 32, L3 128).  Each case is shadowed by the reference
+    model, which walks line by line."""
+
+    def test_cold_stretch_fills_l1_then_l2_then_evicts(self):
+        # Lines 0-39 are one stretch: 0-7 fill L1, the next 32 demote L1's
+        # oldest lines into L2.  Lines 40-43 find both full, and each
+        # evicts the stack's oldest line to L3.
+        memory = make()
+        memory.scan(0, 0, 44 * LINE, 0)
+        assert levels(memory) == (list(range(4, 36)), list(range(36, 44)))
+        assert list(memory.l3s[0].lines()) == [0, 1, 2, 3]
+        assert (memory.l1s[0].evictions, memory.l2s[0].evictions) == (36, 4)
+        assert list(memory.stacks[0].runs) == [4]
+        compare(memory)
+
+    def test_rescan_chases_its_own_evictions(self):
+        # The stack is full: lines 20-24, then 100-134.  Lines 0-19 evict
+        # 20-24 before the scan reaches them, so those are L3 hits; the
+        # later victims come from the next run.  At 40 lines the stretch
+        # has evicted the whole stack, and lines 40-44 evict its first
+        # lines.
+        memory = make()
+        memory.scan(0, 20 * LINE, 5 * LINE, 0)
+        memory.scan(0, 100 * LINE, 35 * LINE, 0)
+        before = memory.counters[0].l3_hits
+        memory.scan(0, 0, 45 * LINE, 0)
+        assert memory.counters[0].l3_hits - before == 5
+        assert levels(memory) == (list(range(5, 37)), list(range(37, 45)))
+        assert list(memory.l3s[0].lines()) \
+            == list(range(100, 135)) + list(range(5))
+        compare(memory)
+
+    def test_evicted_runs_are_freed_at_once(self):
+        # The chase above evicts two whole runs in one stretch; they must
+        # not keep each other alive in a reference cycle.
+        def runs_alive():
+            return sum(type(obj) is Run for obj in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = runs_alive()
+            memory = make()
+            memory.scan(0, 20 * LINE, 5 * LINE, 0)
+            memory.scan(0, 100 * LINE, 35 * LINE, 0)
+            memory.scan(0, 0, 45 * LINE, 0)
+            grown = runs_alive() - before
+        finally:
+            gc.enable()
+        # Each stack's runs and its ring's head.
+        assert grown == sum(len(stack.runs) + 1 for stack in memory.stacks)
+
+    def test_stretch_fills_an_l1_hole_and_demotes_past_it(self):
+        memory = make()
+        memory.scan(0, 0, 30 * LINE, 0)
+        memory.store(1, 25 * LINE, 0)
+        assert len(memory.l1s[0]) == 7
+        # The first line fills the hole; the next 14 demote L1's oldest
+        # lines (22-29 less 25, then the stretch's own) and the last four
+        # find L2 full.
+        memory.scan(0, 100 * LINE, 15 * LINE, 0)
+        assert levels(memory) == (
+            list(range(4, 25)) + list(range(26, 30)) + list(range(100, 107)),
+            list(range(107, 115)))
+        assert list(memory.l3s[0].lines()) == [0, 1, 2, 3]
+        compare(memory)
+
+    def test_publishing_settles_the_same_stack(self):
+        # Published L3 evictions split stretches; the stack each mode
+        # settles is the same, and the subscriber never sees it stale.
+        quiet = make(l3_bytes=4096)
+        loud = make(l3_bytes=4096)
+        published = watched(loud)
+        for memory in (quiet, loud):
+            memory.scan(0, 0, 100 * LINE, 0)
+            memory.scan(1, 40 * LINE, 80 * LINE, 0)
+            memory.scan(0, 0, 100 * LINE, 0)
+            memory.store(2, 90 * LINE, 0)
+            memory.scan(0, 50 * LINE, 70 * LINE, 0)
+            compare(memory)
+        assert len(published) > 40
+        assert settled(quiet) == settled(loud)
 
 
 def traffic_since(memory: MemorySystem, before: dict) -> dict:
@@ -393,18 +523,23 @@ def test_random_traffic_preserves_invariants(n_chips, ops):
     directory agreeing with the caches and every cache within capacity.
     This pins the single-chip branch of ``_scan`` and the DRAM queueing
     arithmetic (busy controllers and a small L3 make queueing and L3
-    spills common)."""
-    memory = make(n_chips=n_chips, l3_bytes=4096,
-                  latency=LatencySpec(dram_occupancy=48))
-    now = 0
-    for op, core, addr, nbytes, step, compute in ops:
-        core %= memory.spec.n_cores
-        now += step
-        if op == "scan":
-            memory.scan(core, addr, nbytes, now, compute)
-        else:
-            getattr(memory, op)(core, addr, now)
-    compare(memory)
+    spills common).  The same traffic with L3 evictions published, which
+    splits a scan's miss stretches, settles the same state."""
+    quiet, loud = (make(n_chips=n_chips, l3_bytes=4096,
+                        latency=LatencySpec(dram_occupancy=48))
+                   for _ in range(2))
+    watched(loud)
+    for memory in (quiet, loud):
+        now = 0
+        for op, core, addr, nbytes, step, compute in ops:
+            core %= memory.spec.n_cores
+            now += step
+            if op == "scan":
+                memory.scan(core, addr, nbytes, now, compute)
+            else:
+                getattr(memory, op)(core, addr, now)
+        compare(memory)
+    assert settled(quiet) == settled(loud)
 
 
 @settings(max_examples=20, deadline=None)

@@ -26,8 +26,8 @@ from repro.obs.events import (ALL_EVENTS, EVENT_KINDS, CacheEvicted,
 from repro.obs.export import SCHEMA_VERSION, events_to_jsonl, write_jsonl
 from repro.obs.profile import (EventDecoder, MetricDelta, diff_metrics,
                                folded_stacks, iter_jsonl, render_diff)
-from repro.obs.stream import (Profile, RunProfile, diff_sections,
-                              merge_profiles, synthesize)
+from repro.obs.stream import (Profile, RunProfile, StreamProfiler,
+                              diff_sections, merge_profiles, synthesize)
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
@@ -729,12 +729,23 @@ class TestReportAndCli:
         assert analyze_main(["report", str(path), "-o", str(out)]) == 0
         assert "Per-object attribution" in out.read_text(encoding="utf-8")
 
-    def test_cli_diff_self_is_within_noise(self, recorded, capsys):
+    def test_cli_diff_self_is_within_noise(self, recorded, capsys,
+                                           monkeypatch):
         path, _ = recorded
+        profiled = []
+        profile = StreamProfiler.feed_path
+
+        def counted(self, name):
+            profiled.append(name)
+            return profile(self, name)
+
+        monkeypatch.setattr(StreamProfiler, "feed_path", counted)
         assert analyze_main(["diff", str(path), str(path)]) == 0
         out = capsys.readouterr().out
         assert "within noise" in out
         assert "significant" not in out.replace("within noise", "")
+        # The recording is profiled once, for both sides.
+        assert profiled == [str(path)]
 
     def test_cli_folded(self, recorded, tmp_path):
         path, _ = recorded

@@ -8,15 +8,20 @@ distribution ``python -m repro.verify fuzz`` samples in CI — and proves
 it catches a bug planted in code every memory path shares.
 """
 
+import functools
+
 import pytest
 
 from repro.cpu.machine import Machine
 from repro.cpu.topology import MachineSpec
 from repro.mem.counters import aggregate
 from repro.mem.system import MemorySystem
+from repro.obs import Observability
 from repro.sched.registry import coretime_factory
 from repro.sim.engine import Simulator
 from repro.verify import InvariantChecker, check_case, generate_case
+from repro.verify import fuzz
+from repro.verify.__main__ import main as verify_main
 from repro.verify.fuzz import (FuzzCase, build_machine, build_scheduler,
                                build_workload, run_case)
 from repro.verify.reference import ReferenceMismatch, compare, shadow
@@ -115,6 +120,35 @@ class TestReferenceDifferential:
         assert len(scenarios) >= 7
 
 
+class TestCrashes:
+    """Any exception a run raises fails the case as a ``crash``, which
+    shrinks to a repro instead of ending the fuzz run."""
+
+    @staticmethod
+    def break_scan(monkeypatch, error):
+        def scan(self, *args):
+            raise error
+        monkeypatch.setattr(MemorySystem, "scan", scan)
+
+    def test_any_exception_is_a_crash(self, monkeypatch):
+        self.break_scan(monkeypatch, KeyError(0))
+        failure = check_case(FuzzCase(seed=1))
+        assert (failure.kind, failure.detail) == ("crash", "KeyError: 0")
+
+    def test_fuzz_shrinks_a_crash_to_a_repro(self, monkeypatch, capsys):
+        self.break_scan(monkeypatch, KeyError(0))
+        assert verify_main(["fuzz", "--seeds", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "[crash] KeyError: 0" in out
+        assert ("minimal repro: PYTHONPATH=src python -m repro.verify run "
+                "--case") in out
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        self.break_scan(monkeypatch, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            check_case(FuzzCase(seed=1))
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("seed", [300, 301, 302])
     def test_same_seed_reruns_are_byte_identical(self, seed):
@@ -123,6 +157,39 @@ class TestDeterminism:
         stream_b, counters_b, _ = run_case(case)
         assert stream_a == stream_b
         assert counters_a == counters_b
+
+    def test_rerun_without_memory_events_records_the_rest(self):
+        # check_case's rerun: the memory system's non-publishing mode.
+        # Seed 306 draws 4,096-byte objects.
+        case = generate_case(306)
+        assert case.object_bytes == 4096
+        stream_a, counters_a, _ = run_case(case)
+        stream_b, counters_b, _ = run_case(case, capture_memory=False)
+        for kind in ('"kind":"evict"', '"kind":"invalidate"'):
+            assert kind in stream_a
+            assert kind not in stream_b
+        assert fuzz._without_memory_events(stream_a) == stream_b
+        assert counters_a == counters_b
+
+    def test_rerun_counting_differently_fails(self, monkeypatch):
+        def skewed(case, checker=None, faults=None, capture_memory=True):
+            stream, counters, result = run_case(case, checker, faults,
+                                                capture_memory)
+            if not capture_memory:
+                counters = dict(counters, l3_hits=counters["l3_hits"] + 1)
+            return stream, counters, result
+
+        monkeypatch.setattr(fuzz, "run_case", skewed)
+        failure = check_case(generate_case(306))
+        assert failure.kind == "determinism"
+        assert "['l3_hits']" in failure.detail
+
+    def test_a_dropped_event_fails_the_case(self, monkeypatch):
+        monkeypatch.setattr(fuzz, "Observability",
+                            functools.partial(Observability, max_events=50))
+        failure = check_case(generate_case(300))
+        assert failure.kind == "crash"
+        assert "dropped" in failure.detail
 
     def test_case_generation_is_deterministic(self):
         assert generate_case(42) == generate_case(42)
