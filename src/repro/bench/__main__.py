@@ -4,32 +4,33 @@ Regenerates any figure or ablation from DESIGN.md §4 and writes the text
 report to ``benchmarks/results/``.  ``all`` runs everything; ``--full``
 uses the long profile for the two paper figures.
 
-Observability: ``--trace-out run.trace.json`` captures every simulator in
-the experiment into one Chrome trace (load it at https://ui.perfetto.dev),
-``--events-out run.events.jsonl`` dumps the raw event stream for
-``repro-analyze`` (a ``.jsonl.gz`` path gzips it on the way out; the
-analyzer reads either transparently, in constant memory),
-``--metrics-out metrics.json`` dumps the metrics-registry snapshot,
-``--profile-out NAME`` writes the offline attribution report (one section
-per simulator run) next to the figure reports, and ``--seed N`` overrides
-the workload RNG seed where the experiment supports it.  ``--workers N``
-runs every throughput experiment's points over ``N`` processes, with
-identical reports; the outputs above record in-process and need
-``--workers 0``.
+Observability: ``--events-out run.events.jsonl`` records every event of
+the experiment's simulators for ``repro-analyze`` (``.jsonl.gz`` gzips),
+``--profile-out NAME`` writes its attribution report (one section per
+simulator run) next to the figure reports and ``--trace-out
+run.trace.json`` its Chrome trace (https://ui.perfetto.dev); without
+``--events-out`` those two read a scratch recording, deleted afterwards.
+``--metrics-out metrics.json`` dumps the metrics-registry snapshot, and
+``--seed N`` overrides the workload RNG seed where the experiment
+supports it.  ``--workers N`` runs every throughput experiment's points
+over ``N`` processes, with identical reports; the outputs above record
+in-process and need ``--workers 0``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
 import sys
+import tempfile
 import time
 
 from repro.bench.figures import EXPERIMENTS
 from repro.bench.report import save_report
-from repro.obs import Observability
+from repro.obs import Observability, write_chrome_trace
 
 
 def _describe(runner) -> str:
@@ -73,54 +74,76 @@ def _derived_path(path: str, name: str, many: bool) -> str:
     return f"{root}.{name}{ext}{gz}"
 
 
-def _observability(args):
-    """A fresh pipeline for the requested ``--*-out`` files, or None.
-
-    Events are recorded only when an output needs them; metrics alone
-    need just the registry.
-    """
-    want_events = (args.trace_out is not None
-                   or args.events_out is not None
-                   or args.profile_out is not None)
-    if want_events or args.metrics_out is not None:
-        return Observability(events=want_events)
-    return None
+#: The ``--*-out`` flags whose files are built from the events.
+_RECORDED = ("trace_out", "events_out", "profile_out")
 
 
-def _write_outputs(args, obs, name: str, many: bool, tag: str) -> None:
-    """Write one experiment's ``--*-out`` files; ``tag`` prefixes the
+def _asks(args, flags=_RECORDED + ("metrics_out",)) -> bool:
+    """Whether any of the ``--*-out`` ``flags`` was given."""
+    return any(getattr(args, flag) is not None for flag in flags)
+
+
+def _run(args, run, obs, name: str, many: bool, tag: str) -> None:
+    """Run one experiment (``run()`` returns its result), save its
+    report and write its ``--*-out`` files; ``tag`` prefixes the
     progress lines.
 
-    The event log keeps only its first ``max_events`` events; when it
-    dropped any, each output built from the events says so on stderr.
+    When an output is built from the events, a
+    :class:`~repro.obs.stream.Recorder` is attached to ``obs`` before
+    any simulator is built.  The recording is the ``--events-out`` file,
+    or a scratch file deleted afterwards; the trace is read back from it.
     """
-    def written(what: str, out: str) -> None:
-        print(f"[{tag}] {what} -> {out}")
-        if obs.log.dropped:
-            print(f"[{tag}] warning: {what} {out} holds only the first "
-                  f"{len(obs.log):,} events; {obs.log.dropped:,} more "
-                  "were dropped at the event log's cap", file=sys.stderr)
-
-    if args.trace_out is not None:
-        out = _derived_path(args.trace_out, name, many)
-        obs.write_chrome_trace(out)
-        written("trace", out)
-    if args.events_out is not None:
-        out = _derived_path(args.events_out, name, many)
-        obs.write_jsonl(out)
-        written("events", out)
-    if args.profile_out is not None:
-        profile_name = (f"{args.profile_out}.{name}" if many
-                        else args.profile_out)
-        out = save_report(profile_name, obs.profile_report())
-        written("profile", out)
-    if args.metrics_out is not None:
+    recorder = None
+    if obs is not None and _asks(args, _RECORDED):
+        from repro.obs.stream import Recorder
+        if args.events_out is not None:
+            recording = _derived_path(args.events_out, name, many)
+        else:
+            handle, recording = tempfile.mkstemp(suffix=".events.jsonl.gz")
+            os.close(handle)
+        recorder = Recorder(recording)
+        recorder.attach(obs)
+    try:
+        started = time.perf_counter()
+        result = run()
+        elapsed = time.perf_counter() - started
+        path = save_report(result.name, result.report)
+        if not args.quiet:
+            print(result.report)
+            print()
+        print(f"[{tag}] {elapsed:.1f}s -> {path}")
+        if recorder is not None:
+            recorder.close()
+            _write_recorded(args, recorder, name, many, tag)
+    finally:
+        if recorder is not None:
+            recorder.close()
+            if args.events_out is None:
+                os.remove(recorder.events_path)
+    if args.metrics_out is not None and obs is not None:
         out = _derived_path(args.metrics_out, name, many)
         with open(out, "w", encoding="utf-8") as stream:
             json.dump(obs.metrics_snapshot(), stream, indent=2,
                       sort_keys=True)
             stream.write("\n")
         print(f"[{tag}] metrics -> {out}")
+
+
+def _write_recorded(args, recorder, name: str, many: bool,
+                    tag: str) -> None:
+    """The ``--*-out`` files of a closed recording."""
+    if args.trace_out is not None:
+        from repro.obs.profile import iter_jsonl
+        out = _derived_path(args.trace_out, name, many)
+        write_chrome_trace(out, iter_jsonl(recorder.events_path))
+        print(f"[{tag}] trace -> {out}")
+    if args.events_out is not None:
+        print(f"[{tag}] events -> {recorder.events_path}")
+    if args.profile_out is not None:
+        profile_name = (f"{args.profile_out}.{name}" if many
+                        else args.profile_out)
+        out = save_report(profile_name, recorder.profile.render())
+        print(f"[{tag}] profile -> {out}")
 
 
 def _run_scenarios(args) -> int:
@@ -137,22 +160,15 @@ def _run_scenarios(args) -> int:
              else args.scenario.split(","))
     many = len(names) > 1
     for name in names:
-        obs = _observability(args)
-        started = time.perf_counter()
+        obs = Observability(events=False) if _asks(args) else None
+        run = functools.partial(run_scenario, name, seed=args.seed, obs=obs,
+                                workers=args.workers, verify=args.verify)
         try:
-            result = run_scenario(name, seed=args.seed, obs=obs,
-                                  workers=args.workers, verify=args.verify)
+            scenarios.resolve(name)      # before a recording is opened
+            _run(args, run, obs, name, many, tag=f"scenario-{name}")
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        elapsed = time.perf_counter() - started
-        path = save_report(result.name, result.report)
-        if not args.quiet:
-            print(result.report)
-            print()
-        print(f"[{result.name}] {elapsed:.1f}s -> {path}")
-        if obs is not None:
-            _write_outputs(args, obs, name, many, tag=result.name)
     return 0
 
 
@@ -212,7 +228,7 @@ def main(argv=None) -> int:
         return 0
     if args.experiment is None:
         parser.error("experiment is required (or use --list)")
-    if args.workers and _observability(args) is not None:
+    if args.workers and _asks(args):
         parser.error("--trace-out/--events-out/--metrics-out/--profile-out "
                      "record in-process and need --workers 0")
     if args.verify:
@@ -243,25 +259,16 @@ def main(argv=None) -> int:
                 kwargs["seed"] = args.seed
             else:
                 print(f"[{name}] note: --seed not supported, ignored")
-        obs = _observability(args)
         if "workers" in supported:
             kwargs.update(workers=args.workers, verify=args.verify)
-        if obs is not None and "obs" in supported:
-            kwargs["obs"] = obs
-        elif obs is not None:
+        obs = None
+        if _asks(args) and "obs" in supported:
+            obs = kwargs["obs"] = Observability(events=False)
+        elif _asks(args):
             print(f"[{name}] note: --trace-out/--events-out/"
                   "--metrics-out/--profile-out not supported, ignored")
-            obs = None
-        started = time.perf_counter()
-        result = runner(**kwargs)
-        elapsed = time.perf_counter() - started
-        path = save_report(result.name, result.report)
-        if not args.quiet:
-            print(result.report)
-            print()
-        print(f"[{name}] {elapsed:.1f}s -> {path}")
-        if obs is not None:
-            _write_outputs(args, obs, name, many, tag=name)
+        _run(args, functools.partial(runner, **kwargs), obs, name, many,
+             tag=name)
     return 0
 
 

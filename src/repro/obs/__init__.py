@@ -2,8 +2,8 @@
 
 One :class:`Observability` object is the telemetry spine for any number
 of simulator runs: it owns the typed :class:`~repro.obs.bus.EventBus`,
-the :class:`~repro.obs.metrics.MetricsRegistry`, a bounded
-:class:`~repro.obs.bus.EventLog` for exporters and an always-recording
+the :class:`~repro.obs.metrics.MetricsRegistry`, an optional in-memory
+:class:`~repro.obs.bus.EventLog` and an always-recording
 :class:`~repro.obs.flight.FlightRecorder` for post-mortems.  Attach it
 with ``Simulator(machine, scheduler, obs=obs)``.
 
@@ -21,14 +21,17 @@ Design rules (see DESIGN.md, "Observability"):
 Quick use::
 
     from repro.obs import Observability
+    from repro.obs.stream import Recorder
 
-    obs = Observability()
+    obs = Observability(events=False)
+    recorder = Recorder("run.events.jsonl.gz")  # every event, as published
+    recorder.attach(obs)                        # before the simulator
     sim = Simulator(machine, CoreTimeScheduler(), obs=obs)
     workload.spawn_all(sim)
     result = sim.run(until=3_000_000)
-    obs.write_chrome_trace("run.trace.json")   # load in Perfetto
+    recorder.close()
     print(result.op_latency)                    # HistogramSummary
-    print(obs.profile_report())
+    print(recorder.profile.render())            # repro-analyze report
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro.obs.events import (ALL_EVENTS, CONTROL_EVENTS, EVENT_KINDS,
                               SweepCaseFinished, SweepCaseStarted,
                               ThreadArrived, ThreadFinished, ThreadSpawned,
                               WorkerJoined, WorkerLost)
-from repro.obs.export import (SCHEMA_VERSION, ascii_timeline, chrome_trace,
+from repro.obs.export import (SCHEMA_VERSION, ascii_timeline,
                               events_to_jsonl, write_chrome_trace,
                               write_jsonl)
 from repro.obs.flight import FlightRecorder
@@ -59,36 +62,28 @@ from repro.obs.metrics import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
 class Observability:
     """Configuration + wiring for one telemetry pipeline.
 
-    ``events``          record control-plane events into the event log
-                        (needed by the exporters);
+    ``events``          keep control-plane events in memory, in an
+                        :class:`~repro.obs.bus.EventLog` (first 250,000);
     ``metrics``         build a metrics registry for counters/histograms;
     ``flight``          ring-buffer capacity for the flight recorder
                         (0 disables it);
     ``capture_memory``  also record per-eviction / per-invalidation
                         events (hot; off by default);
-    ``max_events``      event-log bound: the log keeps the first
-                        ``max_events`` events and counts the rest in
-                        ``log.dropped`` rather than growing without
-                        limit; ``python -m repro.bench`` reports the
-                        drop next to each output built from the events;
     ``flight_path``     where :meth:`on_crash` writes the post-mortem
                         dump (default: stderr).
     """
 
     def __init__(self, events: bool = True, metrics: bool = True,
                  flight: int = 2048, capture_memory: bool = False,
-                 max_events: int = 250_000,
                  flight_path: Optional[str] = None) -> None:
         self.bus = EventBus()
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if metrics else None)
-        self.log: Optional[EventLog] = (
-            EventLog(max_events) if events else None)
+        self.log: Optional[EventLog] = EventLog() if events else None
         self.flight: Optional[FlightRecorder] = (
             FlightRecorder(flight) if flight > 0 else None)
         self.flight_path = flight_path
         self.capture_memory = capture_memory
-        self.runs: List[str] = []
         recorded = CONTROL_EVENTS + (MEMORY_EVENTS if capture_memory
                                      else ())
         sink = self._recording_sink()
@@ -128,7 +123,6 @@ class Observability:
 
     def begin_run(self, label: str, ts: int = 0) -> None:
         """Mark the start of one simulator run (exporters split here)."""
-        self.runs.append(label)
         if self.bus.wants(RunMarker):
             self.bus.publish(RunMarker(ts, label))
 
@@ -136,30 +130,8 @@ class Observability:
         """Recorded events (empty when ``events=False``)."""
         return list(self.log.events) if self.log is not None else []
 
-    # ------------------------------------------------------------------
-    # exporters
-    # ------------------------------------------------------------------
-
-    def write_chrome_trace(self, path: str) -> str:
-        return write_chrome_trace(path, self.events())
-
-    def write_jsonl(self, path: str) -> str:
-        """Dump the event log as JSONL; ``.jsonl.gz`` paths gzip it."""
-        return write_jsonl(path, self.events())
-
     def metrics_snapshot(self) -> Dict[str, Any]:
         return self.metrics.snapshot() if self.metrics is not None else {}
-
-    def profile_report(self, top: int = 10, width: int = 72) -> str:
-        """Offline attribution report over the recorded events.
-
-        Same output as ``repro-analyze report`` on a JSONL dump of this
-        pipeline; one section per recorded run.  Imports the analyzer
-        lazily — the profiling layer stays off the simulation path.
-        """
-        from repro.obs.stream import Profile
-        return Profile.from_events(self.events()).render(top=top,
-                                                         width=width)
 
     # ------------------------------------------------------------------
     # post-mortem
@@ -223,7 +195,6 @@ __all__ = [
     "WorkerJoined",
     "WorkerLost",
     "ascii_timeline",
-    "chrome_trace",
     "events_to_jsonl",
     "write_chrome_trace",
     "write_jsonl",

@@ -117,15 +117,15 @@ class EventBus:
 
 
 class EventLog:
-    """A bounded in-memory sink for exporters.
+    """A bounded in-memory list of events (``Observability(events=True)``).
 
     Keeps the first ``max_events`` events and counts the rest in
-    ``dropped``, so a long sweep cannot consume unbounded memory while
-    short runs (the normal tracing case) are captured completely.  The
-    exporters write what was kept; ``python -m repro.bench`` prints the
-    kept and dropped counts on stderr next to each ``--trace-out``,
-    ``--events-out`` and ``--profile-out`` file, and simbench counts
-    the drop as ``obs.events_dropped``.
+    ``dropped``, so a long run cannot consume unbounded memory.  No
+    recording file is written from it: a
+    :class:`~repro.obs.stream.Recorder` writes each event as it is
+    published.  The fuzzer compares the log of two runs and fails a case
+    whose log dropped events; simbench counts the drop as
+    ``obs.events_dropped``.
     """
 
     __slots__ = ("events", "max_events", "dropped")

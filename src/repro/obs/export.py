@@ -22,11 +22,11 @@ from __future__ import annotations
 import gzip
 import io
 import json
-from itertools import islice
+from itertools import chain, groupby, islice
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
-from typing import (Any, Dict, Iterable, List, Optional, Sequence, TextIO,
-                    Tuple, Type)
+from operator import attrgetter, itemgetter
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, TextIO, Tuple, Type)
 
 from repro.obs.events import (EVENT_KINDS, CacheEvicted, CacheInvalidated,
                               Event, LockContended, MigrationStarted,
@@ -90,109 +90,106 @@ def open_text(path: str, mode: str = "r") -> TextIO:
     return _DeterministicGzipText(path)
 
 
-def chrome_trace(events: Sequence[Event],
-                 default_label: str = "run") -> Dict[str, Any]:
-    """Build a Chrome trace-event document from an event stream."""
-    trace_events: List[Dict[str, Any]] = []
-    processes: List[str] = []
-    tracks_seen = set()
-    flow_id = 0
+def _trace_entries(events: Iterable[Event], default_label: str,
+                   labels: List[str]) -> Iterator[str]:
+    """The trace's entries, JSON-encoded, holding one run at a time.
 
-    def ensure_process(label: str) -> int:
-        pid = len(processes)
-        processes.append(label)
-        trace_events.append({
-            "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-            "args": {"name": f"{pid}:{label}"}})
-        return pid
+    Each run (events before the first marker make one of
+    ``default_label``) is a process whose label joins ``labels``: its
+    metadata rows, then its tracks in id order, each by time (ties in
+    stream order)."""
+    dumps = json.dumps
+    markers = flows = 0
 
-    def ensure_track(pid: int, tid: int) -> None:
-        if (pid, tid) in tracks_seen:
-            return
-        tracks_seen.add((pid, tid))
-        name = "scheduler" if tid == SCHEDULER_TRACK else f"core {tid}"
-        trace_events.append({
-            "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-            "args": {"name": name}})
+    def run_of(event: Event) -> int:
+        nonlocal markers
+        markers += type(event) is RunMarker
+        return markers
 
-    pid: Optional[int] = None
-    for event in events:
-        etype = type(event)
-        if etype is RunMarker:
-            pid = ensure_process(event.label)
-            continue
-        if pid is None:
-            pid = ensure_process(default_label)
-        if etype is OperationFinished:
-            ensure_track(pid, event.core)
-            trace_events.append({
-                "ph": "X", "name": event.obj, "cat": "op",
-                "ts": event.ts - event.cycles, "dur": event.cycles,
-                "pid": pid, "tid": event.core,
-                "args": {"thread": event.thread}})
-        elif etype is MigrationStarted:
-            ensure_track(pid, event.core)
-            ensure_track(pid, event.target)
-            flow_id += 1
-            common = {"cat": "migration", "name": "migrate",
-                      "id": flow_id, "pid": pid}
-            trace_events.append(dict(common, ph="s", ts=event.ts,
-                                     tid=event.core,
-                                     args={"thread": event.thread,
-                                           "to": event.target}))
-            trace_events.append(dict(common, ph="f", bp="e",
-                                     ts=event.arrive_ts, tid=event.target,
-                                     args={"thread": event.thread,
-                                           "from": event.core}))
-            trace_events.append({
-                "ph": "i", "name": f"out:{event.thread}",
-                "cat": "migration", "s": "t", "ts": event.ts, "pid": pid,
-                "tid": event.core, "args": {"to": event.target}})
-        elif etype in (ThreadSpawned, ThreadFinished, ThreadArrived,
-                       LockContended):
-            ensure_track(pid, event.core)
-            trace_events.append({
-                "ph": "i", "name": f"{event.kind}:{event.thread}",
-                "cat": "thread", "s": "t", "ts": event.ts, "pid": pid,
-                "tid": event.core, "args": {}})
-        elif etype in (ObjectAssigned, ObjectMoved, RebalanceRound):
-            ensure_track(pid, SCHEDULER_TRACK)
-            args = {key: value for key, value in event.as_dict().items()
-                    if key not in ("ts",)}
-            trace_events.append({
-                "ph": "i", "name": event.kind, "cat": "scheduler",
-                "s": "p", "ts": event.ts, "pid": pid,
-                "tid": SCHEDULER_TRACK, "args": args})
-        elif etype in (CacheEvicted, CacheInvalidated):
-            ensure_track(pid, event.core)
-            trace_events.append({
-                "ph": "i", "name": event.kind, "cat": "memory", "s": "t",
-                "ts": event.ts, "pid": pid, "tid": event.core,
-                "args": {key: value
-                         for key, value in event.as_dict().items()
-                         if key not in ("ts", "core", "kind")}})
-        # Unknown event types are simply not exported.
-    # Stable per-track time order (metadata rows lead each track).
-    trace_events.sort(key=lambda entry: (
-        entry["pid"], 0 if entry["ph"] == "M" else 1,
-        entry["tid"] if entry["ph"] != "M" else -1,
-        entry.get("ts", 0)))
-    return {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {"source": "repro.obs",
-                      "runs": processes,
-                      "time_unit": "1 simulated cycle = 1us"},
-    }
+    for _, run in groupby(events, run_of):
+        first = next(run)
+        if type(first) is RunMarker:
+            label = first.label
+        else:
+            label, run = default_label, chain((first,), run)
+        pid = len(labels)
+        labels.append(label)
+        entries = [(-1, 0, dumps({"ph": "M", "name": "process_name",
+                                  "pid": pid, "tid": 0,
+                                  "args": {"name": f"{pid}:{label}"}}))]
+        tracks: Set[int] = set()
+
+        def add(entry: Dict[str, Any]) -> None:
+            tid = entry["tid"]
+            if tid not in tracks:
+                tracks.add(tid)
+                name = "scheduler" if tid == SCHEDULER_TRACK \
+                    else f"core {tid}"
+                entries.append((-1, 0, dumps({
+                    "ph": "M", "name": "thread_name", "pid": pid,
+                    "tid": tid, "args": {"name": name}})))
+            entries.append((tid, entry["ts"], dumps(entry)))
+
+        for event in run:
+            etype = type(event)
+            if etype is OperationFinished:
+                add({"ph": "X", "name": event.obj, "cat": "op",
+                     "ts": event.ts - event.cycles, "dur": event.cycles,
+                     "pid": pid, "tid": event.core,
+                     "args": {"thread": event.thread}})
+            elif etype is MigrationStarted:
+                flows += 1
+                common = {"cat": "migration", "name": "migrate",
+                          "id": flows, "pid": pid}
+                add(dict(common, ph="s", ts=event.ts, tid=event.core,
+                         args={"thread": event.thread, "to": event.target}))
+                add(dict(common, ph="f", bp="e", ts=event.arrive_ts,
+                         tid=event.target,
+                         args={"thread": event.thread, "from": event.core}))
+                add({"ph": "i", "name": f"out:{event.thread}",
+                     "cat": "migration", "s": "t", "ts": event.ts,
+                     "pid": pid, "tid": event.core,
+                     "args": {"to": event.target}})
+            elif etype in (ThreadSpawned, ThreadFinished, ThreadArrived,
+                           LockContended):
+                add({"ph": "i", "name": f"{event.kind}:{event.thread}",
+                     "cat": "thread", "s": "t", "ts": event.ts, "pid": pid,
+                     "tid": event.core, "args": {}})
+            elif etype in (ObjectAssigned, ObjectMoved, RebalanceRound):
+                args = {key: value for key, value in event.as_dict().items()
+                        if key not in ("ts",)}
+                add({"ph": "i", "name": event.kind, "cat": "scheduler",
+                     "s": "p", "ts": event.ts, "pid": pid,
+                     "tid": SCHEDULER_TRACK, "args": args})
+            elif etype in (CacheEvicted, CacheInvalidated):
+                add({"ph": "i", "name": event.kind, "cat": "memory",
+                     "s": "t", "ts": event.ts, "pid": pid,
+                     "tid": event.core,
+                     "args": {key: value
+                              for key, value in event.as_dict().items()
+                              if key not in ("ts", "core", "kind")}})
+            # Unknown event types are simply not exported.
+        entries.sort(key=itemgetter(0, 1))
+        yield from (text for _, _, text in entries)
 
 
-def write_chrome_trace(path: str, events: Sequence[Event],
+def write_chrome_trace(path: str, events: Iterable[Event],
                        default_label: str = "run") -> str:
-    """Serialise :func:`chrome_trace` to ``path``; returns the path."""
-    document = chrome_trace(events, default_label)
+    """Write a Chrome trace-event document of ``events`` to ``path``;
+    returns the path.  ``events`` may be a generator of any length, such
+    as :func:`~repro.obs.profile.iter_jsonl` over a recording."""
+    labels: List[str] = []
+    entries = _trace_entries(events, default_label, labels)
     with open_text(path, "w") as handle:
-        json.dump(document, handle)
-        handle.write("\n")
+        handle.write('{"traceEvents": [')
+        separator = ""
+        for chunk in iter(lambda: list(islice(entries, _CHUNK_LINES)), []):
+            handle.write(separator + ", ".join(chunk))
+            separator = ", "
+        handle.write('], "displayTimeUnit": "ms", "otherData": ')
+        json.dump({"source": "repro.obs", "runs": labels,
+                   "time_unit": "1 simulated cycle = 1us"}, handle)
+        handle.write("}\n")
     return path
 
 
@@ -252,9 +249,9 @@ def write_events(handle: TextIO, events: Iterable[Event]) -> None:
 
     Each line is the event's :meth:`~Event.as_dict` form, newline
     terminated; lines reach ``handle`` ``_CHUNK_LINES`` at a time,
-    so ``events`` may be a generator of any length.  It writes what it
-    is given: when the event log hit its cap, ``python -m repro.bench``
-    reports the dropped events next to each output built from the log.
+    so ``events`` may be a generator of any length.  A
+    :class:`~repro.obs.stream.Recorder` calls it on each chunk of events
+    as they are published.
 
     An event of a class in ``_TEMPLATES`` whose values are all exact
     ``int``, ``str`` or None fills its class's template with what

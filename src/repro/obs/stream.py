@@ -1,8 +1,8 @@
 """Single-pass, constant-memory streaming profiles over event streams.
 
 Every report of a recording — ``repro-analyze report``, ``folded``,
-``diff``, ``profile``, ``merge`` and ``tail``, and
-``Observability.profile_report()`` — is a :class:`Profile`: one
+``diff``, ``profile``, ``merge`` and ``tail``, and the profile a
+:class:`Recorder` feeds as it writes one — is a :class:`Profile`: one
 :class:`RunProfile` section per :class:`~repro.obs.events.RunMarker`,
 each a set of incremental *reducers* that fold one event at a time and
 never look back:
@@ -22,6 +22,9 @@ never look back:
 Runs that share a label stay separate sections: every simulator run
 restarts at cycle 0, so one section summing two runs over one run's
 horizon would show cores more than 100% busy.
+
+:class:`Recorder`, the one writer of recording files, feeds its profile
+each event it writes, as the event is published.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ __all__ = [
     "SAMPLED_METRICS", "Moments", "ObjectCostsReducer", "CoreBreakdownReducer",
     "MigrationMatrixReducer", "LockTableReducer", "LatencyReducer",
     "OccupancyReducer", "SweepReducer", "RunProfile", "Profile",
-    "StreamProfiler", "ShardRecorder", "diff_sections", "load_profile",
+    "StreamProfiler", "Recorder", "diff_sections", "load_profile",
     "merge_profiles", "synthesize",
 ]
 
@@ -86,8 +89,8 @@ SAMPLED_METRICS = ("op latency (cycles/op)", "dram loads/op",
                    "remote hits/op", "mem-stall (cycles/op)",
                    "lock-spin (cycles/op)")
 
-#: Events a :class:`ShardRecorder` holds between two writes.
-SHARD_CHUNK = 1024
+#: Events a :class:`Recorder` holds between two writes.
+RECORD_CHUNK = 1024
 
 #: Sentinel distinguishing "thread never seen" from "thread known to be
 #: outside any operation" in :class:`ObjectCostsReducer`.
@@ -1172,58 +1175,62 @@ class StreamProfiler:
         return self.profile.render(top=top, width=width)
 
 
-class ShardRecorder:
-    """Per-worker event shard + mergeable profile, written as events are
-    published.
+class Recorder:
+    """The one writer of recording files, as the events are published.
 
-    Each recorded case runs under its own :meth:`pipeline`, whose bus
-    hands every event to the shard's :class:`Profile` at once and to
-    ``<dir>/<name>.events.jsonl.gz`` through
-    :func:`~repro.obs.export.write_events`, :data:`SHARD_CHUNK` events
-    at a time, so a case of any length is recorded whole.  The simulator
-    emits each case's ``RunMarker``, so shards are already label-led.
-    :meth:`close` writes ``<dir>/<name>.profile.json``.  Workers that
-    never ran a case write nothing, so concatenating the shard event
-    files and merging the shard profiles describe the same stream.
+    Attached to a pipeline's bus, it feeds each control-plane event to
+    :attr:`profile` and writes it to ``events_path`` (opened at the
+    first :meth:`attach`) through :func:`~repro.obs.export.write_events`,
+    :data:`RECORD_CHUNK` events at a time.  :meth:`close` flushes it and
+    writes the profile to ``profile_path``, if one is given.
     """
 
-    def __init__(self, profile_dir: str, name: str) -> None:
-        os.makedirs(profile_dir, exist_ok=True)
-        self.events_path = os.path.join(profile_dir,
-                                        f"{name}.events.jsonl.gz")
-        self.profile_path = os.path.join(profile_dir,
-                                         f"{name}.profile.json")
-        self._profile = Profile()
+    def __init__(self, events_path: str,
+                 profile_path: Optional[str] = None) -> None:
+        self.events_path = events_path
+        self.profile_path = profile_path
+        self.profile = Profile()
         self._handle: Optional[Any] = None
         self._chunk: List[Event] = []
 
-    def pipeline(self) -> Observability:
-        """A new pipeline for one case, recording into this shard the
-        events an event log would keep (:data:`CONTROL_EVENTS`)."""
+    @classmethod
+    def shard(cls, profile_dir: str, name: str) -> "Recorder":
+        """A sweep worker's shard: ``<dir>/<name>.events.jsonl.gz`` and
+        ``<dir>/<name>.profile.json``.  Workers that never ran a case
+        write neither, so concatenating the shard recordings and merging
+        the shard profiles describe the same stream."""
+        os.makedirs(profile_dir, exist_ok=True)
+        return cls(os.path.join(profile_dir, f"{name}.events.jsonl.gz"),
+                   os.path.join(profile_dir, f"{name}.profile.json"))
+
+    def attach(self, obs: Observability) -> Observability:
+        """Record ``obs``'s events from now on; returns ``obs``.  Attach
+        before the simulator is built, or its ``RunMarker`` is lost."""
         if self._handle is None:
             self._handle = open_text(self.events_path, "w")
             self._handle.write(jsonl_meta_line() + "\n")
-        obs = Observability(events=False, metrics=False, flight=0)
         obs.bus.subscribe(self._record, *CONTROL_EVENTS)
         return obs
 
     def _record(self, event: Event) -> None:
-        self._profile.feed(event)
+        self.profile.feed(event)
         self._chunk.append(event)
-        if len(self._chunk) >= SHARD_CHUNK:
+        if len(self._chunk) >= RECORD_CHUNK:
             write_events(self._handle, self._chunk)
             self._chunk.clear()
 
     def close(self) -> Optional[str]:
-        """Flush the shard; returns the profile path (None if no cases)."""
+        """Flush the recording; returns the profile path (None if never
+        attached or no profile path was given).  Idempotent."""
         if self._handle is None:
             return None
         write_events(self._handle, self._chunk)
         self._chunk.clear()
         self._handle.close()
         self._handle = None
-        with open(self.profile_path, "w", encoding="utf-8") as handle:
-            handle.write(self._profile.to_json() + "\n")
+        if self.profile_path is not None:
+            with open(self.profile_path, "w", encoding="utf-8") as handle:
+                handle.write(self.profile.to_json() + "\n")
         return self.profile_path
 
 

@@ -195,9 +195,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if isinstance(prepared, int):
         return prepared
     spec, store = prepared
-    # The bus powers the live `tail` feed; flight/metrics are per-case
-    # concerns that live inside the workers, not here.
-    obs = Observability(metrics=False, flight=0)
+    # The bus powers the live `tail` feed and nothing else; flight and
+    # metrics are per-case concerns that live inside the workers.
+    obs = Observability(events=False, metrics=False, flight=0)
     transport = TcpTransport(
         args.host, args.port,
         on_bound=lambda t: print(f"serving {spec.name} on "
@@ -215,8 +215,8 @@ def cmd_work(args: argparse.Namespace) -> int:
     name = args.name or f"{socket.gethostname()}-{os.getpid()}"
     recorder = None
     if args.profile_dir is not None:
-        from repro.obs.stream import ShardRecorder
-        recorder = ShardRecorder(args.profile_dir, name)
+        from repro.obs.stream import Recorder
+        recorder = Recorder.shard(args.profile_dir, name)
     channel = connect(args.connect)
     try:
         computed = work_loop(

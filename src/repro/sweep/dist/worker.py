@@ -31,7 +31,7 @@ import time
 from typing import Callable, Optional
 
 from repro.errors import ConfigError
-from repro.obs.stream import ShardRecorder
+from repro.obs.stream import Recorder
 from repro.sweep.dist.protocol import ProtocolError
 from repro.sweep.dist.transport import PipeWorkerChannel, WorkerChannel
 
@@ -44,7 +44,7 @@ def work_loop(channel: WorkerChannel, name: str,
               say: Optional[Callable[[str], None]] = None,
               max_cases: Optional[int] = None,
               fail_after: Optional[int] = None,
-              recorder: Optional[ShardRecorder] = None) -> int:
+              recorder: Optional[Recorder] = None) -> int:
     """Serve leases from ``channel`` until drained; returns cases done.
 
     ``fingerprint`` is this worker's :func:`~repro.sweep.spec.
@@ -138,7 +138,7 @@ def local_worker_main(conn, name: str,
     channel = PipeWorkerChannel(conn)
     recorder = None
     if profile_dir is not None:
-        recorder = ShardRecorder(profile_dir, name)
+        recorder = Recorder.shard(profile_dir, name)
     try:
         # fingerprint=None: a pipe worker runs the coordinator's own
         # tree, so there is nothing to cross-check.

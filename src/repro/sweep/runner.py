@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import ConfigError
 from repro.obs import (Observability, SweepCaseFailed, SweepCaseFinished,
                        SweepCaseStarted)
-from repro.obs.stream import ShardRecorder
+from repro.obs.stream import Recorder
 from repro.sweep.spec import SweepCase, SweepSpec, code_fingerprint
 from repro.sweep.store import ResultStore, make_record
 
@@ -77,7 +77,7 @@ class RunnerOptions:
     #: without a heartbeat forfeits its cells.
     lease_ttl_s: float = 15.0
     #: Directory for per-shard event recordings + streaming profiles
-    #: (``repro.obs.stream.ShardRecorder``); None disables recording.
+    #: (``repro.obs.stream.Recorder.shard``); None disables recording.
     profile_dir: Optional[str] = None
 
     def validate(self) -> None:
@@ -127,7 +127,7 @@ def _checking(verify: bool):
 def execute_case_record(case: SweepCase, fingerprint: str,
                         verify: bool = False,
                         case_key: Optional[str] = None,
-                        recorder: Optional[ShardRecorder] = None,
+                        recorder: Optional[Recorder] = None,
                         recording: Optional[Observability] = None) -> dict:
     """Run one case to a store record, absorbing simulator failures.
 
@@ -142,7 +142,8 @@ def execute_case_record(case: SweepCase, fingerprint: str,
     """
     from repro.bench.harness import execute_case
     key = case_key if case_key is not None else case.key()
-    obs = recorder.pipeline() if recorder is not None else recording
+    obs = recording if recorder is None else recorder.attach(
+        Observability(events=False, metrics=False, flight=0))
     with _checking(verify):
         try:
             point = execute_case(case, obs=obs)
@@ -319,7 +320,7 @@ def _run_serial(todo, options: RunnerOptions, fingerprint: str,
                 recording: Optional[Observability]) -> None:
     recorder = None
     if options.profile_dir is not None:
-        recorder = ShardRecorder(options.profile_dir, "serial")
+        recorder = Recorder.shard(options.profile_dir, "serial")
     try:
         for case, key in todo:
             if options.stop_after is not None \

@@ -34,6 +34,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Any, Callable, Iterator, Optional, Tuple
 
 from repro.core.coretime import CoreTimeConfig, CoreTimeScheduler
@@ -299,13 +300,17 @@ def _without_memory_events(stream: str) -> str:
 
 
 def _first_diff(a: str, b: str) -> str:
-    for index, (line_a, line_b) in enumerate(zip(a.splitlines(),
-                                                 b.splitlines())):
+    """Where two unequal streams first differ: the first line they do not
+    share (None past the end of the shorter), else their tails."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for index, (line_a, line_b) in enumerate(zip_longest(lines_a, lines_b)):
         if line_a != line_b:
-            return (f"first divergence at line {index}: "
-                    f"{line_a[:120]!r} != {line_b[:120]!r}")
-    return (f"streams have different lengths "
-            f"({len(a.splitlines())} vs {len(b.splitlines())} lines)")
+            return (f"first divergence at line {index} (of {len(lines_a)} "
+                    f"vs {len(lines_b)}): {line_a and line_a[:120]!r} != "
+                    f"{line_b and line_b[:120]!r}")
+    at = len(os.path.commonprefix([a, b]))
+    return (f"every line agrees; the streams differ from character {at}: "
+            f"{a[at:at + 120]!r} != {b[at:at + 120]!r}")
 
 
 def check_case(case: FuzzCase,

@@ -137,3 +137,107 @@ def timeline_by_lists(events, n_cores=None, width=72):
         lines.append(f"core {core_id:>3} |{''.join(row)}|")
     lines.append(f"         0{'cycles'.center(width - 1)}{horizon:,}")
     return "\n".join(lines)
+
+
+def chrome_trace_by_lists(events, default_label="run"):
+    """The whole Chrome trace document of ``events``, built in memory and
+    sorted once, the way ``repro.obs.export`` built it before it wrote
+    one run at a time: ``json.dump`` of it is the streamed trace's
+    reference."""
+    from repro.obs.events import (CacheEvicted, CacheInvalidated,
+                                  LockContended, MigrationStarted,
+                                  ObjectAssigned, ObjectMoved,
+                                  OperationFinished, RebalanceRound,
+                                  RunMarker, ThreadArrived, ThreadFinished,
+                                  ThreadSpawned)
+    from repro.obs.export import SCHEDULER_TRACK
+
+    trace_events = []
+    processes = []
+    tracks_seen = set()
+    flow_id = 0
+
+    def ensure_process(label):
+        pid = len(processes)
+        processes.append(label)
+        trace_events.append({
+            "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+            "args": {"name": f"{pid}:{label}"}})
+        return pid
+
+    def ensure_track(pid, tid):
+        if (pid, tid) in tracks_seen:
+            return
+        tracks_seen.add((pid, tid))
+        name = "scheduler" if tid == SCHEDULER_TRACK else f"core {tid}"
+        trace_events.append({
+            "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
+            "args": {"name": name}})
+
+    pid = None
+    for event in events:
+        etype = type(event)
+        if etype is RunMarker:
+            pid = ensure_process(event.label)
+            continue
+        if pid is None:
+            pid = ensure_process(default_label)
+        if etype is OperationFinished:
+            ensure_track(pid, event.core)
+            trace_events.append({
+                "ph": "X", "name": event.obj, "cat": "op",
+                "ts": event.ts - event.cycles, "dur": event.cycles,
+                "pid": pid, "tid": event.core,
+                "args": {"thread": event.thread}})
+        elif etype is MigrationStarted:
+            ensure_track(pid, event.core)
+            ensure_track(pid, event.target)
+            flow_id += 1
+            common = {"cat": "migration", "name": "migrate",
+                      "id": flow_id, "pid": pid}
+            trace_events.append(dict(common, ph="s", ts=event.ts,
+                                     tid=event.core,
+                                     args={"thread": event.thread,
+                                           "to": event.target}))
+            trace_events.append(dict(common, ph="f", bp="e",
+                                     ts=event.arrive_ts, tid=event.target,
+                                     args={"thread": event.thread,
+                                           "from": event.core}))
+            trace_events.append({
+                "ph": "i", "name": f"out:{event.thread}",
+                "cat": "migration", "s": "t", "ts": event.ts, "pid": pid,
+                "tid": event.core, "args": {"to": event.target}})
+        elif etype in (ThreadSpawned, ThreadFinished, ThreadArrived,
+                       LockContended):
+            ensure_track(pid, event.core)
+            trace_events.append({
+                "ph": "i", "name": f"{event.kind}:{event.thread}",
+                "cat": "thread", "s": "t", "ts": event.ts, "pid": pid,
+                "tid": event.core, "args": {}})
+        elif etype in (ObjectAssigned, ObjectMoved, RebalanceRound):
+            ensure_track(pid, SCHEDULER_TRACK)
+            args = {key: value for key, value in event.as_dict().items()
+                    if key not in ("ts",)}
+            trace_events.append({
+                "ph": "i", "name": event.kind, "cat": "scheduler",
+                "s": "p", "ts": event.ts, "pid": pid,
+                "tid": SCHEDULER_TRACK, "args": args})
+        elif etype in (CacheEvicted, CacheInvalidated):
+            ensure_track(pid, event.core)
+            trace_events.append({
+                "ph": "i", "name": event.kind, "cat": "memory", "s": "t",
+                "ts": event.ts, "pid": pid, "tid": event.core,
+                "args": {key: value
+                         for key, value in event.as_dict().items()
+                         if key not in ("ts", "core", "kind")}})
+    trace_events.sort(key=lambda entry: (
+        entry["pid"], 0 if entry["ph"] == "M" else 1,
+        entry["tid"] if entry["ph"] != "M" else -1,
+        entry.get("ts", 0)))
+    return {
+        "traceEvents": trace_events,
+        "displayTimeUnit": "ms",
+        "otherData": {"source": "repro.obs",
+                      "runs": processes,
+                      "time_unit": "1 simulated cycle = 1us"},
+    }

@@ -9,6 +9,7 @@ from repro.cpu.topology import MachineSpec
 from repro.errors import SimulationError
 from repro.obs import (MigrationStarted, Observability, ThreadArrived,
                        ThreadFinished, ThreadSpawned)
+from repro.obs.stream import Recorder
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
 from repro.threads.program import (ITEM_TYPES, Acquire, Compute, CtEnd,
@@ -367,11 +368,12 @@ class TestDeterminismAndTracing:
 
     def test_same_seed_event_streams_byte_identical(self, tmp_path):
         def record(tag):
-            obs = Observability(events=True)
+            recorder = Recorder(str(tmp_path / f"{tag}.events.jsonl"))
+            obs = recorder.attach(Observability(events=False))
             _dirlookup_sim(obs=obs).run(until=150_000)
-            path = tmp_path / f"{tag}.events.jsonl"
-            obs.write_jsonl(str(path))
-            return path.read_bytes()
+            recorder.close()
+            with open(recorder.events_path, "rb") as handle:
+                return handle.read()
         assert record("a") == record("b")
 
 

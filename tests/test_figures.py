@@ -5,6 +5,8 @@ experiment runs end to end, returns well-formed results, and that the
 CLI plumbing works.
 """
 
+import json
+
 import pytest
 
 from repro.bench.figures import (EXPERIMENTS, PROFILES, FigureResult,
@@ -88,31 +90,72 @@ class TestRegistry:
         assert _derived_path("run.events.jsonl.gz", "fig2", many=False) \
             == "run.events.jsonl.gz"
 
-    def test_outputs_report_events_dropped_at_the_log_cap(
-            self, tmp_path, monkeypatch, capsys):
-        import argparse
+    def test_recording_holds_every_published_event(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # --events-out is written as events are published: it holds
+        # each event the bus delivered, kind by kind, as a second
+        # subscriber counts them, and the --profile-out report is
+        # repro-analyze's report of it.
+        from collections import Counter
 
+        import repro.bench.__main__ as bench_main
         import repro.bench.report as report_module
-        from repro.bench.__main__ import _write_outputs
-        from repro.obs import Observability
+        from repro.obs import CONTROL_EVENTS, Observability
+        from repro.obs.cli import main as analyze_main
 
         monkeypatch.setattr(report_module, "RESULTS_DIR", str(tmp_path))
-        obs = Observability(max_events=40)
-        figure_2(n_dirs=4, run_cycles=60_000, seed=3, obs=obs)
-        kept, dropped = len(obs.log), obs.log.dropped
-        assert kept == 40 and dropped > 0
-        args = argparse.Namespace(
-            trace_out=str(tmp_path / "t.trace.json"),
-            events_out=str(tmp_path / "e.events.jsonl"),
-            profile_out="p", metrics_out=str(tmp_path / "m.json"))
-        _write_outputs(args, obs, "fig2", many=False, tag="fig2")
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 3
-        for line, what in zip(err, ("trace", "events", "profile")):
-            assert line.startswith(f"[fig2] warning: {what} ")
-            assert f"first {kept:,} events; {dropped:,} more" in line
-        assert len((tmp_path / "e.events.jsonl").read_text()
-                   .splitlines()) == 1 + kept
+        published = Counter()
+
+        def counted(**kwargs):
+            obs = Observability(**kwargs)
+            obs.bus.subscribe(lambda event: published.update((event.kind,)),
+                              *CONTROL_EVENTS)
+            return obs
+
+        monkeypatch.setattr(bench_main, "Observability", counted)
+        path = tmp_path / "fig2.events.jsonl"
+        assert bench_main.main(["fig2", "--quiet", "--events-out",
+                                str(path), "--profile-out", "p"]) == 0
+        assert capsys.readouterr().err == ""
+        lines = path.read_text().splitlines()
+        recorded = Counter(json.loads(line)["kind"] for line in lines[1:])
+        assert recorded == published and published["run"] == 2
+        assert analyze_main(["report", str(path)]) == 0
+        assert capsys.readouterr().out == (tmp_path / "p.txt").read_text()
+
+    @pytest.mark.parametrize("flag", ["--trace-out", "--profile-out"])
+    def test_outputs_without_events_out_leave_no_scratch_file(
+            self, flag, tmp_path, monkeypatch):
+        import tempfile
+
+        import repro.bench.report as report_module
+        from repro.bench.__main__ import main
+
+        monkeypatch.setattr(report_module, "RESULTS_DIR", str(tmp_path))
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        out = (str(tmp_path / "fig2.trace.json") if flag == "--trace-out"
+               else "fig2-profile")
+        assert main(["fig2", "--quiet", flag, out]) == 0
+        assert list(scratch.iterdir()) == []
+        if flag == "--trace-out":
+            document = json.loads((tmp_path / "fig2.trace.json").read_text())
+            assert document["otherData"]["runs"] == ["thread", "coretime"]
+        else:
+            assert "=== run: coretime" in \
+                (tmp_path / "fig2-profile.txt").read_text()
+
+    def test_unsupported_experiment_leaves_no_recording(self, tmp_path,
+                                                        monkeypatch, capsys):
+        import repro.bench.report as report_module
+        from repro.bench.__main__ import main
+
+        monkeypatch.setattr(report_module, "RESULTS_DIR", str(tmp_path))
+        path = tmp_path / "packing.events.jsonl"
+        assert main(["packing", "--quiet", "--events-out", str(path)]) == 0
+        assert "not supported, ignored" in capsys.readouterr().out
+        assert not path.exists()
 
     def test_outputs_refuse_worker_processes(self, tmp_path, capsys):
         # A recording attaches to in-process simulators only.

@@ -14,8 +14,8 @@ from repro.obs.events import (ALL_EVENTS, CONTROL_EVENTS, EVENT_KINDS,
                               MEMORY_EVENTS, Event, MigrationStarted,
                               OperationFinished, RunMarker, ThreadFinished,
                               ThreadSpawned)
-from repro.obs.export import (SCHEMA_VERSION, ascii_timeline, chrome_trace,
-                              events_to_jsonl)
+from repro.obs.export import (SCHEMA_VERSION, ascii_timeline,
+                              events_to_jsonl, write_chrome_trace)
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (Histogram, MetricsRegistry)
 from repro.sched.base import SchedulerRuntime
@@ -24,7 +24,7 @@ from repro.sim.engine import Simulator
 from repro.threads.program import Compute, CtEnd, CtStart
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
-from tests.helpers import timeline_by_lists, tiny_spec
+from tests.helpers import chrome_trace_by_lists, timeline_by_lists, tiny_spec
 
 
 class _Obj:
@@ -293,8 +293,7 @@ class TestSimulatorIntegration:
         run_workload(obs=obs)
         run_workload(obs=obs)
         markers = [e for e in obs.events() if type(e) is RunMarker]
-        assert len(markers) == 2
-        assert obs.runs == ["thread", "thread"]
+        assert [marker.label for marker in markers] == ["thread", "thread"]
 
     def test_memory_events_opt_in(self):
         quiet = Observability()
@@ -326,14 +325,18 @@ class TestSimulatorIntegration:
 # exporters
 # ---------------------------------------------------------------------------
 
+def _trace(tmp_path, events):
+    """The entries of the Chrome trace written for ``events``."""
+    path = tmp_path / "run.trace.json"
+    write_chrome_trace(str(path), events)
+    return json.loads(path.read_text())["traceEvents"]
+
+
 class TestChromeTrace:
     def test_trace_is_valid_and_monotonic(self, tmp_path):
         obs = Observability()
         run_workload(obs=obs)
-        path = tmp_path / "run.trace.json"
-        obs.write_chrome_trace(str(path))
-        document = json.loads(path.read_text())
-        events = document["traceEvents"]
+        events = _trace(tmp_path, obs.events())
         assert events, "empty trace"
         for entry in events:
             assert entry["ph"] in ("M", "X", "i", "s", "f")
@@ -356,7 +359,7 @@ class TestChromeTrace:
         for ts_list in slices.values():
             assert ts_list == sorted(ts_list)
 
-    def test_migration_flow_pairs(self):
+    def test_migration_flow_pairs(self, tmp_path):
         class PingPong(ThreadScheduler):
             # Every annotated operation runs on the *other* core.
             def on_ct_start(self, thread, obj, core, now):
@@ -367,7 +370,7 @@ class TestChromeTrace:
         sim = Simulator(machine, PingPong(), obs=obs)
         sim.spawn(annotated_program(n_ops=4), core_id=0)
         sim.run(until=200_000)
-        events = chrome_trace(obs.events())["traceEvents"]
+        events = _trace(tmp_path, obs.events())
         starts = {e["id"] for e in events if e["ph"] == "s"}
         finishes = {e["id"] for e in events if e["ph"] == "f"}
         assert starts and starts == finishes
@@ -375,12 +378,43 @@ class TestChromeTrace:
         for finish in (e for e in events if e["ph"] == "f"):
             assert finish["bp"] == "e"
 
-    def test_two_runs_become_two_processes(self):
+    def test_two_runs_become_two_processes(self, tmp_path):
         obs = Observability()
         run_workload(obs=obs)
         run_workload(obs=obs)
-        events = chrome_trace(obs.events())["traceEvents"]
+        events = _trace(tmp_path, obs.events())
         assert {e["pid"] for e in events} == {0, 1}
+
+    def test_streamed_trace_matches_whole_document(self, tmp_path):
+        # One run at a time, encoded as made, must write the bytes of
+        # the whole document sorted once: a headless run (its marker
+        # dropped) with memory events, a CoreTime run with migrations
+        # and scheduler events, and a synthetic run with float fields.
+        from repro.core.coretime import CoreTimeScheduler
+        from repro.obs.stream import synthesize
+
+        obs = Observability(capture_memory=True)
+        run_workload(obs=obs, until=60_000)
+        machine = Machine(tiny_spec())
+        sim = Simulator(machine, CoreTimeScheduler(), obs=obs)
+        DirectoryLookupWorkload(machine, DirWorkloadSpec(
+            n_dirs=8, files_per_dir=16, think_cycles=10,
+            threads_per_core=2)).spawn_all(sim)
+        sim.run(until=300_000)
+        events = obs.events()
+        assert type(events[0]) is RunMarker
+        events = events[1:] + list(synthesize(3_000, seed=2))
+        kinds = Counter(event.kind for event in events)
+        assert kinds["run"] == 2
+        for kind in ("op_end", "migrate", "assign", "evict", "invalidate"):
+            assert kinds[kind], kind
+        path = tmp_path / "run.trace.json"
+        write_chrome_trace(str(path), iter(events), default_label="pre")
+        expected = json.dumps(chrome_trace_by_lists(events, "pre")) + "\n"
+        assert path.read_text() == expected
+        document = json.loads(expected)
+        assert document["otherData"]["runs"] \
+            == ["pre", "coretime", "synthetic"]
 
     def test_jsonl_round_trip(self):
         obs = Observability()

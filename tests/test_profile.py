@@ -26,8 +26,9 @@ from repro.obs.events import (ALL_EVENTS, EVENT_KINDS, CacheEvicted,
 from repro.obs.export import SCHEMA_VERSION, events_to_jsonl, write_jsonl
 from repro.obs.profile import (EventDecoder, MetricDelta, diff_metrics,
                                folded_stacks, iter_jsonl, render_diff)
-from repro.obs.stream import (Profile, RunProfile, StreamProfiler,
-                              diff_sections, merge_profiles, synthesize)
+from repro.obs.stream import (Profile, Recorder, RunProfile,
+                              StreamProfiler, diff_sections, merge_profiles,
+                              synthesize)
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
@@ -706,7 +707,7 @@ class TestReportAndCli:
         DirectoryLookupWorkload(machine, spec).spawn_all(sim)
         sim.run(until=120_000)
         path = tmp_path / "run.events.jsonl"
-        obs.write_jsonl(str(path))
+        write_jsonl(str(path), obs.events())
         metrics = tmp_path / "run.metrics.json"
         metrics.write_text(json.dumps(obs.metrics_snapshot()),
                            encoding="utf-8")
@@ -835,17 +836,23 @@ class TestReportAndCli:
         assert analyze_main(["report", str(path)]) == 2
         assert "newer than this analyzer" in capsys.readouterr().err
 
-    def test_profile_report_matches_cli_sections(self):
-        obs = Observability()
+    def test_profile_report_matches_cli_sections(self, tmp_path, capsys):
+        # The profile a recorder feeds as it writes is the report
+        # repro-analyze prints from the written recording.
+        recorder = Recorder(str(tmp_path / "run.events.jsonl"))
+        obs = recorder.attach(Observability(events=False))
         machine = Machine(tiny_spec())
         sim = Simulator(machine, ThreadScheduler(), obs=obs)
         spec = DirWorkloadSpec(n_dirs=8, files_per_dir=16, think_cycles=10,
                                threads_per_core=2, seed=7)
         DirectoryLookupWorkload(machine, spec).spawn_all(sim)
         sim.run(until=120_000)
-        text = obs.profile_report()
+        recorder.close()
+        text = recorder.profile.render()
         assert "Per-object attribution" in text
         assert "=== run: thread" in text
+        assert analyze_main(["report", recorder.events_path]) == 0
+        assert capsys.readouterr().out == text + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from repro.obs.export import write_jsonl
 from repro.obs.metrics import OP_LATENCY_BUCKETS, Histogram
 from repro.obs.profile import (EventDecoder, iter_jsonl, render_lock_table,
                                render_object_costs)
-from repro.obs.stream import (OccupancyReducer, Profile, RunProfile,
-                              ShardRecorder, StreamProfiler, load_profile,
+from repro.obs.stream import (OccupancyReducer, Profile, Recorder,
+                              RunProfile, StreamProfiler, load_profile,
                               merge_profiles, synthesize)
 from repro.sim.engine import Simulator
 from repro.sweep import presets
@@ -182,11 +182,14 @@ class TestStreamingMatchesBatch:
         from repro.bench.figures import figure_2
 
         obs = Observability()
+        recorder = Recorder(str(tmp_path / "fig2.events.jsonl.gz"))
+        recorder.attach(obs)
         figure_2(n_dirs=6, run_cycles=120_000, seed=11, obs=obs)
-        path = str(tmp_path / "fig2.events.jsonl.gz")
-        obs.write_jsonl(path)
-        assert analyze_main(["report", path]) == 0
-        assert capsys.readouterr().out == obs.profile_report() + "\n"
+        recorder.close()
+        report = Profile.from_events(obs.events()).render()
+        assert recorder.profile.render() == report
+        assert analyze_main(["report", recorder.events_path]) == 0
+        assert capsys.readouterr().out == report + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +561,7 @@ class TestSweepShardProfiles:
         assert merged.total_events > 0
 
     def test_shard_recorder_skips_profile_when_idle(self, tmp_path):
-        recorder = ShardRecorder(str(tmp_path / "dir"), "idle")
+        recorder = Recorder.shard(str(tmp_path / "dir"), "idle")
         assert recorder.close() is None
         assert os.listdir(str(tmp_path / "dir")) == []
 
@@ -570,14 +573,14 @@ class TestSweepShardProfiles:
         case = next(case for case in presets.fig4a().expand()
                     if case.scheduler == "coretime"
                     and case.workload_label == "dirs160")
-        recorder = ShardRecorder(str(tmp_path), "cell")
+        recorder = Recorder.shard(str(tmp_path), "cell")
         pipelines = []
 
-        def pipeline(make=recorder.pipeline):
-            pipelines.append(make())
-            return pipelines[-1]
+        def attach(obs, attach=recorder.attach):
+            pipelines.append(obs)
+            return attach(obs)
 
-        monkeypatch.setattr(recorder, "pipeline", pipeline)
+        monkeypatch.setattr(recorder, "attach", attach)
         record = execute_case_record(case, "test", recorder=recorder)
         recorder.close()
         assert record["status"] == "ok"

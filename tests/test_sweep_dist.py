@@ -605,3 +605,27 @@ class TestServeWorkCli:
         worker = _cli(["work", "--connect", "127.0.0.1:1",
                        "--quiet"])
         assert worker.wait(timeout=60) == 1
+
+    def test_serve_builds_no_event_for_an_unwatched_sweep(self, tmp_path,
+                                                          monkeypatch):
+        # The coordinator's bus feeds the watch stream and nothing else:
+        # no event log subscribes, so with no watcher attached no sweep
+        # event is built, let alone kept.
+        import repro.sweep.dist.transport as transport_module
+        from repro.obs import SweepCaseStarted
+        from repro.sweep import cli
+
+        served = []
+
+        def run_sweep_stub(spec, store, options, obs=None, **kwargs):
+            served.append(obs)
+            return SweepOutcome(records={})
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep_stub)
+        monkeypatch.setattr(transport_module, "TcpTransport",
+                            lambda *args, **kwargs: None)
+        assert cli.main(["serve", "smoke", "--seeds", "1", "--port", "0",
+                         "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        (obs,) = served
+        assert obs.log is None
+        assert not obs.bus.wants(SweepCaseStarted)

@@ -12,11 +12,12 @@ import functools
 
 import pytest
 
+import repro.obs
 from repro.cpu.machine import Machine
 from repro.cpu.topology import MachineSpec
 from repro.mem.counters import aggregate
 from repro.mem.system import MemorySystem
-from repro.obs import Observability
+from repro.obs import EventLog
 from repro.sched.registry import coretime_factory
 from repro.sim.engine import Simulator
 from repro.verify import InvariantChecker, check_case, generate_case
@@ -185,11 +186,22 @@ class TestDeterminism:
         assert "['l3_hits']" in failure.detail
 
     def test_a_dropped_event_fails_the_case(self, monkeypatch):
-        monkeypatch.setattr(fuzz, "Observability",
-                            functools.partial(Observability, max_events=50))
+        monkeypatch.setattr(repro.obs, "EventLog",
+                            functools.partial(EventLog, 50))
         failure = check_case(generate_case(300))
         assert failure.kind == "crash"
         assert "dropped" in failure.detail
+
+    def test_first_diff_names_a_line(self):
+        assert fuzz._first_diff("a\nb", "a\nc") \
+            == "first divergence at line 1 (of 2 vs 2): 'b' != 'c'"
+        assert fuzz._first_diff("a\nb", "a\nb\nc") \
+            == "first divergence at line 2 (of 2 vs 3): None != 'c'"
+        assert fuzz._first_diff("a\n\nc", "a") \
+            == "first divergence at line 1 (of 3 vs 1): '' != None"
+        assert fuzz._first_diff("a\nb", "a\nb\n") \
+            == ("every line agrees; the streams differ from character 3: "
+                "'' != '\\n'")
 
     def test_case_generation_is_deterministic(self):
         assert generate_case(42) == generate_case(42)
